@@ -52,8 +52,8 @@ class DegreeData:
     torsion: list                    # invariant factors > 1
     free_reps: list                  # Cochain
     torsion_reps: list               # Cochain
-    reduce_free: list                # betti x N Fraction rows
-    reduce_torsion: list             # len(torsion) x N Fraction rows
+    reduce_free: list                # betti x N rows (integers for complexes)
+    reduce_torsion: list             # len(torsion) x N rows
 
 
 class GradedCohomology:
@@ -158,33 +158,36 @@ def integral_cohomology(matrices, dim, conames) -> GradedCohomology:
     for k in range(m + 1):
         basis = degree_tuples(m, k)
         n_k = len(basis)
-        d_k = matrices[k] if k < len(matrices) else [[] for _ in range(0)]
-        kercols = lin.kernel_basis(d_k, ncols=n_k) if k < len(matrices) else \
-            [[1 if i == j else 0 for i in range(n_k)] for j in range(n_k)]
-        s = len(kercols)
+        d_k = matrices[k] if k < len(matrices) else []
+        # nonzero columns of d_{k-1}, as sparse (row, entry) lists
         prev_cols = []
         if k >= 1 and matrices[k - 1] and matrices[k - 1][0]:
             dm = matrices[k - 1]
-            prev_cols = [[dm[i][j] for i in range(len(dm))] for j in range(len(dm[0]))]
-            prev_cols = [c for c in prev_cols if any(c)]
-        degrees.append(_degree_data(k, basis, kercols, prev_cols, n_k, dim))
+            for j in range(len(dm[0])):
+                col = [(i, int(row[j])) for i, row in enumerate(dm) if row[j]]
+                if col:
+                    prev_cols.append(col)
+        degrees.append(_degree_data(k, basis, d_k, prev_cols, n_k, dim))
     return GradedCohomology(dim, conames, degrees, matrices=matrices)
 
 
-def _degree_data(k, basis, kercols, prev_cols, n_k, dim):
+def _sparse_dot(row, col):
+    return sum(row[i] * x for i, x in col)
+
+
+def _degree_data(k, basis, d_k, prev_cols, n_k, dim):
+    kercols, coord_rows, check_rows = lin.kernel_transform(d_k, ncols=n_k)
     s = len(kercols)
     if s == 0:
         return DegreeData(k, basis, 0, [], [], [], [], [])
-    solver = lin.rational_solver(kercols, n_k)  # s x N
 
     # coboundary image in kernel coordinates; integral because the kernel
     # lattice is saturated
     x_cols = []
     for col in prev_cols:
-        coords = lin.solve_in_lattice(kercols, col, n_k)
-        if coords is None or any(isinstance(c, Fraction) and c.denominator != 1 for c in coords):
+        if any(_sparse_dot(row, col) for row in check_rows):
             raise ValueError("not a complex")
-        x_cols.append([int(c) for c in coords])
+        x_cols.append([_sparse_dot(row, col) for row in coord_rows])
 
     if x_cols:
         x_mat = [[c[i] for c in x_cols] for i in range(s)]
@@ -197,31 +200,37 @@ def _degree_data(k, basis, kercols, prev_cols, n_k, dim):
         u = lin.identity(s)
         uinv = lin.identity(s)
 
-    reduce_full = lin.mat_mul_frac(
-        [[Fraction(x) for x in row] for row in uinv], solver
-    )  # s x N
-
     free_idx = [i for i in range(s) if i >= len(diag) or diag[i] == 0]
     tors_idx = [i for i in range(s) if i < len(diag) and diag[i] > 1]
     torsion = [diag[i] for i in tors_idx]
 
+    def reduce_row(i):
+        return lin.mat_mul([uinv[i]], coord_rows)[0]
+
     def rep_col(i):
-        return [sum(kercols[j][row] * u[j][i] for j in range(s)) for row in range(n_k)]
+        col = [0] * n_k
+        for j in range(s):
+            c = u[j][i]
+            if c:
+                kj = kercols[j]
+                for row in range(n_k):
+                    if kj[row]:
+                        col[row] += c * kj[row]
+        return col
 
     free_cols = [rep_col(i) for i in free_idx]
-    reduce_free = [reduce_full[i] for i in free_idx]
+    reduce_free = [reduce_row(i) for i in free_idx]
     if free_cols:
+        # the coordinates of the old basis in the Hermite basis are the
+        # columns of the change of basis that carries the reduction rows over
         hnf_cols = lin.column_style_hermite(free_cols, n_k)
-        t_mat_cols = [lin.solve_in_lattice(free_cols, h, n_k) for h in hnf_cols]
-        t_mat = [[c[i] for c in t_mat_cols] for i in range(len(free_cols))]
-        t_inv = lin.int_inverse(t_mat)
-        reduce_free = lin.mat_mul_frac(
-            [[Fraction(x) for x in row] for row in t_inv], reduce_free
-        )
+        t_inv_cols = [lin.echelon_coords(hnf_cols, c) for c in free_cols]
+        t_inv = [[c[i] for c in t_inv_cols] for i in range(len(hnf_cols))]
+        reduce_free = lin.mat_mul(t_inv, reduce_free)
         free_cols = hnf_cols
 
     tors_cols = [rep_col(i) for i in tors_idx]
-    reduce_torsion = [reduce_full[i] for i in tors_idx]
+    reduce_torsion = [reduce_row(i) for i in tors_idx]
     for j, col in enumerate(tors_cols):
         lead = next((x for x in col if x), 0)
         if lead < 0:
@@ -338,9 +347,11 @@ class CohomologyRing:
 def nilmanifold_ring(lie: LieAlgebraPresentation) -> CohomologyRing:
     """Ring of the cochain complex of an integral nilpotent presentation.
 
-    The output is the cohomology of the presentation's cochain complex
-    over the integers; for the shipped presets this agrees with the
-    integral cohomology of the associated compact quotient.
+    The output is the cohomology of the presentation's Chevalley-Eilenberg
+    cochain complex over the integers.  By Nomizu (1954) it agrees with the
+    cohomology of the associated compact nilmanifold rationally (free
+    ranks and the real ring); the torsion is that of the complex, which
+    in general need not be the nilmanifold's.
     """
     report = validate_presentation(lie)
     if not report.jacobi_ok:

@@ -4,7 +4,9 @@ Matrices are plain lists of row lists.  The Smith normal form keeps the
 unimodular transforms and their inverses, which is what the cohomology
 engine needs to read off torsion, representatives and reduction maps.
 Pivots are chosen by minimal absolute value to keep intermediate entries
-small; inputs up to ~70x70 finish in well under a second.
+small.  On the sparse differentials of a dim-9 2-step presentation the
+126x126 d_4 factors in about 0.1 s and the 126x84 d_3 in about 0.06 s
+(Python 3.11, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -175,6 +177,27 @@ def smith_normal_form(a) -> SmithDecomposition:
     return SmithDecomposition(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
 
 
+def kernel_transform(a, ncols=None):
+    """Kernel basis of A together with the rows that read coordinates in it.
+
+    Returns ``(basis, coords, checks)``.  With A = U D V and r = rank,
+    ``basis`` is the columns r.. of V^{-1}: a saturated basis of ker(A)
+    in Z^m.  Since V V^{-1} = I, the rows ``coords`` (rows r.. of V) send
+    a kernel vector to its coordinates in ``basis``, and a vector lies in
+    the rational kernel exactly when the rows ``checks`` (rows ..r of V)
+    all vanish on it.
+    """
+    if not a or not a[0]:
+        m = ncols if ncols is not None else (len(a[0]) if a else 0)
+        eye = identity(m)
+        return eye, eye, []
+    snf = smith_normal_form(a)
+    m, r = len(a[0]), snf.rank
+    # A (Vinv e_j) = U D e_j = 0 for j >= rank
+    basis = [[snf.vinv[i][j] for i in range(m)] for j in range(r, m)]
+    return basis, snf.v[r:], snf.v[:r]
+
+
 def kernel_basis(a, ncols=None):
     """Basis of the integer kernel lattice {v : A v = 0}.
 
@@ -182,13 +205,7 @@ def kernel_basis(a, ncols=None):
     sublattice of Z^m (every integer kernel vector is an integer
     combination of the basis).
     """
-    if not a or not a[0]:
-        m = ncols if ncols is not None else (len(a[0]) if a else 0)
-        return [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    snf = smith_normal_form(a)
-    m = len(a[0])
-    # A (Vinv e_j) = U D e_j = 0 for j >= rank
-    return [[snf.vinv[i][j] for i in range(m)] for j in range(snf.rank, m)]
+    return kernel_transform(a, ncols)[0]
 
 
 def column_style_hermite(cols, n):
@@ -233,6 +250,29 @@ def column_style_hermite(cols, n):
         basis.append(piv)
         work = [c for c in rest if any(c)]
     return basis
+
+
+def echelon_coords(basis, col):
+    """Integer coordinates of ``col`` in a lattice basis in column echelon
+    form (each column's first nonzero row strictly below the previous
+    one's), as ``column_style_hermite`` returns it.  Forward substitution
+    with exact division; raises ValueError if ``col`` is not in the
+    lattice."""
+    rest = list(col)
+    coords = []
+    for b in basis:
+        p = next(i for i, x in enumerate(b) if x)
+        q, r = divmod(rest[p], b[p])
+        if r:
+            raise ValueError("vector is not in the lattice")
+        if q:
+            for i in range(p, len(rest)):
+                if b[i]:
+                    rest[i] -= q * b[i]
+        coords.append(q)
+    if any(rest):
+        raise ValueError("vector is not in the lattice")
+    return coords
 
 
 def solve_in_lattice(cols, target, n):

@@ -12,7 +12,14 @@ from math import comb
 import pytest
 
 from preqlat import intlinalg as lin
-from preqlat.cealg import Cochain, ce_differential, heisenberg_times_line, wedge
+from preqlat.cealg import (
+    Cochain,
+    LieAlgebraPresentation,
+    ce_differential,
+    complex_matrices,
+    heisenberg_times_line,
+    wedge,
+)
 from preqlat.cohomring import (
     CohomClass,
     coboundary,
@@ -27,6 +34,36 @@ from preqlat.combinat import degree_tuples
 
 def heis_ring(r):
     return nilmanifold_ring(heisenberg_times_line(r))
+
+
+def two_step_presentation(seed, dim, centre, bound, density=1.0):
+    """Seeded random 2-step nilpotent presentation: each bracket of the
+    first dim-centre generators is drawn with probability ``density`` and
+    lands in the span of the last ``centre`` ones, with coefficients in
+    [-bound, bound]."""
+    rng = random.Random(seed)
+    structure = {}
+    for i in range(dim - centre):
+        for j in range(i + 1, dim - centre):
+            if rng.random() >= density:
+                continue
+            comps = {k: Fraction(v) for k in range(dim - centre, dim)
+                     if (v := rng.randint(-bound, bound))}
+            if comps:
+                structure[(i, j)] = comps
+    return LieAlgebraPresentation(
+        dim=dim, basis_names=tuple(f"e{i+1}" for i in range(dim)), structure=structure
+    )
+
+
+def torsion_rings():
+    """A dim-6 and a dim-7 presentation whose cohomology has torsion
+    (invariant factors up to 42 and 6)."""
+    rings = [nilmanifold_ring(two_step_presentation("6-1", 6, 3, 3)),
+             nilmanifold_ring(two_step_presentation("7-2", 7, 2, 3, 0.5))]
+    for ring in rings:
+        assert any(ring.torsion(k) for k in range(ring.cohomology.dim + 1))
+    return rings
 
 
 def random_cochain(rng, m, degree, span=3):
@@ -116,8 +153,7 @@ def test_not_a_complex_error():
 
 
 def test_reduce_of_representative_is_unit_vector():
-    rng = random.Random(3)
-    for ring in (heis_ring(2), heis_ring(3), torus_ring(3), surface_ring(2)):
+    for ring in (heis_ring(2), heis_ring(3), torus_ring(3), surface_ring(2), *torsion_rings()):
         for k in range(ring.cohomology.dim + 1):
             dd = ring.cohomology.data(k)
             for i, rep in enumerate(dd.free_reps):
@@ -139,6 +175,12 @@ def test_reduce_kills_random_coboundaries():
             for _ in range(5):
                 c = random_cochain(rng, 4, k)
                 dc = ce_differential(c, lie)
+                assert ring.reduce(dc).is_zero()
+    for ring in torsion_rings():
+        m = ring.cohomology.dim
+        for k in range(m):
+            for _ in range(5):
+                dc = ce_differential(random_cochain(rng, m, k), ring.lie)
                 assert ring.reduce(dc).is_zero()
 
 
@@ -383,6 +425,55 @@ def rational_rank(mat):
         rank += 1
         col += 1
     return rank
+
+
+def rank_mod_p(mat, p):
+    """Row-echelon rank over GF(p); independent of the Smith-form machinery."""
+    rows = [r for r in ([int(x) % p for x in row] for row in mat) if any(r)]
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i, r in enumerate(rows) if r[col]), None)
+        if piv is None:
+            continue
+        head = rows.pop(piv)
+        inv = pow(head[col], -1, p)
+        head = [x * inv % p for x in head]
+        rows = [[(x - r[col] * y) % p for x, y in zip(r, head)] if r[col] else r
+                for r in rows]
+        rows = [r for r in rows if any(r)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize(
+    "seed,dim,centre,bound,density",
+    [
+        ("6-1", 6, 3, 3, 1.0),
+        ("7-0", 7, 3, 2, 1.0),
+        ("7-5", 7, 2, 3, 0.5),
+        ("8-2", 8, 2, 2, 0.5),
+        ("8-3", 8, 3, 2, 0.5),
+        ("9-3", 9, 3, 2, 0.5),
+    ],
+)
+def test_torsion_against_mod_p_rank_oracle(seed, dim, centre, bound, density):
+    """Universal coefficients: dim H^k(C; F_p) = b_k + t_k(p) + t_{k+1}(p),
+    where t_k(p) counts the invariant factors of H^k divisible by p."""
+    lie = two_step_presentation(seed, dim, centre, bound, density)
+    ring = nilmanifold_ring(lie)
+    mats = complex_matrices(lie)
+    assert any(ring.torsion(k) for k in range(dim + 1))
+
+    def t(k, p):
+        return sum(1 for d in ring.torsion(k) if d % p == 0) if k <= dim else 0
+
+    for p in (2, 3, 5, 7):
+        ranks = [rank_mod_p(mats[k], p) for k in range(dim)] + [0]
+        for k in range(dim + 1):
+            n_k = comb(dim, k)
+            rank_prev = ranks[k - 1] if k >= 1 else 0
+            assert ring.betti(k) + t(k, p) + t(k + 1, p) == n_k - ranks[k] - rank_prev
 
 
 def test_betti_against_rank_oracle_and_dim8_speed():

@@ -114,6 +114,38 @@ def test_kernel_of_zero_rows():
     assert len(ker) == 3
 
 
+def test_kernel_transform_reads_coordinates():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 6)
+        a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+        ker, coords, checks = lin.kernel_transform(a, ncols=m)
+        assert len(coords) == len(ker) and len(ker) + len(checks) == m
+        coeffs = [rng.randint(-3, 3) for _ in ker]
+        vec = [sum(c * k[i] for c, k in zip(coeffs, ker)) for i in range(m)]
+        assert lin.mat_vec(coords, vec) == coeffs
+        assert not any(lin.mat_vec(checks, vec))
+        off = [rng.randint(-3, 3) for _ in range(m)]
+        if any(lin.mat_vec(a, off)):
+            assert any(lin.mat_vec(checks, off))
+
+
+def test_echelon_coords_in_hermite_basis():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        cols = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        h = lin.column_style_hermite(cols, n)
+        for c in cols:
+            coords = lin.echelon_coords(h, c)
+            assert [sum(x * b[i] for x, b in zip(coords, h)) for i in range(n)] == c
+    with pytest.raises(ValueError):
+        lin.echelon_coords([[2, 0], [0, 2]], [1, 0])
+    with pytest.raises(ValueError):
+        lin.echelon_coords([[1, 1]], [1, 2])
+
+
 def test_hermite_canonical_and_same_lattice():
     rng = random.Random(5)
     for _ in range(40):
