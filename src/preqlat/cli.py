@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -325,12 +324,10 @@ def run(job: JobDescriptor):
         report["volume"] = str(liouville_volume(ring, omega))
         return report, 0
     if job.command == "verify":
-        threads = _thread_count()
-        results = run_suites(job.suites, job.trials, job.seed, threads)
+        results = run_suites(job.suites, job.trials, job.seed)
         report["verify"] = {
             "seed": job.seed,
             "trials": job.trials,
-            "threads": threads,
             "suites": [r.to_json() for r in results],
         }
         ok = all(r.ok for r in results)
@@ -342,14 +339,6 @@ def run(job: JobDescriptor):
         report["ok"] = ok
         return report, 0 if ok else 1
     raise InputError(f"unknown command {job.command!r}")
-
-
-def _thread_count():
-    raw = os.environ.get("PREQLAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"PREQLAT_THREADS must be an integer, got {raw!r}")
 
 
 def reference_examples():

@@ -326,10 +326,6 @@ class CohomologyRing:
             raise ValueError("pairing needs a top-degree class")
         return t.free[0]
 
-    def class_display(self, cls: CohomClass) -> str:
-        rep = self.representative(cls)
-        return rep.render(self.cohomology.conames, star="")
-
     def report_fragment(self, k) -> dict:
         dd = self.cohomology.data(k)
         gens = [c.render(self.cohomology.conames, star="") for c in dd.free_reps]

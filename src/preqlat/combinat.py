@@ -61,15 +61,6 @@ def merge_tuples(a, b):
     return tuple(merged), sign
 
 
-def insert_index(idx, tup):
-    """Insert ``idx`` into the increasing tuple ``tup``.
-
-    Returns ``(new_tuple, sign)`` with the sign of the insertion
-    transpositions, or ``None`` if ``idx`` already occurs.
-    """
-    return merge_tuples((idx,), tup)
-
-
 def remove_index(idx, tup):
     """Remove ``idx`` from the increasing tuple ``tup``.
 

@@ -60,10 +60,6 @@ class SmithDecomposition:
         n = min(len(self.d), len(self.d[0]) if self.d else 0)
         return [self.d[i][i] for i in range(n)]
 
-    def invariant_factors(self):
-        """The diagonal entries > 1 (the torsion invariants of coker)."""
-        return [x for x in self.diagonal if x > 1]
-
 
 def smith_normal_form(a) -> SmithDecomposition:
     """Smith normal form of an integer matrix, with transforms.
@@ -374,20 +370,11 @@ def det(a):
 
 
 def int_inverse(a):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
+    """Inverse of a unimodular integer matrix, as an integer matrix.
+
+    With A = U D V and D = I, the inverse is V^{-1} U^{-1}."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = [[c for c in row[n:]] for row in aug]
-    if any(c.denominator != 1 for row in inv for c in row):
+    snf = smith_normal_form(a)
+    if any(len(row) != n for row in a) or snf.rank != n or any(x != 1 for x in snf.diagonal):
         raise ValueError("matrix is not unimodular")
-    return [[int(c) for c in row] for row in inv]
+    return mat_mul(snf.vinv, snf.uinv)

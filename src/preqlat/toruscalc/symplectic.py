@@ -9,9 +9,10 @@ inverting the constant coefficient matrix, so every identity downstream
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from ..exact import ExactScalar
+from ..intlinalg import rational_solver
 from .forms import (
     CoordinateCycle,
     TorusForm,
@@ -57,36 +58,24 @@ def _coefficient_matrix(omega: TorusForm):
     return mat
 
 
-def _invert_fraction_matrix(mat):
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("degenerate symplectic form")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def hamiltonian_field(f: TrigPoly, omega: TorusForm) -> TorusVectorField:
     """The field X_f with i_{X_f} omega = -df, via the constant inverse."""
     mat = _coefficient_matrix(omega)
-    inv = _invert_fraction_matrix(mat)
     dim = omega.dim
+    # scale * mat is integral, and mat^{-1} = scale * (scale * mat)^{-1}
+    scale = lcm(*(x.denominator for row in mat for x in row))
+    cols = [[int(scale * mat[i][j]) for i in range(dim)] for j in range(dim)]
+    try:
+        inv = rational_solver(cols, dim)
+    except ValueError:
+        raise ValueError("degenerate symplectic form") from None
     grads = [f.diff(k) for k in range(dim)]
     comps = []
     for j in range(dim):
         acc = TrigPoly.zero(dim)
         for k in range(dim):
             if inv[j][k] and not grads[k].is_zero():
-                acc = acc + grads[k] * inv[j][k]
+                acc = acc + grads[k] * (scale * inv[j][k])
         comps.append(acc)
     return TorusVectorField(dim, comps)
 
@@ -99,22 +88,15 @@ def poisson_bracket(f: TrigPoly, g: TrigPoly, omega: TorusForm) -> TrigPoly:
 
 
 def ks_cocycle(f, g, omega, point):
-    """{f, g} evaluated at a point.
+    """{f, g} at the point (q_1*pi/2, ..., q_m*pi/2), as an exact Fraction.
 
-    Integer entries are quarter turns of pi/2 and evaluate exactly to a
-    Fraction; float entries evaluate in binary64 (tolerance 1e-12 on the
-    discarded imaginary part).
+    The entries q_i of ``point`` must be integers (quarter turns); the
+    bracket of real inputs is real there.
     """
-    pb = poisson_bracket(f, g, omega)
-    if all(isinstance(x, int) for x in point):
-        val = pb.eval_quarter(point)
-        if not val.is_real():
-            raise ValueError("bracket of non-real inputs at this point")
-        return val.re
-    val = pb.eval_float([float(x) for x in point])
-    if abs(val.imag) > 1e-12:
-        raise ValueError("bracket evaluation has a non-negligible imaginary part")
-    return val.real
+    val = poisson_bracket(f, g, omega).eval_quarter(point)
+    if not val.is_real():
+        raise ValueError("bracket of non-real inputs at this point")
+    return val.re
 
 
 def liouville_power(omega: TorusForm, n=None) -> TorusForm:
@@ -171,18 +153,3 @@ def kappa_rho(f: TrigPoly, omega: TorusForm):
     Returns (rho(f), kappa(X_f)) = (mean, f - mean)."""
     rho = mean_against_volume(f, omega)
     return rho, f - rho
-
-
-def kappa_pullback_roger(alpha, f, g, omega) -> ExactScalar:
-    """The degree-one cocycle pulled back to Hamiltonian fields.
-
-    Equals the integral of f * alpha(X_g) * omega^n/n! and depends only
-    on X_f, X_g: constant shifts of f and g do not change the value.
-    """
-    return roger_cocycle(alpha, f, g, omega)
-
-
-def kappa_pullback_singular(cycle, f, g, omega) -> ExactScalar:
-    """Cycle cocycle pulled back to Hamiltonian fields; constant-shift
-    invariant for the same reason."""
-    return singular_cocycle(cycle, f, g, omega)

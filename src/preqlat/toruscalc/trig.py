@@ -9,7 +9,6 @@ the constant mode, so all calculus downstream of this class is exact.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 from .complexq import CQ_ZERO, ComplexRational
@@ -167,16 +166,10 @@ class TrigPoly:
         """Exact value at the point (q_1*pi/2, ..., q_m*pi/2)."""
         if len(quarters) != self.dim:
             raise ValueError("point has wrong dimension")
+        if not all(isinstance(q, int) for q in quarters):
+            raise ValueError("quarter turns must be integers")
         total = CQ_ZERO
         for k, c in self.modes.items():
             power = sum(a * q for a, q in zip(k, quarters))
             total = total + c.times_i_power(power)
-        return total
-
-    def eval_float(self, point) -> complex:
-        if len(point) != self.dim:
-            raise ValueError("point has wrong dimension")
-        total = 0j
-        for k, c in self.modes.items():
-            total += complex(c) * cmath.exp(1j * sum(a * x for a, x in zip(k, point)))
         return total

@@ -1,10 +1,10 @@
 """Seeded verification suites for the exact identities.
 
 Each suite draws its inputs from a PRNG derived from (seed, suite name),
-so reports are reproducible for a fixed seed regardless of threading;
-failures carry the exact inputs that produced them.  The suites are the
-runtime counterpart of the test suite: every identity is checked as an
-exact zero, never within a tolerance.
+so reports are reproducible for a fixed seed; failures carry the exact
+inputs that produced them.  The suites are the runtime counterpart of
+the test suite: every identity is checked as an exact zero, never within
+a tolerance.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .toruscalc import (
     contact_pullback_residual,
     exact_field_from_potential,
     exterior_derivative,
-    kappa_pullback_roger,
-    kappa_pullback_singular,
     lichnerowicz_eta,
     lichnerowicz_singular,
     lie_derivative,
@@ -304,10 +302,8 @@ def run_shifts(trials, rng) -> SuiteResult:
         f = _rand_poly(rng, 2, max_deg=2, n_modes=2)
         g = _rand_poly(rng, 2, max_deg=2, n_modes=2)
         c1, c2 = _rand_fraction(rng), _rand_fraction(rng)
-        ok = kappa_pullback_roger(alpha, f, g, t2) == kappa_pullback_roger(
-            alpha, f + c1, g + c2, t2
-        )
-        ok = ok and kappa_pullback_singular(cyc, f, g, t2) == kappa_pullback_singular(
+        ok = roger_cocycle(alpha, f, g, t2) == roger_cocycle(alpha, f + c1, g + c2, t2)
+        ok = ok and singular_cocycle(cyc, f, g, t2) == singular_cocycle(
             cyc, f + c1, g + c2, t2
         )
         res.record(
@@ -374,23 +370,12 @@ _RUNNERS = {
 }
 
 
-def run_suites(names, trials, seed, threads=1):
-    """Run the requested suites; each draws from its own (seed, name)
-    stream, so results do not depend on the thread count."""
+def run_suites(names, trials, seed):
+    """Run the requested suites in order; each draws from its own
+    (seed, name) stream."""
     if names == "all" or "all" in names:
         names = list(SUITE_NAMES)
     unknown = [n for n in names if n not in _RUNNERS]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from {SUITE_NAMES} or 'all'")
-
-    def one(name):
-        return _RUNNERS[name](trials, suite_rng(seed, name))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, names))
-    else:
-        results = [one(name) for name in names]
-    return results
+    return [_RUNNERS[name](trials, suite_rng(seed, name)) for name in names]

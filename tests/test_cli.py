@@ -197,25 +197,6 @@ def test_verify_deterministic_bytes(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_verify_thread_env_does_not_change_results(tmp_path, monkeypatch):
-    argv = ["verify", "--suite", "duality", "--trials", "4", "--seed", "7",
-            "--format", "json"]
-    out1 = tmp_path / "t1.json"
-    out2 = tmp_path / "t3.json"
-    monkeypatch.setenv("PREQLAT_THREADS", "1")
-    assert main(argv + ["--output", str(out1)]) == 0
-    monkeypatch.setenv("PREQLAT_THREADS", "3")
-    assert main(argv + ["--output", str(out2)]) == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    for r in (a, b):
-        r.pop("timestamp")
-        r["verify"].pop("threads")
-    assert a == b
-    monkeypatch.setenv("PREQLAT_THREADS", "zebra")
-    assert main(argv) == 2
-
-
 def test_verify_suite_descriptor_file(tmp_path):
     desc = tmp_path / "suite.json"
     desc.write_text(json.dumps({"suites": ["jacobi"], "trials": 3, "seed": 11}))

@@ -21,8 +21,6 @@ from preqlat.toruscalc import (
     infinitesimal_flux,
     integrate_over_cycle,
     is_exact_field,
-    kappa_pullback_roger,
-    kappa_pullback_singular,
     kappa_rho,
     ks_cocycle,
     lichnerowicz_eta,
@@ -85,11 +83,23 @@ def test_hamiltonian_field_defining_equation():
 
 def test_hamiltonian_field_t4():
     rng = random.Random(51)
-    omega = standard_symplectic(2, [1, 3])
-    for _ in range(5):
-        f = random_real_trigpoly(rng, 4, max_deg=1, n_modes=2)
+    # dx0^dx1 + (2/3) dx0^dx3 + dx2^dx3 couples the coordinate planes
+    coupled = TorusForm(4, 2, {
+        (0, 1): TrigPoly.const(4, 1),
+        (0, 3): TrigPoly.const(4, Fraction(2, 3)),
+        (2, 3): TrigPoly.const(4, 1),
+    })
+    for omega in (standard_symplectic(2, [1, 3]), coupled):
+        for _ in range(5):
+            f = random_real_trigpoly(rng, 4, max_deg=1, n_modes=2)
+            xf = hamiltonian_field(f, omega)
+            df = exterior_derivative(TorusForm.function(4, f))
+            assert (contract(xf, omega) + df).is_zero()
+    omega = standard_symplectic(3, [2, Fraction(5, 7), 1])
+    for _ in range(3):
+        f = random_real_trigpoly(rng, 6, max_deg=1, n_modes=2)
         xf = hamiltonian_field(f, omega)
-        df = exterior_derivative(TorusForm.function(4, f))
+        df = exterior_derivative(TorusForm.function(6, f))
         assert (contract(xf, omega) + df).is_zero()
 
 
@@ -97,6 +107,9 @@ def test_degenerate_form_rejected():
     bad = TorusForm(2, 2, {})  # zero form
     with pytest.raises(ValueError, match="degenerate"):
         hamiltonian_field(TrigPoly.sin_axis(2, 0), bad)
+    rank_two = TorusForm.basis(4, (0, 1))  # dx0^dx1 on T^4
+    with pytest.raises(ValueError, match="degenerate"):
+        hamiltonian_field(TrigPoly.sin_axis(4, 2), rank_two)
 
 
 # -- Poisson bracket and the point cocycle -------------------------------------
@@ -113,9 +126,10 @@ def test_ks_antisymmetry_and_float_mode():
     f = TrigPoly.sin_axis(2, 0) + TrigPoly.cos_axis(2, 1)
     assert ks_cocycle(f, f, T2, (1, 2)) == 0
     g = TrigPoly.sin_axis(2, 1)
-    exact = ks_cocycle(f, g, T2, (0, 0))
-    approx = ks_cocycle(f, g, T2, (0.0, 0.0))
-    assert abs(float(exact) - approx) < 1e-12
+    with pytest.raises(ValueError):
+        ks_cocycle(f, g, T2, (0.0, 0.0))
+    with pytest.raises(ValueError):
+        ks_cocycle(f, g, T2, (0.5, 0))
 
 
 def test_jacobi_identity_exact():
@@ -334,18 +348,18 @@ def test_kappa_pullbacks_constant_shift_invariant():
         g = random_real_trigpoly(rng, 2, n_modes=2)
         c1 = random_fraction(rng)
         c2 = random_fraction(rng)
-        assert kappa_pullback_roger(alpha, f, g, T2) == \
-            kappa_pullback_roger(alpha, f + c1, g + c2, T2)
-        assert kappa_pullback_singular(cycle, f, g, T2) == \
-            kappa_pullback_singular(cycle, f + c1, g + c2, T2)
+        assert roger_cocycle(alpha, f, g, T2) == \
+            roger_cocycle(alpha, f + c1, g + c2, T2)
+        assert singular_cocycle(cycle, f, g, T2) == \
+            singular_cocycle(cycle, f + c1, g + c2, T2)
 
 
 def test_kappa_shift_example():
     alpha = TorusForm.basis(2, (0,))
     f = TrigPoly.cos_axis(2, 1)
     g = TrigPoly.sin_axis(2, 1)
-    assert kappa_pullback_roger(alpha, f, g, T2) == \
-        kappa_pullback_roger(alpha, f + 5, g + 7, T2)
+    assert roger_cocycle(alpha, f, g, T2) == \
+        roger_cocycle(alpha, f + 5, g + 7, T2)
 
 
 # -- duality between cycle and form pictures -------------------------------------------

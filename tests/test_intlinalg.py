@@ -205,6 +205,28 @@ def test_int_inverse_unimodular():
     assert lin.mat_mul(u, inv) == lin.identity(3)
     with pytest.raises(ValueError):
         lin.int_inverse([[2, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        lin.int_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        lin.int_inverse([[1, 0]])
+    rng = random.Random(23)
+    for n in range(1, 7):
+        for _ in range(4):
+            # a product of elementary row operations is unimodular
+            u = lin.identity(n)
+            for _ in range(3 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                op = rng.randrange(3)
+                if op == 0 and i != j:
+                    q = rng.randint(-3, 3)
+                    u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+                elif op == 1:
+                    u[i], u[j] = u[j], u[i]
+                else:
+                    u[i] = [-x for x in u[i]]
+            inv = lin.int_inverse(u)
+            assert lin.mat_mul(u, inv) == lin.identity(n)
+            assert lin.mat_mul(inv, u) == lin.identity(n)
 
 
 def test_det_bareiss():

@@ -1,10 +1,11 @@
-"""Shared generators and the float-grid quadrature oracle.
+"""Shared generators, float evaluation and the float-grid quadrature oracle.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
 independent numerical check of the exact integrals.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -76,6 +77,16 @@ def random_exact_field(rng, dim, max_deg=1):
     return exact_field_from_potential(alpha)
 
 
+def eval_float(poly: TrigPoly, point) -> complex:
+    """Value of the polynomial at a real point, in binary64."""
+    if len(point) != poly.dim:
+        raise ValueError("point has wrong dimension")
+    total = 0j
+    for k, c in poly.modes.items():
+        total += complex(c) * cmath.exp(1j * sum(a * x for a, x in zip(k, point)))
+    return total
+
+
 def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> float:
     """Trapezoidal integral over the cycle; exact for degree < n_grid."""
     max_deg = max(
@@ -101,7 +112,7 @@ def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> f
             pt = list(base)
             for a, s in zip(axes, steps):
                 pt[a] = 2 * math.pi * s / n
-            total += poly.eval_float(pt).real
+            total += eval_float(poly, pt).real
             return
         for s in range(n):
             steps[level] = s
