@@ -354,7 +354,7 @@ def nilmanifold_ring(lie: LieAlgebraPresentation) -> CohomologyRing:
         raise ValueError(f"Jacobi identity fails on basis triple {report.jacobi_witness}")
     if not report.nilpotent:
         raise ValueError("presentation is not nilpotent")
-    mats = complex_matrices(lie, require_integral=True)
+    mats = complex_matrices(lie)
     conames = tuple(f"{n}*" for n in lie.basis_names)
     groups = integral_cohomology(mats, lie.dim, conames)
     return CohomologyRing(groups, top_degree=lie.dim, preset=("nilmanifold",), lie=lie)

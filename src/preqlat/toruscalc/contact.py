@@ -179,8 +179,8 @@ def contact_flux_via_field(f: TrigPoly):
 def _two_form_class(form: TorusForm):
     out = {}
     for idx in ((0, 1), (0, 2), (1, 2)):
-        mean = form.coefficient(idx).mean()
-        if not mean.is_real():
+        re, im = form.coefficient(idx).mean()
+        if im:
             raise ValueError("class of a non-real form")
-        out[idx] = ExactScalar(mean.re, form.pi_power)
+        out[idx] = ExactScalar(re, form.pi_power)
     return out

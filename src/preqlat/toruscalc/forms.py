@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from ..combinat import merge_tuples, remove_index, sort_sign
 from ..exact import ExactScalar
-from .complexq import ComplexRational
 from .trig import TrigPoly
 
 
@@ -363,16 +362,10 @@ def integrate_over_cycle(f: TorusForm, cycle: CoordinateCycle) -> ExactScalar:
     poly = f.coeffs.get(axes_sorted)
     if poly is None:
         return ExactScalar.zero()
-    total = ComplexRational(0)
-    frozen = [a for a in range(f.dim) if a not in axes_sorted]
-    for k, c in poly.modes.items():
-        if any(k[a] for a in axes_sorted):
-            continue
-        power = sum(k[a] * cycle.offsets.get(a, 0) for a in frozen)
-        total = total + c.times_i_power(power)
-    if not total.is_real():
+    re, im = poly.slice_mean(axes_sorted, cycle.offsets)
+    if im:
         raise ValueError("integral of a non-real form")
-    return ExactScalar(sign * total.re, f.pi_power + len(cycle.axes))
+    return ExactScalar(sign * re, f.pi_power + len(cycle.axes))
 
 
 def poincare_dual_form(cycle: CoordinateCycle) -> TorusForm:

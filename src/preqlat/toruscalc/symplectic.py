@@ -50,11 +50,11 @@ def _coefficient_matrix(omega: TorusForm):
     for (a, b), poly in omega.coeffs.items():
         if not poly.is_constant():
             raise ValueError("symplectic preset must have constant coefficients")
-        val = poly.mean()
-        if not val.is_real():
+        re, im = poly.mean()
+        if im:
             raise ValueError("symplectic coefficients must be real")
-        mat[a][b] = val.re
-        mat[b][a] = -val.re
+        mat[a][b] = re
+        mat[b][a] = -re
     return mat
 
 
@@ -93,10 +93,10 @@ def ks_cocycle(f, g, omega, point):
     The entries q_i of ``point`` must be integers (quarter turns); the
     bracket of real inputs is real there.
     """
-    val = poisson_bracket(f, g, omega).eval_quarter(point)
-    if not val.is_real():
+    re, im = poisson_bracket(f, g, omega).eval_quarter(point)
+    if im:
         raise ValueError("bracket of non-real inputs at this point")
-    return val.re
+    return re
 
 
 def liouville_power(omega: TorusForm, n=None) -> TorusForm:

@@ -5,30 +5,46 @@ Gaussian-rational coefficients of exp(i k.x); coordinates have period
 2*pi.  Real polynomials satisfy coeff(-k) == conj(coeff(k)).  Products
 are convolutions, derivatives multiply modes by i*k_j, and the mean is
 the constant mode, so all calculus downstream of this class is exact.
+
+Storage: ``modes`` maps each wave vector k to a pair of ints (a, b) and
+``den`` is one positive int, so the coefficient of mode k is
+(a + b*i)/den.  Zero pairs are dropped and den is divided by the gcd of
+itself and every numerator, so equal polynomials have equal fields (the
+zero polynomial has den 1).  Exact values leave this module as (re, im)
+pairs of Fractions; no other module reads the numerators or den.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
-from .complexq import CQ_ZERO, ComplexRational
+# i**p as (re, im), for p mod 4
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class TrigPoly:
-    __slots__ = ("dim", "modes")
+    __slots__ = ("dim", "modes", "den")
 
-    def __init__(self, dim, modes=None):
-        object.__setattr__(self, "dim", dim)
+    def __init__(self, dim, modes=None, den=1):
+        if den <= 0:
+            raise ValueError("denominator must be positive")
         clean = {}
-        for k, c in (modes or {}).items():
-            k = tuple(int(x) for x in k)
+        g = den
+        for k, pair in (modes or {}).items():
             if len(k) != dim:
                 raise ValueError(f"wave vector {k} has wrong length for dim {dim}")
-            if not isinstance(c, ComplexRational):
-                c = ComplexRational(c)
-            if c:
-                clean[k] = c
+            a, b = pair
+            if a or b:
+                clean[k] = (a, b)
+                if g != 1:
+                    g = gcd(g, a, b)
+        if g != 1:
+            clean = {k: (a // g, b // g) for k, (a, b) in clean.items()}
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "modes", clean)
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *args):
         raise AttributeError("TrigPoly is immutable")
@@ -41,27 +57,30 @@ class TrigPoly:
 
     @staticmethod
     def const(dim, value):
-        return TrigPoly(dim, {(0,) * dim: ComplexRational(value)})
+        value = Fraction(value)
+        return TrigPoly(dim, {(0,) * dim: (value.numerator, 0)}, value.denominator)
 
     @staticmethod
     def cosine(dim, wavevec, amplitude=1):
         """amplitude * cos(k.x)"""
-        k = tuple(wavevec)
-        half = Fraction(amplitude) / 2
+        k = tuple(int(x) for x in wavevec)
+        if not any(k):
+            return TrigPoly.const(dim, amplitude)
+        amp = Fraction(amplitude)
         neg = tuple(-x for x in k)
-        modes = {k: ComplexRational(half)}
-        modes[neg] = modes.get(neg, CQ_ZERO) + ComplexRational(half)
-        return TrigPoly(dim, modes)
+        pair = (amp.numerator, 0)
+        return TrigPoly(dim, {k: pair, neg: pair}, 2 * amp.denominator)
 
     @staticmethod
     def sine(dim, wavevec, amplitude=1):
         """amplitude * sin(k.x)"""
-        k = tuple(wavevec)
-        half = Fraction(amplitude) / 2
+        k = tuple(int(x) for x in wavevec)
+        if not any(k):
+            return TrigPoly.zero(dim)
+        amp = Fraction(amplitude)
         neg = tuple(-x for x in k)
-        modes = {k: ComplexRational(0, -half)}
-        modes[neg] = modes.get(neg, CQ_ZERO) + ComplexRational(0, half)
-        return TrigPoly(dim, modes)
+        return TrigPoly(dim, {k: (0, -amp.numerator), neg: (0, amp.numerator)},
+                        2 * amp.denominator)
 
     @staticmethod
     def cos_axis(dim, axis, freq=1, amplitude=1):
@@ -85,8 +104,8 @@ class TrigPoly:
 
     def is_real(self):
         return all(
-            self.modes.get(tuple(-x for x in k), CQ_ZERO) == c.conj()
-            for k, c in self.modes.items()
+            self.modes.get(tuple(-x for x in k)) == (a, -b)
+            for k, (a, b) in self.modes.items()
         )
 
     def max_degree(self):
@@ -96,10 +115,10 @@ class TrigPoly:
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return self.dim == other.dim and self.modes == other.modes
+        return self.dim == other.dim and self.den == other.den and self.modes == other.modes
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.modes.items())))
+        return hash((self.dim, self.den, frozenset(self.modes.items())))
 
     def __repr__(self):
         return f"TrigPoly(dim={self.dim}, modes={len(self.modes)})"
@@ -114,15 +133,21 @@ class TrigPoly:
         if isinstance(other, (int, Fraction)):
             other = TrigPoly.const(self.dim, other)
         self._check(other)
-        modes = dict(self.modes)
-        for k, c in other.modes.items():
-            modes[k] = modes.get(k, CQ_ZERO) + c
-        return TrigPoly(self.dim, modes)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        modes = {k: (a * s, b * s) for k, (a, b) in self.modes.items()}
+        for k, (a, b) in other.modes.items():
+            prev = modes.get(k)
+            if prev is None:
+                modes[k] = (a * t, b * t)
+            else:
+                modes[k] = (prev[0] + a * t, prev[1] + b * t)
+        return TrigPoly(self.dim, modes, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly(self.dim, {k: -c for k, c in self.modes.items()})
+        return TrigPoly(self.dim, {k: (-a, -b) for k, (a, b) in self.modes.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -130,46 +155,67 @@ class TrigPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return TrigPoly(self.dim, {k: c * other for k, c in self.modes.items()})
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return TrigPoly(
+                self.dim, {k: (a * p, b * p) for k, (a, b) in self.modes.items()}, self.den * q
+            )
         if not isinstance(other, TrigPoly):
             return NotImplemented
         self._check(other)
         modes = {}
-        for k1, c1 in self.modes.items():
-            for k2, c2 in other.modes.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+        others = list(other.modes.items())
+        for k1, (a1, b1) in self.modes.items():
+            for k2, (a2, b2) in others:
+                k = tuple(map(add, k1, k2))
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
                 prev = modes.get(k)
-                modes[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return TrigPoly(self.dim, modes)
+                modes[k] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return TrigPoly(self.dim, modes, self.den * other.den)
 
     __rmul__ = __mul__
 
     def diff(self, axis):
-        """Partial derivative along a coordinate."""
+        """Partial derivative along a coordinate: mode k times i*k_axis."""
         return TrigPoly(
             self.dim,
-            {
-                k: c.times_i_power(1) * k[axis]
-                for k, c in self.modes.items()
-                if k[axis]
-            },
+            {k: (-b * k[axis], a * k[axis]) for k, (a, b) in self.modes.items() if k[axis]},
+            self.den,
         )
 
-    def mean(self) -> ComplexRational:
+    # -- exact values (re, im) ------------------------------------------------------
+
+    def coefficient(self, k):
+        """The coefficient of exp(i k.x)."""
+        a, b = self.modes.get(k, (0, 0))
+        return Fraction(a, self.den), Fraction(b, self.den)
+
+    def mean(self):
         """The constant Fourier mode (the average over the torus)."""
-        return self.modes.get((0,) * self.dim, CQ_ZERO)
+        return self.coefficient((0,) * self.dim)
 
-    # -- evaluation ---------------------------------------------------------------
+    def slice_mean(self, axes, quarters):
+        """Mean over the coordinates in ``axes`` with every other
+        coordinate a frozen at quarters.get(a, 0) * pi/2.
 
-    def eval_quarter(self, quarters) -> ComplexRational:
+        Only modes constant along ``axes`` survive, and exp(i k_a q pi/2)
+        is a power of i, so the value stays exact.
+        """
+        frozen = [(a, quarters.get(a, 0)) for a in range(self.dim) if a not in axes]
+        if not all(isinstance(q, int) for _, q in frozen):
+            raise ValueError("quarter turns must be integers")
+        re = im = 0
+        for k, (a, b) in self.modes.items():
+            if any(k[j] for j in axes):
+                continue
+            c, s = _I_POWERS[sum(k[j] * q for j, q in frozen) % 4]
+            re += c * a - s * b
+            im += c * b + s * a
+        return Fraction(re, self.den), Fraction(im, self.den)
+
+    def eval_quarter(self, quarters):
         """Exact value at the point (q_1*pi/2, ..., q_m*pi/2)."""
         if len(quarters) != self.dim:
             raise ValueError("point has wrong dimension")
-        if not all(isinstance(q, int) for q in quarters):
-            raise ValueError("quarter turns must be integers")
-        total = CQ_ZERO
-        for k, c in self.modes.items():
-            power = sum(a * q for a, q in zip(k, quarters))
-            total = total + c.times_i_power(power)
-        return total
+        return self.slice_mean((), dict(enumerate(quarters)))

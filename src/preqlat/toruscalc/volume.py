@@ -34,10 +34,10 @@ def _constant_top_scale(nu: TorusForm):
     poly = nu.coefficient(tuple(range(m)))
     if poly.is_zero() or not poly.is_constant():
         raise ValueError("volume form must be a nonzero constant multiple of the top form")
-    val = poly.mean()
-    if not val.is_real() or val.re == 0:
+    re, im = poly.mean()
+    if im or re == 0:
         raise ValueError("volume form must have a real nonzero scale")
-    return val.re
+    return re
 
 
 def exact_field_from_potential(alpha: TorusForm, nu: TorusForm | None = None) -> TorusVectorField:
@@ -73,10 +73,10 @@ def infinitesimal_flux(x: TorusVectorField, nu: TorusForm | None = None):
     form = contract(x, nu)
     out = {}
     for idx in degree_tuples(m, m - 1):
-        mean = form.coefficient(idx).mean()
-        if not mean.is_real():
+        re, im = form.coefficient(idx).mean()
+        if im:
             raise ValueError("flux of a non-real field")
-        out[idx] = ExactScalar(mean.re, form.pi_power if mean.re else 0)
+        out[idx] = ExactScalar(re, form.pi_power if re else 0)
     return out
 
 

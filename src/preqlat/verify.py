@@ -74,8 +74,11 @@ def suite_rng(seed, name):
 
 
 def poly_repr(f: TrigPoly) -> str:
-    items = sorted(f.modes.items())
-    return "{" + ", ".join(f"{k}: {c.re}+{c.im}i" for k, c in items) + "}"
+    terms = []
+    for k in sorted(f.modes):
+        re, im = f.coefficient(k)
+        terms.append(f"{k}: {re}+{im}i")
+    return "{" + ", ".join(terms) + "}"
 
 
 def form_repr(f: TorusForm) -> str:

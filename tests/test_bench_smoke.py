@@ -1,10 +1,12 @@
-"""Smoke test of the benchmark harness: its oracles still tell a good
-report from a corrupted one.
+"""Smoke tests of the benchmark harness: its oracles still tell a good
+report from a corrupted one, and its tracer still wraps the library.
 
 ``bench/run.py --self-check`` runs three small jobs (a torsion
 presentation, a Thurston lattice, a jacobi verify), corrupts one report
 at a time and checks that the job oracles count each corruption as a
-failure while the clean pass has none.  No timing is asserted.
+failure while the clean pass has none.  ``bench/passrun.py --spans``
+runs three jobs with every layer of ``bench/tracer.py`` installed.  No
+timing is asserted.
 """
 
 import json
@@ -24,3 +26,28 @@ def test_bench_self_check():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["self_check_ok"] is True
     assert result["fail_ratio"]["clean"] == 0
+
+
+def test_traced_pass_reaches_every_layer(tmp_path):
+    """One traced pass of three small jobs: the tracer finds every layer
+    it wraps (a renamed library function fails here) and the trig, cealg
+    and cocycle counters move."""
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([
+        ["verify", "--suite", "cocycles", "--trials", "1"],
+        ["lattice", "--preset", "thurston", "--r", "2"],
+        ["cohomology", "--preset", "torus", "--m", "4"],
+    ]))
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "passrun.py"),
+         "--jobs", str(jobs), "--spans", str(tmp_path / "spans.tsv.gz")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout)
+    assert [job["code"] for job in result["jobs"]] == [0, 0, 0]
+    layers = result["layers"]
+    for name in ("toruscalc.trig.mul_mode_pairs", "cealg.complex_matrices_calls",
+                 "toruscalc.residuals.ks_calls"):
+        assert layers[name] > 0, name

@@ -82,8 +82,9 @@ def eval_float(poly: TrigPoly, point) -> complex:
     if len(point) != poly.dim:
         raise ValueError("point has wrong dimension")
     total = 0j
-    for k, c in poly.modes.items():
-        total += complex(c) * cmath.exp(1j * sum(a * x for a, x in zip(k, point)))
+    for k in poly.modes:
+        re, im = poly.coefficient(k)
+        total += complex(float(re), float(im)) * cmath.exp(1j * sum(a * x for a, x in zip(k, point)))
     return total
 
 
