@@ -28,7 +28,6 @@ from .prequant import (
     euler_candidates,
     integrable_lattice,
     lattice_report,
-    liouville_volume,
     symplectic_from_cochain,
 )
 from .verify import SUITE_NAMES, run_suites
@@ -321,7 +320,7 @@ def run(job: JobDescriptor):
         except ValueError as exc:
             raise InputError(f"prequant: {exc}")
         report["lattice"] = lattice_report(lattice, ring)
-        report["volume"] = str(liouville_volume(ring, omega))
+        report["volume"] = str(lattice.volume)
         return report, 0
     if job.command == "verify":
         results = run_suites(job.suites, job.trials, job.seed)

@@ -7,12 +7,23 @@ reduction map sending any cocycle to its (free, torsion) coordinates.
 Presets cover the complexes the lattice computations need: nilmanifold
 presentations, tori, and compact orientable surfaces (whose ring is
 installed directly, since a genus >= 2 surface is not a nilmanifold).
+
+Class arithmetic works on supports, never on dense cochain vectors.  A
+support is a list of (basis position, coefficient) pairs over the nonzero
+coefficients of a cochain, with ``int`` coefficients when the cochain is
+integral and ``Fraction`` ones otherwise.  Each degree keeps the sparse
+columns of d_k from when it is built, and derives once the position of
+every basis tuple, the sparse columns of the reduction map and its
+representatives as integer terms; closedness and reduction then touch
+only the columns in the support, and a cup product wedges the
+representatives' terms directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import intlinalg as lin
 from .cealg import (
@@ -23,9 +34,8 @@ from .cealg import (
     complex_matrices,
     heisenberg_times_line,
     validate_presentation,
-    wedge,
 )
-from .combinat import degree_tuples
+from .combinat import degree_tuples, merge_tuples
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,11 @@ class CohomClass:
 
 @dataclass
 class DegreeData:
+    """One degree of the cohomology: its tables, and the sparse views of
+    them that class arithmetic reads.  Each view is derived once, on first
+    use, so a degree that no class lands in never builds one (a genus-8
+    surface keeps 2^16 basis tuples over its 17 degrees)."""
+
     degree: int
     basis: list                      # increasing index tuples of the cochain space
     betti: int
@@ -54,16 +69,92 @@ class DegreeData:
     torsion_reps: list               # Cochain
     reduce_free: list                # betti x N rows (integers for complexes)
     reduce_torsion: list             # len(torsion) x N rows
+    d_cols: list | None = None       # [(row, entry)] per column of d_k; None: no differential
+
+    @cached_property
+    def pos(self):
+        """Position of each basis tuple."""
+        return {t: i for i, t in enumerate(self.basis)}
+
+    @cached_property
+    def reduce_cols(self):
+        """[(row, entry)] per basis position, over the free reduction rows
+        followed by the torsion ones."""
+        cols = [[] for _ in self.basis]
+        for i, row in enumerate(self.reduce_free + self.reduce_torsion):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j].append((i, _exact(x)))
+        return cols
+
+    @cached_property
+    def rep_terms(self):
+        """[(index tuple, coefficient)] per free, then torsion, representative."""
+        return [
+            [(idx, _exact(x)) for idx, x in rep.coeffs.items()]
+            for rep in self.free_reps + self.torsion_reps
+        ]
+
+    def support(self, c: Cochain):
+        """The (basis position, coefficient) pairs of a cochain of this degree."""
+        return [(self.pos[idx], x) for idx, x in c.coeffs.items()]
+
+    def is_closed(self, support) -> bool:
+        if self.d_cols is None:
+            return True
+        image = {}
+        for j, x in support:
+            for i, d in self.d_cols[j]:
+                image[i] = image.get(i, 0) + d * x
+        return not any(image.values())
+
+    def reduce(self, support) -> CohomClass:
+        """Class of the closed cochain with this support (see
+        ``GradedCohomology.reduce``)."""
+        integral = all(x.denominator == 1 for _, x in support)
+        if integral:
+            support = [(j, x.numerator) for j, x in support]
+        if not self.is_closed(support):
+            raise ValueError("not a cocycle")
+        coords = [0 if integral else Fraction(0)] * (self.betti + len(self.torsion))
+        for j, x in support:
+            for i, r in self.reduce_cols[j]:
+                coords[i] += r * x
+        free, tors = coords[:self.betti], coords[self.betti:]
+        if not integral:
+            return CohomClass(self.degree, tuple(free), (0,) * len(tors))
+        if any(x.denominator != 1 for x in coords):
+            raise ValueError("integer cocycle reduced to non-integer coordinate")
+        return CohomClass(
+            self.degree,
+            tuple(x.numerator for x in free),
+            tuple(x.numerator % d for x, d in zip(tors, self.torsion)),
+        )
+
+    def terms(self, cls: CohomClass) -> dict:
+        """{index tuple: coefficient} of the representative of a class."""
+        if len(cls.free) != self.betti or len(cls.torsion) != len(self.torsion):
+            raise ValueError("class coordinates do not match the degree data")
+        out = {}
+        for coef, terms in zip((*cls.free, *cls.torsion), self.rep_terms):
+            if coef:
+                for idx, x in terms:
+                    out[idx] = out.get(idx, 0) + coef * x
+        return out
+
+
+def _exact(x):
+    """An integral Fraction as an int; anything else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class GradedCohomology:
     """Per-degree cohomology data of a cochain complex on dim generators."""
 
-    def __init__(self, dim, conames, degrees, matrices=None):
+    def __init__(self, dim, conames, degrees):
         self.dim = dim
         self.conames = tuple(conames)
         self.degrees = degrees
-        self.matrices = matrices
 
     def data(self, k) -> DegreeData:
         if not 0 <= k < len(self.degrees):
@@ -77,63 +168,24 @@ class GradedCohomology:
         return list(self.data(k).torsion) if 0 <= k < len(self.degrees) else []
 
     def is_closed(self, c: Cochain) -> bool:
-        if self.matrices is None or c.degree >= len(self.matrices):
-            return True
-        vec = self._coords(c)
-        mat = self.matrices[c.degree]
-        return all(sum(row[j] * vec[j] for j in range(len(vec))) == 0 for row in mat)
-
-    def _coords(self, c: Cochain):
         dd = self.data(c.degree)
-        pos = {t: i for i, t in enumerate(dd.basis)}
-        vec = [Fraction(0)] * len(dd.basis)
-        for idx, coef in c.coeffs.items():
-            vec[pos[idx]] = coef
-        return vec
+        return dd.is_closed(dd.support(c))
 
     def reduce(self, c: Cochain) -> CohomClass:
         """Coordinates of the class of a closed cochain.
 
-        Integer cochains get integer free coordinates and torsion
-        coordinates mod the invariant factors; rational cochains (real
-        classes) get rational free coordinates with torsion dropped.
+        Works on the cochain's support: d_k is applied only to the columns
+        it touches, and each coordinate is a dot product over the same
+        columns of the reduction map.  Integer cochains get integer free
+        coordinates and torsion coordinates mod the invariant factors;
+        rational cochains (real classes) get rational free coordinates
+        with torsion dropped.
         """
-        if not self.is_closed(c):
-            raise ValueError("not a cocycle")
         dd = self.data(c.degree)
-        vec = self._coords(c)
-        integral = all(x.denominator == 1 for x in vec)
-        free = []
-        for row in dd.reduce_free:
-            val = sum(r * x for r, x in zip(row, vec))
-            if integral:
-                if val.denominator != 1:
-                    raise ValueError("integer cocycle reduced to non-integer coordinate")
-                val = int(val)
-            free.append(val)
-        torsion = []
-        for row, d in zip(dd.reduce_torsion, dd.torsion):
-            if not integral:
-                torsion.append(0)
-                continue
-            val = sum(r * x for r, x in zip(row, vec))
-            if val.denominator != 1:
-                raise ValueError("integer cocycle reduced to non-integer coordinate")
-            torsion.append(int(val) % d)
-        return CohomClass(c.degree, tuple(free), tuple(torsion))
+        return dd.reduce(dd.support(c))
 
     def representative(self, cls: CohomClass) -> Cochain:
-        dd = self.data(cls.degree)
-        if len(cls.free) != dd.betti or len(cls.torsion) != len(dd.torsion):
-            raise ValueError("class coordinates do not match the degree data")
-        out = Cochain.zero(self.dim, cls.degree)
-        for coef, rep in zip(cls.free, dd.free_reps):
-            if coef:
-                out = out + coef * rep
-        for coef, rep in zip(cls.torsion, dd.torsion_reps):
-            if coef:
-                out = out + coef * rep
-        return out
+        return Cochain(self.dim, cls.degree, self.data(cls.degree).terms(cls))
 
 
 def integral_cohomology(matrices, dim, conames) -> GradedCohomology:
@@ -148,38 +200,40 @@ def integral_cohomology(matrices, dim, conames) -> GradedCohomology:
             comp = lin.mat_mul(matrices[k + 1], matrices[k])
             if any(any(row) for row in comp):
                 raise ValueError("not a complex")
-    for mat in matrices:
-        for row in mat:
-            for x in row:
-                if isinstance(x, Fraction) and x.denominator != 1:
-                    raise ValueError("non-integral basis")
 
+    bases = [degree_tuples(m, k) for k in range(m + 1)]
+    # every d_k as sparse (row, entry) columns
+    cols = [_sparse_columns(mat, len(bases[k])) for k, mat in enumerate(matrices)]
     degrees = []
-    for k in range(m + 1):
-        basis = degree_tuples(m, k)
-        n_k = len(basis)
+    for k, basis in enumerate(bases):
         d_k = matrices[k] if k < len(matrices) else []
-        # nonzero columns of d_{k-1}, as sparse (row, entry) lists
-        prev_cols = []
-        if k >= 1 and matrices[k - 1] and matrices[k - 1][0]:
-            dm = matrices[k - 1]
-            for j in range(len(dm[0])):
-                col = [(i, int(row[j])) for i, row in enumerate(dm) if row[j]]
-                if col:
-                    prev_cols.append(col)
-        degrees.append(_degree_data(k, basis, d_k, prev_cols, n_k, dim))
-    return GradedCohomology(dim, conames, degrees, matrices=matrices)
+        prev_cols = [c for c in cols[k - 1] if c] if k >= 1 else []
+        d_cols = cols[k] if k < len(cols) else None
+        degrees.append(_degree_data(k, basis, d_k, prev_cols, d_cols, dim))
+    return GradedCohomology(dim, conames, degrees)
+
+
+def _sparse_columns(mat, ncols):
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x:
+                if x.denominator != 1:
+                    raise ValueError("non-integral basis")
+                cols[j].append((i, x.numerator))
+    return cols
 
 
 def _sparse_dot(row, col):
     return sum(row[i] * x for i, x in col)
 
 
-def _degree_data(k, basis, d_k, prev_cols, n_k, dim):
+def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
+    n_k = len(basis)
     kercols, coord_rows, check_rows = lin.kernel_transform(d_k, ncols=n_k)
     s = len(kercols)
     if s == 0:
-        return DegreeData(k, basis, 0, [], [], [], [], [])
+        return DegreeData(k, basis, 0, [], [], [], [], [], d_cols)
 
     # coboundary image in kernel coordinates; integral because the kernel
     # lattice is saturated
@@ -249,6 +303,7 @@ def _degree_data(k, basis, d_k, prev_cols, n_k, dim):
         torsion_reps=[to_cochain(c) for c in tors_cols],
         reduce_free=reduce_free,
         reduce_torsion=reduce_torsion,
+        d_cols=d_cols,
     )
 
 
@@ -279,8 +334,9 @@ class CohomologyRing:
         if coord not in (1, -1):
             raise ValueError("top monomial does not generate the orientation line")
         if coord == -1:
-            top.free_reps[0] = -top.free_reps[0]
-            top.reduce_free[0] = [-x for x in top.reduce_free[0]]
+            self.cohomology.degrees[self.top_degree] = replace(
+                top, free_reps=[-top.free_reps[0]],
+                reduce_free=[[-x for x in top.reduce_free[0]]])
 
     # -- class-level operations -------------------------------------------
 
@@ -314,8 +370,18 @@ class CohomologyRing:
         if degree > self.cohomology.dim or u.degree > self.cohomology.dim \
                 or v.degree > self.cohomology.dim:
             return CohomClass(degree, (), ())
-        w = wedge(self.representative(u), self.representative(v))
-        return self.reduce(w)
+        groups = self.cohomology
+        a = groups.data(u.degree).terms(u)
+        b = groups.data(v.degree).terms(v)
+        target = groups.data(degree)
+        image = {}
+        for ia, ca in a.items():
+            for ib, cb in b.items():
+                merged = merge_tuples(ia, ib)
+                if merged is not None:
+                    j = target.pos[merged[0]]
+                    image[j] = image.get(j, 0) + merged[1] * ca * cb
+        return target.reduce(list(image.items()))
 
     def fundamental_pairing(self, t):
         """Coefficient of a top-degree class (or cocycle) against the
@@ -420,7 +486,7 @@ def surface_ring(genus) -> CohomologyRing:
             dd = DegreeData(k, basis, 0, [], [], [], [], [])
         degrees.append(dd)
 
-    groups = GradedCohomology(dim, names, degrees, matrices=None)
+    groups = GradedCohomology(dim, names, degrees)
     return CohomologyRing(groups, top_degree=2, preset=("surface", g))
 
 

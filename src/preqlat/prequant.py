@@ -50,7 +50,7 @@ class IntegrableLattice:
     ``generators`` are integer vectors in H^1 coordinates (a basis in
     column Hermite normal form); the lattice consists of the prefactor
     times their span.  The prefactor is exact, with the 1/(2*pi) kept
-    symbolic.
+    symbolic; ``volume`` is the Liouville volume it was computed from.
     """
 
     generators: tuple
@@ -58,6 +58,7 @@ class IntegrableLattice:
     level: int
     euler: EulerClass
     n: int
+    volume: Fraction
 
     @property
     def rank(self):
@@ -143,30 +144,27 @@ def integrable_lattice(ring: CohomologyRing, e: EulerClass, level: int = 1) -> I
     vol = liouville_volume(ring, SymplecticClass(e.free, n))
     prefactor = ExactScalar(Fraction(level * (n + 1), 1) / vol, -1)
     gens = tuple(tuple(v) for v in gysin_kernel(ring, e))
-    return IntegrableLattice(gens, prefactor, level, e, n)
+    return IntegrableLattice(gens, prefactor, level, e, n, vol)
 
 
 def generator_display(ring: CohomologyRing, coords) -> str:
     """Render an H^1 coordinate vector through the degree-one
     representatives, e.g. ``3*x*``."""
-    dd = ring.cohomology.data(1)
-    c = Cochain.zero(ring.cohomology.dim, 1)
-    for coef, rep in zip(coords, dd.free_reps):
-        if coef:
-            c = c + coef * rep
-    return c.render(ring.cohomology.conames, star="")
+    cls = CohomClass(1, tuple(coords), (0,) * len(ring.torsion(1)))
+    return ring.representative(cls).render(ring.cohomology.conames, star="")
 
 
 def lattice_report(lattice: IntegrableLattice, ring: CohomologyRing) -> dict:
     """Serializable summary: rank, generators, exact prefactor, and the
-    kernel for every Euler candidate over the same symplectic class."""
+    kernel for every Euler candidate over the same symplectic class (the
+    lattice's own candidate reuses its generators)."""
     basis_names = [
         rep.render(ring.cohomology.conames, star="")
         for rep in ring.cohomology.data(1).free_reps
     ]
     candidates = []
     for cand in euler_candidates(ring, SymplecticClass(lattice.euler.free, lattice.n)):
-        kernel = gysin_kernel(ring, cand)
+        kernel = lattice.generators if cand == lattice.euler else gysin_kernel(ring, cand)
         candidates.append(
             {
                 "torsion": list(cand.torsion),

@@ -2,13 +2,15 @@
 
 The preset symplectic structures are sums of scaled coordinate planes,
 omega = sum c_i dx_{2i-1} ^ dx_{2i}; Hamiltonian fields are produced by
-inverting the constant coefficient matrix, so every identity downstream
-(bracket values, cocycle evaluations) is exact.
+inverting the constant coefficient matrix (factored once per distinct
+form), so every identity downstream (bracket values, cocycle
+evaluations) is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 from ..exact import ExactScalar
@@ -58,17 +60,26 @@ def _coefficient_matrix(omega: TorusForm):
     return mat
 
 
+@lru_cache(maxsize=64)
+def _integer_inverse(cols):
+    """Inverse of the integer matrix with the given columns, as tuples of
+    Fractions; one factorization per distinct matrix.  A singular matrix
+    raises on every call, since exceptions are not cached."""
+    try:
+        inv = rational_solver(cols, len(cols))
+    except ValueError:
+        raise ValueError("degenerate symplectic form") from None
+    return tuple(tuple(row) for row in inv)
+
+
 def hamiltonian_field(f: TrigPoly, omega: TorusForm) -> TorusVectorField:
     """The field X_f with i_{X_f} omega = -df, via the constant inverse."""
     mat = _coefficient_matrix(omega)
     dim = omega.dim
     # scale * mat is integral, and mat^{-1} = scale * (scale * mat)^{-1}
     scale = lcm(*(x.denominator for row in mat for x in row))
-    cols = [[int(scale * mat[i][j]) for i in range(dim)] for j in range(dim)]
-    try:
-        inv = rational_solver(cols, dim)
-    except ValueError:
-        raise ValueError("degenerate symplectic form") from None
+    inv = _integer_inverse(
+        tuple(tuple(int(scale * mat[i][j]) for i in range(dim)) for j in range(dim)))
     grads = [f.diff(k) for k in range(dim)]
     comps = []
     for j in range(dim):

@@ -151,6 +151,56 @@ def test_lattice_report_values():
     assert len(lat["euler_candidates"]) == 6
 
 
+# JSON reports (timestamp removed) as the dense-Fraction cohomology engine
+# printed them; the sparse class arithmetic and the reuse of the lattice's
+# own Gysin kernel and volume must leave every byte in place.
+PINNED_LATTICE_REPORTS = [
+    (
+        ["lattice", "--preset", "torus", "--m", "6", "--omega", "3e12+e13+3e34+2e46+3e56"],
+        '{"job": {"command": "lattice", "format": "json", "level": 1, "params": {"m": "6", '
+        '"omega": "3e12+e13+3e34+2e46+3e56"}, "preset": "torus"}, "lattice": {"basis": '
+        '["dx1", "dx2", "dx3", "dx4", "dx5", "dx6"], "euler_candidates": [{"kernel": [], '
+        '"torsion": []}], "generators": [], "level": 1, "prefactor": {"den": "27", "num": "4", '
+        '"pi_power": -1}, "rank": 0}, "tool": {"name": "preqlat", "version": "0.1.0"}, '
+        '"volume": "27"}',
+    ),
+    (
+        ["lattice", "--preset", "thurston", "--r", "6", "--a", "1", "--b", "4", "--c", "3"],
+        '{"job": {"command": "lattice", "format": "json", "level": 1, "params": {"a": "1", '
+        '"b": "4", "c": "3", "r": "6"}, "preset": "thurston"}, "lattice": {"basis": ["x*", '
+        '"p*", "z*"], "euler_candidates": [{"kernel": [[3, 0, 0]], "torsion": [0]}, '
+        '{"kernel": [[3, 0, 0]], "torsion": [1]}, {"kernel": [[3, 0, 0]], "torsion": [2]}, '
+        '{"kernel": [[3, 0, 0]], "torsion": [3]}, {"kernel": [[3, 0, 0]], "torsion": [4]}, '
+        '{"kernel": [[3, 0, 0]], "torsion": [5]}], "generators": [{"coords": ["3", "0", "0"], '
+        '"display": "3*x*", "names": ["x*", "p*", "z*"]}], "level": 1, "prefactor": '
+        '{"den": "4", "num": "3", "pi_power": -1}, "rank": 1}, "tool": {"name": "preqlat", '
+        '"version": "0.1.0"}, "volume": "4"}',
+    ),
+    (
+        ["lattice", "--preset", "surface", "--g", "2", "--vol", "3"],
+        '{"job": {"command": "lattice", "format": "json", "level": 1, "params": {"g": "2", '
+        '"vol": "3"}, "preset": "surface"}, "lattice": {"basis": ["a1", "a2", "b1", "b2"], '
+        '"euler_candidates": [{"kernel": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+        '[0, 0, 0, 1]], "torsion": []}], "generators": [{"coords": ["1", "0", "0", "0"], '
+        '"display": "a1", "names": ["a1", "a2", "b1", "b2"]}, {"coords": ["0", "1", "0", "0"], '
+        '"display": "a2", "names": ["a1", "a2", "b1", "b2"]}, {"coords": ["0", "0", "1", "0"], '
+        '"display": "b1", "names": ["a1", "a2", "b1", "b2"]}, {"coords": ["0", "0", "0", "1"], '
+        '"display": "b2", "names": ["a1", "a2", "b1", "b2"]}], "level": 1, "prefactor": '
+        '{"den": "3", "num": "2", "pi_power": -1}, "rank": 4}, "tool": {"name": "preqlat", '
+        '"version": "0.1.0"}, "volume": "3"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_LATTICE_REPORTS,
+                         ids=["torus6", "thurston6", "surface2"])
+def test_lattice_report_bytes_pinned(argv, expected, capsys):
+    assert main(argv + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timestamp")
+    assert json.dumps(report, sort_keys=True) == expected
+
+
 def test_cohomology_report_torus():
     report, code = run_argv(["cohomology", "--preset", "torus", "--m", "4"])
     assert code == 0

@@ -112,6 +112,25 @@ def test_degenerate_form_rejected():
         hamiltonian_field(TrigPoly.sin_axis(4, 2), rank_two)
 
 
+def test_hamiltonian_field_inverse_is_memoized_per_form():
+    f = TrigPoly.sin_axis(2, 0) + TrigPoly.cos_axis(2, 1, 2, Fraction(1, 3))
+    first = hamiltonian_field(f, T2)
+    assert hamiltonian_field(f, T2) == first
+    assert hamiltonian_field(f, standard_symplectic(1)) == first
+    # (1/3) dx^dy scales to the same integer matrix as T2; its inverse is 3x
+    scaled = standard_symplectic(1, [Fraction(1, 3)])
+    xf = hamiltonian_field(f, scaled)
+    assert xf == TorusVectorField(2, [3 * c for c in first.components])
+    df = exterior_derivative(TorusForm.function(2, f))
+    assert (contract(xf, scaled) + df).is_zero()
+    # a cached good form does not mask a degenerate one, on any call
+    bad = TorusForm(2, 2, {(0, 1): TrigPoly.const(2, 0)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degenerate symplectic form"):
+            hamiltonian_field(f, bad)
+    assert hamiltonian_field(f, T2) == first
+
+
 # -- Poisson bracket and the point cocycle -------------------------------------
 
 def test_poisson_bracket_example():

@@ -509,3 +509,118 @@ def test_coboundary_helper():
     assert coboundary(ring, c).coeffs == {(0, 1): -2}
     sring = surface_ring(2)
     assert coboundary(sring, Cochain.basis(4, (0,))).is_zero()
+
+
+# -- dense reference for the support-sparse class arithmetic --------------------
+
+def dense_reduce(ring, mats, c):
+    """Reduction as a dense Fraction computation: the coordinate vector of
+    ``c`` over the whole basis, times every row of d_k, then times every
+    reduction row.  ``mats`` are the ring's differentials (None for a
+    formal preset)."""
+    dd = ring.cohomology.data(c.degree)
+    pos = {t: i for i, t in enumerate(dd.basis)}
+    vec = [Fraction(0)] * len(dd.basis)
+    for idx, coef in c.coeffs.items():
+        vec[pos[idx]] = coef
+    if mats is not None and c.degree < len(mats):
+        if any(sum(row[j] * vec[j] for j in range(len(vec))) for row in mats[c.degree]):
+            raise ValueError("not a cocycle")
+    integral = all(x.denominator == 1 for x in vec)
+    free = []
+    for row in dd.reduce_free:
+        val = sum((r * x for r, x in zip(row, vec)), Fraction(0))
+        if integral:
+            assert val.denominator == 1
+            val = int(val)
+        free.append(val)
+    torsion = []
+    for row, d in zip(dd.reduce_torsion, dd.torsion):
+        val = sum((r * x for r, x in zip(row, vec)), Fraction(0)) if integral else 0
+        assert val.denominator == 1
+        torsion.append(int(val) % d)
+    return CohomClass(c.degree, tuple(free), tuple(torsion))
+
+
+def dense_representative(ring, cls):
+    """Representative of a class as a chain of Cochain sums."""
+    dd = ring.cohomology.data(cls.degree)
+    out = Cochain.zero(ring.cohomology.dim, cls.degree)
+    for coef, rep in zip(cls.free + cls.torsion, dd.free_reps + dd.torsion_reps):
+        out = out + coef * rep
+    return out
+
+
+ORACLE_RINGS = {
+    "heis1": lambda: heis_ring(1),
+    "heis2": lambda: heis_ring(2),
+    "heis6": lambda: heis_ring(6),
+    "torus4": lambda: torus_ring(4),
+    "torus6": lambda: torus_ring(6),
+    "surface0": lambda: surface_ring(0),
+    "surface2": lambda: surface_ring(2),
+    "torsion6": lambda: torsion_rings()[0],
+    "torsion7": lambda: torsion_rings()[1],
+}
+
+
+def _random_class(rng, ring, degree):
+    dd = ring.cohomology.data(degree)
+    return CohomClass(degree, tuple(rng.randint(-3, 3) for _ in range(dd.betti)),
+                      tuple(rng.randint(0, d - 1) for d in dd.torsion))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_sparse_reduce_matches_dense_reference(name):
+    ring = ORACLE_RINGS[name]()
+    m = ring.cohomology.dim
+    mats = complex_matrices(ring.lie) if ring.lie is not None else None
+    rng = random.Random(f"dense-oracle:{name}")
+    rejected = 0
+    for k in range(m + 1):
+        for _ in range(4):
+            c = ring.representative(_random_class(rng, ring, k))
+            if ring.lie is not None and k >= 1:
+                c = c + ce_differential(random_cochain(rng, m, k - 1), ring.lie)
+            elif ring.lie is None:
+                c = c + random_cochain(rng, m, k)    # every cochain is closed
+            cls = ring.reduce(c)
+            assert cls == dense_reduce(ring, mats, c)
+            assert all(type(x) is int for x in cls.free + cls.torsion)
+            q = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            rational = q * c
+            if ring.lie is not None and k >= 1:
+                rational = rational + ce_differential(
+                    Fraction(1, 7) * random_cochain(rng, m, k - 1), ring.lie)
+            assert ring.reduce(rational) == dense_reduce(ring, mats, rational)
+        if mats is None or k >= len(mats):
+            continue
+        # one basis cochain per column of d_k that it does not kill
+        for j, idx in enumerate(degree_tuples(m, k)):
+            if not any(row[j] for row in mats[k]):
+                continue
+            closed = ring.representative(_random_class(rng, ring, k))
+            for bad in (Cochain.basis(m, idx), closed + Cochain.basis(m, idx),
+                        Fraction(1, 2) * Cochain.basis(m, idx)):
+                assert not ring.cohomology.is_closed(bad)
+                for reduce in (ring.reduce, lambda c: dense_reduce(ring, mats, c)):
+                    with pytest.raises(ValueError, match="not a cocycle"):
+                        reduce(bad)
+                rejected += 1
+    nonzero = mats is not None and any(any(row) for d in mats for row in d)
+    assert (rejected > 0) == nonzero
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["torsion6", "torsion7"])
+def test_sparse_cup_matches_dense_reference(index):
+    ring = torsion_rings()[index]
+    m = ring.cohomology.dim
+    mats = complex_matrices(ring.lie)
+    rng = random.Random(f"dense-cup:{m}")
+    for a in range(m + 1):
+        for b in range(m + 1 - a):
+            for _ in range(2):
+                u, v = _random_class(rng, ring, a), _random_class(rng, ring, b)
+                ru, rv = dense_representative(ring, u), dense_representative(ring, v)
+                assert ring.representative(u) == ru
+                assert ring.cup(u, v) == dense_reduce(ring, mats, wedge(ru, rv))
