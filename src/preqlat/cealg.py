@@ -239,20 +239,31 @@ def complex_matrices(lie: LieAlgebraPresentation):
     Returns [d_0, ..., d_{m-1}] where d_k maps degree-k coefficient
     vectors (lexicographic increasing-tuple basis) to degree k+1.
     Raises ValueError unless the structure constants are integers.
+
+    The column of a monomial e_I is the antiderivation rule of
+    ``ce_differential`` on integers: for each position p of I, the
+    tabulated terms of d e_{I_p} are merged with I minus I_p, with sign
+    (-1)^p times the shuffle sign.
     """
     m = lie.dim
     if not lie.is_integral():
         raise ValueError("non-integral basis")
+    gens = [[(pair, int(c)) for pair, c in dk.items()] for dk in _differential_on_generators(lie)]
     mats = []
     for k in range(m):
         src = degree_tuples(m, k)
-        dst = degree_tuples(m, k + 1)
-        dst_pos = {t: i for i, t in enumerate(dst)}
-        mat = [[0] * len(src) for _ in dst]
+        dst_pos = {t: i for i, t in enumerate(degree_tuples(m, k + 1))}
+        mat = [[0] * len(src) for _ in dst_pos]
         for col, idx in enumerate(src):
-            image = ce_differential(Cochain.basis(m, idx), lie)
-            for t, c in image.coeffs.items():
-                mat[dst_pos[t]][col] = int(c)
+            for pos, gen in enumerate(idx):
+                if not gens[gen]:
+                    continue
+                rest = idx[:pos] + idx[pos + 1:]
+                sgn_pos = -1 if pos % 2 else 1
+                for pair, c in gens[gen]:
+                    merged = merge_tuples(pair, rest)
+                    if merged is not None:
+                        mat[dst_pos[merged[0]]][col] += sgn_pos * merged[1] * c
         mats.append(mat)
     return mats
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from . import intlinalg as lin
 from .cealg import (
@@ -58,11 +59,13 @@ class CohomClass:
 class DegreeData:
     """One degree of the cohomology: its tables, and the sparse views of
     them that class arithmetic reads.  Each view is derived once, on first
-    use, so a degree that no class lands in never builds one (a genus-8
-    surface keeps 2^16 basis tuples over its 17 degrees)."""
+    use, so a degree that no class lands in never builds one.  A group with
+    neither classes nor a differential (a surface above degree 2) never
+    lists its basis: every cochain there is closed and reduces to the
+    empty class."""
 
     degree: int
-    basis: list                      # increasing index tuples of the cochain space
+    dim: int                         # number of degree-one generators
     betti: int
     torsion: list                    # invariant factors > 1
     free_reps: list                  # Cochain
@@ -70,6 +73,11 @@ class DegreeData:
     reduce_free: list                # betti x N rows (integers for complexes)
     reduce_torsion: list             # len(torsion) x N rows
     d_cols: list | None = None       # [(row, entry)] per column of d_k; None: no differential
+
+    @property
+    def basis(self):
+        """Increasing index tuples of the cochain space, listed afresh."""
+        return degree_tuples(self.dim, self.degree)
 
     @cached_property
     def pos(self):
@@ -80,7 +88,7 @@ class DegreeData:
     def reduce_cols(self):
         """[(row, entry)] per basis position, over the free reduction rows
         followed by the torsion ones."""
-        cols = [[] for _ in self.basis]
+        cols = [[] for _ in range(comb(self.dim, self.degree))]
         for i, row in enumerate(self.reduce_free + self.reduce_torsion):
             for j, x in enumerate(row):
                 if x:
@@ -96,17 +104,15 @@ class DegreeData:
         ]
 
     def support(self, c: Cochain):
-        """The (basis position, coefficient) pairs of a cochain of this degree."""
+        """The (basis position, coefficient) pairs of a cochain of this
+        degree; empty for a group with neither classes nor a differential,
+        which reads none of them."""
+        if self.d_cols is None and not self.betti and not self.torsion:
+            return []
         return [(self.pos[idx], x) for idx, x in c.coeffs.items()]
 
     def is_closed(self, support) -> bool:
-        if self.d_cols is None:
-            return True
-        image = {}
-        for j, x in support:
-            for i, d in self.d_cols[j]:
-                image[i] = image.get(i, 0) + d * x
-        return not any(image.values())
+        return self.d_cols is None or _kills(self.d_cols, support)
 
     def reduce(self, support) -> CohomClass:
         """Class of the closed cochain with this support (see
@@ -141,6 +147,15 @@ class DegreeData:
                 for idx, x in terms:
                     out[idx] = out.get(idx, 0) + coef * x
         return out
+
+
+def _kills(cols, support):
+    """Whether the sparse columns ``cols`` send the support to zero."""
+    image = {}
+    for j, x in support:
+        for i, d in cols[j]:
+            image[i] = image.get(i, 0) + d * x
+    return not any(image.values())
 
 
 def _exact(x):
@@ -195,15 +210,14 @@ def integral_cohomology(matrices, dim, conames) -> GradedCohomology:
     Raises ``ValueError('not a complex')`` unless d_{k+1} d_k = 0.
     """
     m = dim
-    for k in range(len(matrices) - 1):
-        if matrices[k] and matrices[k + 1]:
-            comp = lin.mat_mul(matrices[k + 1], matrices[k])
-            if any(any(row) for row in comp):
-                raise ValueError("not a complex")
-
     bases = [degree_tuples(m, k) for k in range(m + 1)]
     # every d_k as sparse (row, entry) columns
     cols = [_sparse_columns(mat, len(bases[k])) for k, mat in enumerate(matrices)]
+    # d_{k+1} d_k = 0, one sparse column of d_k at a time
+    for k in range(len(cols) - 1):
+        for col in cols[k]:
+            if col and not _kills(cols[k + 1], col):
+                raise ValueError("not a complex")
     degrees = []
     for k, basis in enumerate(bases):
         d_k = matrices[k] if k < len(matrices) else []
@@ -224,24 +238,26 @@ def _sparse_columns(mat, ncols):
     return cols
 
 
-def _sparse_dot(row, col):
-    return sum(row[i] * x for i, x in col)
-
-
 def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
     n_k = len(basis)
-    kercols, coord_rows, check_rows = lin.kernel_transform(d_k, ncols=n_k)
+    kercols, coord_rows, _ = lin.kernel_transform(d_k, ncols=n_k)
     s = len(kercols)
     if s == 0:
-        return DegreeData(k, basis, 0, [], [], [], [], [], d_cols)
+        return DegreeData(k, dim, 0, [], [], [], [], [], d_cols)
 
-    # coboundary image in kernel coordinates; integral because the kernel
-    # lattice is saturated
+    # coboundary image in kernel coordinates, read off the sparse columns of
+    # the coordinate rows: one pass over the entries in the rows of the
+    # coboundary's support.  The columns lie in the kernel (the complex was
+    # checked), and the coordinates are integral because the kernel lattice
+    # is saturated.
+    coord_cols = [[(t, x) for t, x in enumerate(col) if x] for col in zip(*coord_rows)]
     x_cols = []
     for col in prev_cols:
-        if any(_sparse_dot(row, col) for row in check_rows):
-            raise ValueError("not a complex")
-        x_cols.append([_sparse_dot(row, col) for row in coord_rows])
+        acc = [0] * s
+        for i, x in col:
+            for t, v in coord_cols[i]:
+                acc[t] += v * x
+        x_cols.append(acc)
 
     if x_cols:
         x_mat = [[c[i] for c in x_cols] for i in range(s)]
@@ -278,7 +294,7 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
         # the coordinates of the old basis in the Hermite basis are the
         # columns of the change of basis that carries the reduction rows over
         hnf_cols = lin.column_style_hermite(free_cols, n_k)
-        t_inv_cols = [lin.echelon_coords(hnf_cols, c) for c in free_cols]
+        t_inv_cols = lin.echelon_coords(hnf_cols, free_cols)
         t_inv = [[c[i] for c in t_inv_cols] for i in range(len(hnf_cols))]
         reduce_free = lin.mat_mul(t_inv, reduce_free)
         free_cols = hnf_cols
@@ -296,7 +312,7 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
 
     return DegreeData(
         degree=k,
-        basis=basis,
+        dim=dim,
         betti=len(free_idx),
         torsion=torsion,
         free_reps=[to_cochain(c) for c in free_cols],
@@ -374,6 +390,9 @@ class CohomologyRing:
         a = groups.data(u.degree).terms(u)
         b = groups.data(v.degree).terms(v)
         target = groups.data(degree)
+        if not target.betti and not target.torsion:
+            # the wedge of two cocycles is closed, so it lands in a zero group
+            return CohomClass(degree, (), ())
         image = {}
         for ia, ca in a.items():
             for ib, cb in b.items():
@@ -462,18 +481,17 @@ def surface_ring(genus) -> CohomologyRing:
 
     degrees = []
     for k in range(dim + 1):
-        basis = degree_tuples(dim, k)
         if k == 0:
-            dd = DegreeData(0, basis, 1, [], [Cochain.basis(dim, ())], [],
+            dd = DegreeData(0, dim, 1, [], [Cochain.basis(dim, ())], [],
                             [[Fraction(1)]], [])
         elif k == 1:
-            dd = DegreeData(1, basis, len(one_reps), [], list(one_reps), [],
+            dd = DegreeData(1, dim, len(one_reps), [], list(one_reps), [],
                             [list(r) for r in one_reduce], [])
         elif k == 2:
             # the symplectic contraction: only the coefficients on the
             # paired tuples (a_i, b_i) survive, and they all agree in H^2
-            row = [Fraction(0)] * len(basis)
-            pos = {t: i for i, t in enumerate(basis)}
+            pos = {t: i for i, t in enumerate(degree_tuples(dim, 2))}
+            row = [Fraction(0)] * len(pos)
             if g == 0:
                 row[pos[(0, 1)]] = Fraction(1)
                 rep = Cochain.basis(dim, (0, 1))
@@ -481,9 +499,9 @@ def surface_ring(genus) -> CohomologyRing:
                 for i in range(g):
                     row[pos[(i, g + i)]] = Fraction(1)
                 rep = Cochain.basis(dim, (0, g))
-            dd = DegreeData(2, basis, 1, [], [rep], [], [row], [])
+            dd = DegreeData(2, dim, 1, [], [rep], [], [row], [])
         else:
-            dd = DegreeData(k, basis, 0, [], [], [], [], [])
+            dd = DegreeData(k, dim, 0, [], [], [], [], [])
         degrees.append(dd)
 
     groups = GradedCohomology(dim, names, degrees)

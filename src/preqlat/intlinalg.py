@@ -248,27 +248,31 @@ def column_style_hermite(cols, n):
     return basis
 
 
-def echelon_coords(basis, col):
-    """Integer coordinates of ``col`` in a lattice basis in column echelon
-    form (each column's first nonzero row strictly below the previous
-    one's), as ``column_style_hermite`` returns it.  Forward substitution
-    with exact division; raises ValueError if ``col`` is not in the
-    lattice."""
-    rest = list(col)
-    coords = []
-    for b in basis:
-        p = next(i for i, x in enumerate(b) if x)
-        q, r = divmod(rest[p], b[p])
-        if r:
+def echelon_coords(basis, cols):
+    """Integer coordinates of each of ``cols`` in a lattice basis in column
+    echelon form (each column's first nonzero row strictly below the
+    previous one's), as ``column_style_hermite`` returns it: one
+    coordinate list per column.  Forward substitution with exact division
+    over each basis column's nonzero entries, found once for all columns;
+    raises ValueError if a column is not in the lattice."""
+    entries = [[(i, x) for i, x in enumerate(b) if x] for b in basis]
+    out = []
+    for col in cols:
+        rest = list(col)
+        coords = []
+        for b in entries:
+            p, piv = b[0]
+            q, r = divmod(rest[p], piv)
+            if r:
+                raise ValueError("vector is not in the lattice")
+            if q:
+                for i, x in b:
+                    rest[i] -= q * x
+            coords.append(q)
+        if any(rest):
             raise ValueError("vector is not in the lattice")
-        if q:
-            for i in range(p, len(rest)):
-                if b[i]:
-                    rest[i] -= q * b[i]
-        coords.append(q)
-    if any(rest):
-        raise ValueError("vector is not in the lattice")
-    return coords
+        out.append(coords)
+    return out
 
 
 def solve_in_lattice(cols, target, n):

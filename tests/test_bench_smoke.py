@@ -5,8 +5,8 @@ report from a corrupted one, and its tracer still wraps the library.
 presentation, a Thurston lattice, a jacobi verify), corrupts one report
 at a time and checks that the job oracles count each corruption as a
 failure while the clean pass has none.  ``bench/passrun.py --spans``
-runs three jobs with every layer of ``bench/tracer.py`` installed.  No
-timing is asserted.
+runs small jobs with every layer of ``bench/tracer.py`` installed and
+checks the layer counters.  No timing is asserted.
 """
 
 import json
@@ -51,3 +51,25 @@ def test_traced_pass_reaches_every_layer(tmp_path):
     for name in ("toruscalc.trig.mul_mode_pairs", "cealg.complex_matrices_calls",
                  "toruscalc.residuals.ks_calls"):
         assert layers[name] > 0, name
+
+
+def test_traced_cohomology_builds_integer_complex(tmp_path):
+    """Two traced cohomology jobs build one complex each, straight from the
+    structure constants: no per-monomial ``ce_differential`` call."""
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([
+        ["cohomology", "--preset", "torus", "--m", "6"],
+        ["cohomology", "--preset", "thurston", "--r", "2"],
+    ]))
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "passrun.py"),
+         "--jobs", str(jobs), "--spans", str(tmp_path / "spans.tsv.gz")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout)
+    assert [job["code"] for job in result["jobs"]] == [0, 0]
+    layers = result["layers"]
+    assert layers["cealg.complex_matrices_calls"] == 2
+    assert layers["cealg.ce_differential_calls"] == 0

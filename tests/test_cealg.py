@@ -270,6 +270,66 @@ def test_matrices_compose_to_zero_many_random():
             assert all(all(x == 0 for x in row) for row in prod)
 
 
+def matrices_by_ce_differential(lie):
+    """d_k built column by column: the column of a monomial is the
+    coefficient vector of ``ce_differential`` of its basis cochain."""
+    m = lie.dim
+    mats = []
+    for k in range(m):
+        src, dst = degree_tuples(m, k), degree_tuples(m, k + 1)
+        mat = [[0] * len(src) for _ in dst]
+        for col, idx in enumerate(src):
+            image = ce_differential(Cochain.basis(m, idx), lie)
+            for row, t in enumerate(dst):
+                c = image.coeffs.get(t, Fraction(0))
+                assert c.denominator == 1
+                mat[row][col] = c.numerator
+        mats.append(mat)
+    return mats
+
+
+def random_filiform(rng, m):
+    """[e_1, e_i] = c_i e_{i+1} for 2 <= i < m with c_i in [-3, 3]."""
+    structure = {(0, i): {i + 1: Fraction(rng.randint(-3, 3))} for i in range(1, m - 1)}
+    names = tuple(f"e{i+1}" for i in range(m))
+    return LieAlgebraPresentation(dim=m, basis_names=names, structure=structure)
+
+
+def random_three_step(rng, m):
+    """Generators of weights 1, 2 and 3, each bracket landing in the span
+    of the generators of the summed weight with coefficients in [-3, 3].
+    Both builders read only the structure constants, so the Jacobi
+    identity may fail here."""
+    weights = sorted(rng.choice((1, 1, 2, 3)) for _ in range(m))
+    structure = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            targets = [k for k in range(m) if weights[k] == weights[i] + weights[j]]
+            comps = {k: Fraction(rng.randint(-3, 3)) for k in targets}
+            structure[(i, j)] = comps
+    names = tuple(f"e{i+1}" for i in range(m))
+    return LieAlgebraPresentation(dim=m, basis_names=names, structure=structure)
+
+
+def test_integer_builder_matches_ce_differential_columns():
+    """complex_matrices fills each column from the tabulated d e_g with the
+    position and shuffle signs; it must agree entry for entry with the
+    Fraction cochain differential of every basis monomial."""
+    rng = random.Random(2001)
+    lies = [abelian(m) for m in range(5)] + [heisenberg_times_line(7)]
+    for m in range(2, 8):
+        for make in (random_two_step, random_filiform, random_three_step):
+            lies += [make(rng, m) for _ in range(6)]
+    assert len(lies) >= 100
+    signs_matter = 0
+    for lie in lies:
+        mats = complex_matrices(lie)
+        assert all(type(x) is int for mat in mats for row in mat for x in row)
+        assert mats == matrices_by_ce_differential(lie)
+        signs_matter += any(x for mat in mats[2:] for row in mat for x in row)
+    assert signs_matter >= 50
+
+
 def test_matrices_integrality_flag():
     lie = LieAlgebraPresentation(
         dim=3,

@@ -17,6 +17,8 @@ from preqlat.cli import (
 from preqlat.exact import ExactScalar
 from fractions import Fraction
 
+from util import two_step_presentation
+
 
 def run_argv(argv):
     job = parse_job(argv)
@@ -198,6 +200,148 @@ def test_lattice_report_bytes_pinned(argv, expected, capsys):
     assert main(argv + ["--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     report.pop("timestamp")
+    assert json.dumps(report, sort_keys=True) == expected
+
+
+# JSON reports (timestamp and input path removed) of ``cohomology --input``
+# on two seeded 2-step presentations (``util.two_step_presentation``
+# arguments first): a dim-7 one with torsion Z/3 + Z/3 + Z/6 in degrees 3
+# and 5, and a half-density dim-8 one.  Building the differentials from
+# the structure constants and checking d^2 = 0 on sparse columns must
+# leave every byte in place.
+PINNED_COHOMOLOGY_REPORTS = [
+    (
+        ("7-2", 7, 2, 3, 0.5),
+        '{"cohomology": [{"betti": 1, "degree": 0, "generators": ["1"], "torsion": []}, '
+        '{"betti": 5, "degree": 1, "generators": ["e1*", "e2*", "e3*", "e4*", "e5*"], '
+        '"torsion": []}, {"betti": 9, "degree": 2, "generators": ["e1*^e3*", "e1*^e4*", '
+        '"e1*^e5*", "e2*^e3*", "e2*^e5*", "e2*^e7* - 2*e5*^e6* + 4*e5*^e7*", "e3*^e4*", '
+        '"e3*^e5*", "e4*^e5*"], "torsion": []}, {"betti": 15, "degree": 3, '
+        '"generators": ["e1*^e2*^e7* + 2*e4*^e5*^e7*", "e1*^e3*^e4*", '
+        '"e1*^e3*^e6* - 3*e3*^e4*^e7* + 8*e3*^e5*^e6* - 15*e3*^e5*^e7*", '
+        '"3*e1*^e3*^e7* + 2*e1*^e4*^e6* - 3*e3*^e4*^e7* + 9*e3*^e5*^e7* + 2*e4*^e5*^e7*", '
+        '"e1*^e4*^e7* + 3*e4*^e5*^e7*", "e1*^e5*^e6* + 3*e4*^e5*^e7*", '
+        '"e1*^e5*^e7* + e4*^e5*^e7*", "e2*^e3*^e6*", "e2*^e3*^e7* + 2*e3*^e5*^e6* - 4*e3*^e5*'
+        '^e7*", "e2*^e4*^e6* - 3*e3*^e5*^e6* + 6*e3*^e5*^e7*", "e2*^e4*^e7*", "e2*^e5*^e6*", '
+        '"e2*^e5*^e7*", "e3*^e4*^e6* - 2*e3*^e4*^e7* + 5*e3*^e5*^e6* - 10*e3*^e5*^e7*", '
+        '"e4*^e5*^e6* - 2*e4*^e5*^e7*", "e1*^e3*^e5*", '
+        '"6*e1*^e2*^e5* - 4*e1*^e4*^e5* + 4*e2*^e3*^e5* + 3*e3*^e4*^e5*", '
+        '"4*e1*^e2*^e5* - 3*e1*^e4*^e5* + 3*e2*^e3*^e5* + 2*e3*^e4*^e5*"], "torsion": [3, 3, '
+        '6]}, {"betti": 15, "degree": 4, "generators": ["e1*^e2*^e3*^e6*", '
+        '"e1*^e2*^e3*^e7* + 2*e3*^e4*^e5*^e7*", "e1*^e2*^e4*^e6* - 3*e3*^e4*^e5*^e7*", '
+        '"e1*^e2*^e4*^e7*", "e1*^e2*^e5*^e7*", "e1*^e3*^e4*^e6* - e3*^e4*^e5*^e7*", '
+        '"e1*^e3*^e4*^e7* - 3*e3*^e4*^e5*^e7*", "e1*^e3*^e5*^e6* - 3*e3*^e4*^e5*^e7*", '
+        '"2*e1*^e3*^e5*^e7* - e1*^e4*^e5*^e6* - 2*e3*^e4*^e5*^e7*", "e1*^e4*^e5*^e7*", '
+        '"e2*^e3*^e4*^e7*", "e2*^e3*^e5*^e6*", "2*e2*^e3*^e5*^e7* - e2*^e4*^e5*^e6*", '
+        '"e2*^e5*^e6*^e7*", "e3*^e4*^e5*^e6* - 2*e3*^e4*^e5*^e7*"], "torsion": []}, '
+        '{"betti": 9, "degree": 5, "generators": ["4*e1*^e2*^e3*^e4*^e6* - 8*e1*^e2*^e3*^e4*^'
+        'e7* + 2*e1*^e2*^e3*^e5*^e7* + e1*^e3*^e4*^e5*^e6* + 12*e2*^e3*^e4*^e5*^e6*", '
+        '"e1*^e2*^e3*^e6*^e7* - 4*e1*^e3*^e5*^e6*^e7* + 6*e3*^e4*^e5*^e6*^e7*", '
+        '"e1*^e2*^e4*^e6*^e7* - 3*e1*^e3*^e5*^e6*^e7* + 3*e3*^e4*^e5*^e6*^e7*", '
+        '"e1*^e2*^e5*^e6*^e7*", "e1*^e3*^e4*^e6*^e7* + 5*e1*^e3*^e5*^e6*^e7* - 8*e3*^e4*^e5*^'
+        'e6*^e7*", "e1*^e4*^e5*^e6*^e7*", "e2*^e3*^e4*^e6*^e7*", "e2*^e3*^e5*^e6*^e7*", '
+        '"e2*^e4*^e5*^e6*^e7*", "e1*^e3*^e4*^e5*^e7*", '
+        '"8*e1*^e2*^e3*^e4*^e6* - 15*e1*^e2*^e3*^e4*^e7* + 4*e1*^e2*^e3*^e5*^e7* + 2*e1*^e3*^'
+        'e4*^e5*^e6* + 24*e2*^e3*^e4*^e5*^e6*", "17*e1*^e2*^e3*^e4*^e6* - 32*e1*^e2*^e3*^e4*^'
+        'e7* + 8*e1*^e2*^e3*^e5*^e7* + 4*e1*^e3*^e4*^e5*^e6* + 48*e2*^e3*^e4*^e5*^e6*"], '
+        '"torsion": [3, 3, 6]}, {"betti": 5, "degree": 6, '
+        '"generators": ["e1*^e2*^e3*^e4*^e6*^e7*", "e1*^e2*^e3*^e5*^e6*^e7*", '
+        '"e1*^e2*^e4*^e5*^e6*^e7*", "e1*^e3*^e4*^e5*^e6*^e7*", "e2*^e3*^e4*^e5*^e6*^e7*"], '
+        '"torsion": []}, {"betti": 1, "degree": 7, "generators": ["e1*^e2*^e3*^e4*^e5*^e6*^e7'
+        '*"], "torsion": []}], "job": {"command": "cohomology", "format": "json"}, '
+        '"tool": {"name": "preqlat", "version": "0.1.0"}}'
+    ),
+    (
+        ("8-4", 8, 3, 2, 0.5),
+        '{"cohomology": [{"betti": 1, "degree": 0, "generators": ["1"], "torsion": []}, '
+        '{"betti": 5, "degree": 1, "generators": ["e1*", "e2*", "e3*", "e4*", "e5*"], '
+        '"torsion": []}, {"betti": 15, "degree": 2, "generators": ["e1*^e2*", "e1*^e3*", '
+        '"e1*^e4*", "e1*^e5*", "e2*^e3*", "e2*^e5*", "e2*^e6* + e2*^e8* + 2*e3*^e8* + 4*e5*^e'
+        '7* - 2*e5*^e8*", "2*e2*^e7* + e2*^e8* - 2*e3*^e8* - 4*e5*^e7* - 6*e5*^e8*", '
+        '"e3*^e6*", "e3*^e7* + 2*e5*^e7*", "e4*^e5*", "e4*^e6* - 2*e5*^e7*", '
+        '"e4*^e7* - e5*^e7*", "e4*^e8* + 2*e5*^e7*", "e5*^e6* + 2*e5*^e7*", '
+        '"e3*^e5* + e4*^e5*"], "torsion": [4]}, {"betti": 27, "degree": 3, '
+        '"generators": ["e1*^e2*^e3*", "e1*^e2*^e5*", '
+        '"e1*^e2*^e6* + e1*^e2*^e8* + 2*e1*^e3*^e8* + 4*e1*^e5*^e7* - 2*e1*^e5*^e8*", '
+        '"2*e1*^e2*^e7* + e1*^e2*^e8* - 2*e1*^e3*^e8* - 4*e1*^e5*^e7* - 6*e1*^e5*^e8*", '
+        '"e1*^e3*^e6*", "e1*^e3*^e7* + 2*e1*^e5*^e7*", "e1*^e4*^e5*", '
+        '"e1*^e4*^e6* - 2*e1*^e5*^e7*", "e1*^e4*^e7* - e1*^e5*^e7*", '
+        '"e1*^e4*^e8* + 2*e1*^e5*^e7*", "e1*^e5*^e6* + 2*e1*^e5*^e7*", "e2*^e3*^e6*", '
+        '"e2*^e3*^e7* + 2*e3*^e5*^e8*", "e2*^e3*^e8* + 2*e3*^e5*^e8*", '
+        '"e2*^e4*^e7* - e3*^e5*^e8*", "e2*^e4*^e8* + 2*e3*^e5*^e8*", '
+        '"e2*^e5*^e6* + 2*e3*^e5*^e8*", "e2*^e5*^e7* - e3*^e5*^e8*", "e2*^e5*^e8*", '
+        '"e3*^e4*^e7*", "e3*^e5*^e6*", "e3*^e5*^e7*", '
+        '"e3*^e6*^e7* + e4*^e6*^e7* + e5*^e6*^e7*", "e4*^e5*^e6*", "e4*^e5*^e7*", '
+        '"e4*^e5*^e8*", "2*e4*^e6*^e7* + e4*^e6*^e8* - 2*e4*^e7*^e8*", '
+        '"e1*^e3*^e4* - e1*^e4*^e5*"], "torsion": [4]}, {"betti": 32, "degree": 4, '
+        '"generators": ["e1*^e2*^e3*^e6*", "e1*^e2*^e3*^e7* + 2*e1*^e2*^e5*^e7*", '
+        '"e1*^e2*^e3*^e8* + 2*e1*^e2*^e5*^e7*", "e1*^e2*^e4*^e7* - e1*^e2*^e5*^e7*", '
+        '"e1*^e2*^e4*^e8* + 2*e1*^e2*^e5*^e7*", "e1*^e2*^e5*^e6* + 2*e1*^e2*^e5*^e7*", '
+        '"e1*^e2*^e5*^e8*", "e1*^e3*^e4*^e6*", "e1*^e3*^e4*^e7*", "e1*^e3*^e4*^e8*", '
+        '"e1*^e3*^e5*^e7*", "e1*^e3*^e6*^e7* + e1*^e4*^e6*^e7* + e1*^e5*^e6*^e7*", '
+        '"e1*^e4*^e5*^e6*", "e1*^e4*^e5*^e7*", "e1*^e4*^e5*^e8*", '
+        '"2*e1*^e4*^e6*^e7* + e1*^e4*^e6*^e8* - 2*e1*^e4*^e7*^e8*", "e2*^e3*^e5*^e7*", '
+        '"e2*^e3*^e6*^e7* + 2*e3*^e5*^e6*^e8*", "e2*^e3*^e6*^e8* + 2*e3*^e5*^e6*^e8*", '
+        '"e2*^e3*^e7*^e8* + 2*e2*^e5*^e7*^e8* + 2*e3*^e5*^e7*^e8*", "e2*^e4*^e5*^e8*", '
+        '"e2*^e4*^e6*^e7* - e3*^e5*^e6*^e8* + 2*e3*^e5*^e7*^e8*", '
+        '"e2*^e4*^e6*^e8* - 2*e2*^e5*^e7*^e8* + 2*e3*^e5*^e6*^e8*", '
+        '"e2*^e4*^e7*^e8* - e2*^e5*^e7*^e8* + 2*e3*^e5*^e7*^e8*", '
+        '"e2*^e5*^e6*^e7* - e3*^e5*^e6*^e8* - 2*e3*^e5*^e7*^e8*", '
+        '"e2*^e5*^e6*^e8* + 2*e2*^e5*^e7*^e8*", "e3*^e4*^e6*^e7*", "e3*^e4*^e7*^e8*", '
+        '"e3*^e5*^e6*^e7*", "e4*^e5*^e6*^e7*", "e4*^e5*^e6*^e8*", "e4*^e5*^e7*^e8*", '
+        '"2*e2*^e3*^e5*^e7* + e2*^e3*^e5*^e8* + e2*^e4*^e5*^e8* + 12*e3*^e4*^e5*^e7*", '
+        '"e3*^e4*^e5*^e7*"], "torsion": [4, 4]}, {"betti": 27, "degree": 5, '
+        '"generators": ["e1*^e2*^e3*^e5*^e7*", "e1*^e2*^e3*^e6*^e7* + 2*e1*^e3*^e5*^e6*^e8*",'
+        ' "e1*^e2*^e3*^e6*^e8* + 2*e1*^e3*^e5*^e6*^e8*", '
+        '"e1*^e2*^e3*^e7*^e8* + 2*e1*^e2*^e5*^e7*^e8* + 2*e1*^e3*^e5*^e7*^e8*", '
+        '"e1*^e2*^e4*^e5*^e8*", "e1*^e2*^e4*^e6*^e7* - e1*^e3*^e5*^e6*^e8* + 2*e1*^e3*^e5*^e7'
+        '*^e8*", "e1*^e2*^e4*^e6*^e8* - 2*e1*^e2*^e5*^e7*^e8* + 2*e1*^e3*^e5*^e6*^e8*", '
+        '"e1*^e2*^e4*^e7*^e8* - e1*^e2*^e5*^e7*^e8* + 2*e1*^e3*^e5*^e7*^e8*", '
+        '"e1*^e2*^e5*^e6*^e7* - e1*^e3*^e5*^e6*^e8* - 2*e1*^e3*^e5*^e7*^e8*", '
+        '"e1*^e2*^e5*^e6*^e8* + 2*e1*^e2*^e5*^e7*^e8*", "e1*^e3*^e4*^e6*^e7*", '
+        '"e1*^e3*^e4*^e7*^e8*", "e1*^e3*^e5*^e6*^e7*", "e1*^e4*^e5*^e6*^e7*", '
+        '"e1*^e4*^e5*^e6*^e8*", "e1*^e4*^e5*^e7*^e8*", "e2*^e3*^e4*^e7*^e8*", '
+        '"e2*^e3*^e5*^e6*^e7*", "e2*^e3*^e5*^e6*^e8*", "e2*^e3*^e5*^e7*^e8*", '
+        '"e2*^e3*^e6*^e7*^e8* + e2*^e4*^e6*^e7*^e8* + e2*^e5*^e6*^e7*^e8* + 4*e3*^e5*^e6*^e7*'
+        '^e8*", "e2*^e4*^e5*^e6*^e8*", "e2*^e4*^e5*^e7*^e8*", "e3*^e4*^e5*^e6*^e7*", '
+        '"e3*^e4*^e5*^e7*^e8*", "e3*^e4*^e6*^e7*^e8*", "e4*^e5*^e6*^e7*^e8*", '
+        '"2*e1*^e2*^e3*^e5*^e7* + e1*^e2*^e3*^e5*^e8* + e1*^e2*^e4*^e5*^e8* + 12*e1*^e3*^e4*^'
+        'e5*^e7*", "e1*^e3*^e4*^e5*^e7*"], "torsion": [4, 4]}, {"betti": 15, "degree": 6, '
+        '"generators": ["e1*^e2*^e3*^e4*^e7*^e8*", "e1*^e2*^e3*^e5*^e6*^e7*", '
+        '"e1*^e2*^e3*^e5*^e6*^e8*", "e1*^e2*^e3*^e5*^e7*^e8*", '
+        '"e1*^e2*^e3*^e6*^e7*^e8* + e1*^e2*^e4*^e6*^e7*^e8* + e1*^e2*^e5*^e6*^e7*^e8* + 4*e1*'
+        '^e3*^e5*^e6*^e7*^e8*", "e1*^e2*^e4*^e5*^e6*^e8*", "e1*^e2*^e4*^e5*^e7*^e8*", '
+        '"e1*^e3*^e4*^e5*^e6*^e7*", "e1*^e3*^e4*^e5*^e7*^e8*", "e1*^e3*^e4*^e6*^e7*^e8*", '
+        '"e1*^e4*^e5*^e6*^e7*^e8*", "e2*^e3*^e4*^e6*^e7*^e8*", "e2*^e3*^e5*^e6*^e7*^e8*", '
+        '"e2*^e4*^e5*^e6*^e7*^e8*", "e3*^e4*^e5*^e6*^e7*^e8*", "e2*^e3*^e4*^e5*^e7*^e8*"], '
+        '"torsion": [4]}, {"betti": 5, "degree": 7, "generators": ["e1*^e2*^e3*^e4*^e6*^e7*^e'
+        '8*", "e1*^e2*^e3*^e5*^e6*^e7*^e8*", "e1*^e2*^e4*^e5*^e6*^e7*^e8*", '
+        '"e1*^e3*^e4*^e5*^e6*^e7*^e8*", "e2*^e3*^e4*^e5*^e6*^e7*^e8*", '
+        '"e1*^e2*^e3*^e4*^e5*^e7*^e8*"], "torsion": [4]}, {"betti": 1, "degree": 8, '
+        '"generators": ["e1*^e2*^e3*^e4*^e5*^e6*^e7*^e8*"], "torsion": []}], '
+        '"job": {"command": "cohomology", "format": "json"}, "tool": {"name": "preqlat", '
+        '"version": "0.1.0"}}'
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, expected", PINNED_COHOMOLOGY_REPORTS,
+                         ids=["dim7-torsion", "dim8-half"])
+def test_cohomology_report_bytes_pinned(spec, expected, tmp_path, capsys):
+    lie = two_step_presentation(*spec)
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({
+        "dim": lie.dim,
+        "basis": list(lie.basis_names),
+        "brackets": [
+            {"i": i + 1, "j": j + 1, "c": {str(k + 1): str(c) for k, c in comps.items()}}
+            for (i, j), comps in sorted(lie.structure.items())
+        ],
+    }))
+    assert main(["cohomology", "--input", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timestamp")
+    assert report["job"].pop("input") == str(path)
     assert json.dumps(report, sort_keys=True) == expected
 
 

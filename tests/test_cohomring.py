@@ -31,29 +31,11 @@ from preqlat.cohomring import (
 )
 from preqlat.combinat import degree_tuples
 
+from util import two_step_presentation
+
 
 def heis_ring(r):
     return nilmanifold_ring(heisenberg_times_line(r))
-
-
-def two_step_presentation(seed, dim, centre, bound, density=1.0):
-    """Seeded random 2-step nilpotent presentation: each bracket of the
-    first dim-centre generators is drawn with probability ``density`` and
-    lands in the span of the last ``centre`` ones, with coefficients in
-    [-bound, bound]."""
-    rng = random.Random(seed)
-    structure = {}
-    for i in range(dim - centre):
-        for j in range(i + 1, dim - centre):
-            if rng.random() >= density:
-                continue
-            comps = {k: Fraction(v) for k in range(dim - centre, dim)
-                     if (v := rng.randint(-bound, bound))}
-            if comps:
-                structure[(i, j)] = comps
-    return LieAlgebraPresentation(
-        dim=dim, basis_names=tuple(f"e{i+1}" for i in range(dim)), structure=structure
-    )
 
 
 def torsion_rings():
@@ -143,13 +125,30 @@ def test_reduce_rejects_non_cocycle():
 
 
 def test_not_a_complex_error():
-    mats = [
-        [[0], [0], [0]],
-        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],  # d1 d0 = 0 fine
-        [[1, 0, 0]],                        # d2 d1 != 0
+    cases = [
+        [
+            [[0], [0], [0]],
+            [[1, 0, 0], [0, 0, 0], [0, 0, 0]],  # d1 d0 = 0 fine
+            [[1, 0, 0]],                        # d2 d1 != 0
+        ],
+        [
+            # d2 d1 is nonzero only in the last column, and the first entry
+            # of that column meets an empty column of d2
+            [[0], [0], [0]],
+            [[0, 0, 1], [0, 0, 1], [0, 0, 0]],
+            [[0, 1, 0]],
+        ],
+        [
+            # d1 d0 = (0, 1, 0): row 0 cancels (1 - 1), row 1 does not; the
+            # first entry of d0's column meets an empty column of d1
+            [[1], [1], [1]],
+            [[0, 1, -1], [0, 1, 0], [0, 0, 0]],
+            [[0, 0, 0]],
+        ],
     ]
-    with pytest.raises(ValueError, match="not a complex"):
-        integral_cohomology(mats, 3, ("a", "b", "c"))
+    for mats in cases:
+        with pytest.raises(ValueError, match="not a complex"):
+            integral_cohomology(mats, 3, ("a", "b", "c"))
 
 
 def test_reduce_of_representative_is_unit_vector():

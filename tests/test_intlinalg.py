@@ -137,13 +137,16 @@ def test_echelon_coords_in_hermite_basis():
         n = rng.randint(1, 5)
         cols = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(rng.randint(1, 5))]
         h = lin.column_style_hermite(cols, n)
-        for c in cols:
-            coords = lin.echelon_coords(h, c)
+        all_coords = lin.echelon_coords(h, cols)
+        assert len(all_coords) == len(cols)
+        for c, coords in zip(cols, all_coords):
             assert [sum(x * b[i] for x, b in zip(coords, h)) for i in range(n)] == c
+    assert lin.echelon_coords([[2, 0], [0, 2]], []) == []
+    # a column outside the lattice fails the batch wherever it stands
     with pytest.raises(ValueError):
-        lin.echelon_coords([[2, 0], [0, 2]], [1, 0])
+        lin.echelon_coords([[2, 0], [0, 2]], [[1, 0], [2, 4]])
     with pytest.raises(ValueError):
-        lin.echelon_coords([[1, 1]], [1, 2])
+        lin.echelon_coords([[1, 1]], [[1, 1], [3, 3], [1, 2]])
 
 
 def test_hermite_canonical_and_same_lattice():

@@ -7,8 +7,10 @@ independent numerical check of the exact integrals.
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
+from preqlat.cealg import LieAlgebraPresentation
 from preqlat.exact import ExactScalar
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
 
@@ -126,3 +128,23 @@ def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> f
 
 def close(exact: ExactScalar, approx: float, tol=1e-9):
     return math.isclose(float(exact), approx, rel_tol=tol, abs_tol=tol)
+
+
+def two_step_presentation(seed, dim, centre, bound, density=1.0):
+    """Seeded random 2-step nilpotent presentation: each bracket of the
+    first dim-centre generators is drawn with probability ``density`` and
+    lands in the span of the last ``centre`` ones, with coefficients in
+    [-bound, bound]."""
+    rng = random.Random(seed)
+    structure = {}
+    for i in range(dim - centre):
+        for j in range(i + 1, dim - centre):
+            if rng.random() >= density:
+                continue
+            comps = {k: Fraction(v) for k in range(dim - centre, dim)
+                     if (v := rng.randint(-bound, bound))}
+            if comps:
+                structure[(i, j)] = comps
+    return LieAlgebraPresentation(
+        dim=dim, basis_names=tuple(f"e{i+1}" for i in range(dim)), structure=structure
+    )
