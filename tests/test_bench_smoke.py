@@ -55,7 +55,9 @@ def test_traced_pass_reaches_every_layer(tmp_path):
 
 def test_traced_cohomology_builds_integer_complex(tmp_path):
     """Two traced cohomology jobs build one complex each, straight from the
-    structure constants: no per-monomial ``ce_differential`` call."""
+    structure constants: no per-monomial ``ce_differential`` call.  They
+    make the 12 Smith normal forms, with entries of at most 2 bits, that
+    the full-scan pivot search made."""
     jobs = tmp_path / "jobs.json"
     jobs.write_text(json.dumps([
         ["cohomology", "--preset", "torus", "--m", "6"],
@@ -73,3 +75,5 @@ def test_traced_cohomology_builds_integer_complex(tmp_path):
     layers = result["layers"]
     assert layers["cealg.complex_matrices_calls"] == 2
     assert layers["cealg.ce_differential_calls"] == 0
+    assert layers["intlinalg.smith_normal_form_calls"] == 12
+    assert layers["intlinalg.snf_max_bits"] == 2

@@ -1,6 +1,7 @@
 """Smith/Hermite machinery against brute-force lattice oracles."""
 
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -8,6 +9,9 @@ from math import gcd
 import pytest
 
 from preqlat import intlinalg as lin
+from preqlat.cealg import complex_matrices
+
+from util import full_scan_smith_normal_form, two_step_presentation
 
 
 def minor_gcd(a, k):
@@ -32,7 +36,7 @@ def check_decomposition(a):
     diag = snf.diagonal
     for i in range(len(diag)):
         assert diag[i] >= 0
-        for j in range(i + 1, m if False else len(diag)):
+        for j in range(i + 1, len(diag)):
             if diag[i] and diag[j]:
                 assert diag[j] % diag[i] == 0
         if diag[i] == 0:
@@ -89,6 +93,61 @@ def test_smith_deterministic():
     s1 = lin.smith_normal_form(a)
     s2 = lin.smith_normal_form([row[:] for row in a])
     assert s1.d == s2.d and s1.u == s2.u and s1.v == s2.v
+
+
+def snf_reference_inputs():
+    """Seeded matrices for the full-scan oracle: sparse boundary-like ones
+    with mostly unit entries, ones with no unit entry, zero matrices, single
+    rows and columns, and every d_k of a 2-step presentation with torsion."""
+    rng = random.Random(4711)
+
+    def sparse(n, m, fill, values):
+        return [[rng.choice(values) if rng.random() < fill else 0 for _ in range(m)]
+                for _ in range(n)]
+
+    mats = []
+    for _ in range(80):
+        mats.append(sparse(rng.randint(1, 12), rng.randint(1, 12), rng.uniform(0.1, 0.5),
+                           (1, -1, 1, -1, 1, -1, 2, -2, 3)))
+    for _ in range(50):
+        mats.append(sparse(rng.randint(1, 7), rng.randint(1, 7), rng.uniform(0.3, 1.0),
+                           (2, -2, 3, -3, 4, -4, 6, -6)))
+    for n, m in [(1, 1), (1, 4), (4, 1), (3, 3), (2, 5), (5, 2), (6, 6), (1, 9), (9, 1), (7, 3)]:
+        mats.append([[0] * m for _ in range(n)])
+    for _ in range(40):
+        k = rng.randint(1, 9)
+        row = [rng.choice((0, 0, 1, -1, 2, -3, 4, 6, -6, 9)) for _ in range(k)]
+        mats.append([row] if rng.random() < 0.5 else [[x] for x in row])
+    for _ in range(20):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        mats.append([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
+    mats.extend(d for d in complex_matrices(two_step_presentation("7-2", 7, 2, 3, 0.5)) if d)
+    return mats
+
+
+def _stuck(signum, frame):
+    raise TimeoutError("smith_normal_form did not finish")
+
+
+def test_smith_matches_full_scan_reference():
+    """The pivot scan that stops at a unit, and skips the divisibility scan
+    under one, makes the full scan's choices: every transform is equal.
+    A pivot that is not the least entry can leave remainders that never
+    shrink, so the whole comparison runs under an alarm."""
+    mats = snf_reference_inputs()
+    assert len(mats) >= 200
+    previous = signal.signal(signal.SIGALRM, _stuck)
+    signal.alarm(10)
+    try:
+        pairs = [(lin.smith_normal_form(a), full_scan_smith_normal_form(a)) for a in mats]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for got, want in pairs:
+        assert got.rank == want.rank
+        assert got.d == want.d
+        assert got.u == want.u and got.v == want.v
+        assert got.uinv == want.uinv and got.vinv == want.vinv
 
 
 def test_kernel_basis_annihilates_and_saturates():

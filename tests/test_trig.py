@@ -116,6 +116,8 @@ def test_ring_axioms(seed):
     assert (f - f).den == 1
     assert hash(f * g) == hash(g * f)
     assert (f * 3) * Fraction(1, 3) == f
+    neg = TrigPoly(f.dim, {k: (-a, -b) for k, (a, b) in f.modes.items()}, f.den)
+    assert -f == neg and hash(-f) == hash(neg) and -(-f) == f
 
 
 def test_leibniz_for_derivative():

@@ -1,4 +1,5 @@
-"""Shared generators, float evaluation and the float-grid quadrature oracle.
+"""Shared generators, float evaluation, the float-grid quadrature oracle
+and the full-scan Smith normal form oracle.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 from preqlat.cealg import LieAlgebraPresentation
 from preqlat.exact import ExactScalar
+from preqlat.intlinalg import SmithDecomposition, identity
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
 
 
@@ -148,3 +150,119 @@ def two_step_presentation(seed, dim, centre, bound, density=1.0):
     return LieAlgebraPresentation(
         dim=dim, basis_names=tuple(f"e{i+1}" for i in range(dim)), structure=structure
     )
+
+
+# Reference Smith normal form: every pivot search walks the whole trailing
+# block, and every pivot, units included, is followed by the divisibility
+# scan.  intlinalg.smith_normal_form must make the same choices with less
+# scanning, so it must return the same decomposition.
+def full_scan_smith_normal_form(a) -> SmithDecomposition:
+    """Smith normal form of an integer matrix, with transforms.
+
+    Deterministic for a fixed input: the pivot is always the nonzero
+    entry of smallest absolute value (ties broken by position).
+    """
+    n = len(a)
+    m = len(a[0]) if n else 0
+    b = [list(map(int, row)) for row in a]
+    u = identity(n)
+    uinv = identity(n)
+    v = identity(m)
+    vinv = identity(m)
+
+    # Row op B <- E B keeps A = U B V when U <- U E^{-1}; col op B <- B F
+    # needs V <- F^{-1} V.  The inverses absorb E and F directly.
+    def swap_rows(i, j):
+        b[i], b[j] = b[j], b[i]
+        uinv[i], uinv[j] = uinv[j], uinv[i]
+        for row in u:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in b:
+            row[i], row[j] = row[j], row[i]
+        for row in vinv:
+            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
+
+    def add_row(src, dst, q):
+        # row[dst] += q * row[src]
+        if q == 0:
+            return
+        b[dst] = [x + q * y for x, y in zip(b[dst], b[src])]
+        uinv[dst] = [x + q * y for x, y in zip(uinv[dst], uinv[src])]
+        for row in u:
+            row[src] -= q * row[dst]
+
+    def add_col(src, dst, q):
+        if q == 0:
+            return
+        for row in b:
+            row[dst] += q * row[src]
+        for row in vinv:
+            row[dst] += q * row[src]
+        v[src] = [x - q * y for x, y in zip(v[src], v[dst])]
+
+    def negate_row(i):
+        b[i] = [-x for x in b[i]]
+        uinv[i] = [-x for x in uinv[i]]
+        for row in u:
+            row[i] = -row[i]
+
+    size = min(n, m)
+    t = 0
+    while t < size:
+        # smallest nonzero entry of the trailing block
+        pivot = None
+        for i in range(t, n):
+            for j in range(t, m):
+                x = b[i][j]
+                if x and (pivot is None or abs(x) < abs(b[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        while True:
+            i0, j0 = pivot
+            if i0 != t:
+                swap_rows(t, i0)
+            if j0 != t:
+                swap_cols(t, j0)
+            p = b[t][t]
+            done = True
+            for i in range(t + 1, n):
+                if b[i][t]:
+                    add_row(t, i, -(b[i][t] // p))
+                    if b[i][t]:
+                        done = False
+            for j in range(t + 1, m):
+                if b[t][j]:
+                    add_col(t, j, -(b[t][j] // p))
+                    if b[t][j]:
+                        done = False
+            if done:
+                # pivot must divide the whole trailing block for the
+                # divisibility chain; fold an offending row in and redo
+                p = b[t][t]
+                offender = None
+                for i in range(t + 1, n):
+                    for j in range(t + 1, m):
+                        if b[i][j] % p:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                add_row(offender, t, 1)
+            pivot = None
+            for i in range(t, n):
+                for j in range(t, m):
+                    x = b[i][j]
+                    if x and (pivot is None or abs(x) < abs(b[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+        if b[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    rank = sum(1 for i in range(size) if b[i][i])
+    return SmithDecomposition(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
