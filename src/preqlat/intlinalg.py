@@ -4,11 +4,11 @@ Matrices are plain lists of row lists.  The Smith normal form keeps the
 unimodular transforms and their inverses, which is what the cohomology
 engine needs to read off torsion, representatives and reduction maps.
 Pivots are chosen by minimal absolute value to keep intermediate entries
-small.  On the sparse differentials of the seed-88 dim-9 2-step
-presentation of ``bench/jobs.py`` the 126x126 d_4 factors in about 0.10 s
-and the 126x84 d_3 in about 0.03 s (median of 7, Python 3.11, 2-core
-Xeon), against 0.15 s and 0.06 s when every pivot search scanned the
-whole trailing block.
+small.  On the sparse differentials of the dim-9 2-step presentation
+``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``
+the 126x126 d_4 factors in about 0.11 s and the 126x84 d_3 in about
+0.04 s (median of 7, Python 3.11, 2-core Xeon), against 0.18 s and
+0.06 s when every pivot search scanned the whole trailing block.
 """
 
 from __future__ import annotations
@@ -65,17 +65,11 @@ class SmithDecomposition:
 
 def _least_entry(b, t, n, m):
     """Position of the first entry of least nonzero |x| in the block
-    b[t:, t:], in row-major order, or None if the block is zero.
-
-    No entry undercuts a unit, so the scan returns at the first one.  A
-    row without a unit is walked only if it is nonzero and no |x| = 2 has
-    been seen yet.
-    """
+    b[t:, t:], in row-major order, or None if the block is zero.  No entry
+    undercuts a unit, so the scan returns at the first one."""
     pivot, least = None, 0
     for i in range(t, n):
         row = b[i]
-        if not (1 in row or -1 in row) and (least == 2 or not any(row)):
-            continue
         for j in range(t, m):
             x = row[j]
             if x and (not least or abs(x) < least):

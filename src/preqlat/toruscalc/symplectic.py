@@ -111,17 +111,9 @@ def ks_cocycle(f, g, omega, point):
 
 
 def liouville_power(omega: TorusForm, n=None) -> TorusForm:
-    """omega^n / n! (the Liouville volume form of the preset), wedged out
-    once per distinct form content and power."""
+    """omega^n / n! (the Liouville volume form of the preset)."""
     if n is None:
         n = omega.dim // 2
-    return _liouville_power(
-        omega.dim, omega.degree, omega.pi_power, tuple(omega.coeffs.items()), n)
-
-
-@lru_cache(maxsize=64)
-def _liouville_power(dim, degree, pi_power, terms, n):
-    omega = TorusForm(dim, degree, dict(terms), pi_power)
     acc = TorusForm.function(omega.dim, TrigPoly.const(omega.dim, 1))
     for _ in range(n):
         acc = wedge(acc, omega)

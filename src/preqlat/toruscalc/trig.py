@@ -46,17 +46,6 @@ class TrigPoly:
         object.__setattr__(self, "modes", clean)
         object.__setattr__(self, "den", den // g)
 
-    @classmethod
-    def _trusted(cls, dim, modes, den):
-        """A polynomial from fields that are canonical already: no zero
-        pair, every wave vector of length dim, and den coprime to the
-        numerators.  Nothing is checked."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "dim", dim)
-        object.__setattr__(poly, "modes", modes)
-        object.__setattr__(poly, "den", den)
-        return poly
-
     def __setattr__(self, *args):
         raise AttributeError("TrigPoly is immutable")
 
@@ -158,8 +147,7 @@ class TrigPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly._trusted(
-            self.dim, {k: (-a, -b) for k, (a, b) in self.modes.items()}, self.den)
+        return TrigPoly(self.dim, {k: (-a, -b) for k, (a, b) in self.modes.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -23,7 +23,6 @@ from preqlat.toruscalc import (
     is_exact_field,
     kappa_rho,
     ks_cocycle,
-    liouville_power,
     lichnerowicz_eta,
     lichnerowicz_singular,
     mean_against_volume,
@@ -34,7 +33,6 @@ from preqlat.toruscalc import (
     standard_symplectic,
     unit_volume_form,
     vf_bracket,
-    wedge,
 )
 
 from util import (
@@ -131,18 +129,6 @@ def test_hamiltonian_field_inverse_is_memoized_per_form():
         with pytest.raises(ValueError, match="degenerate symplectic form"):
             hamiltonian_field(f, bad)
     assert hamiltonian_field(f, T2) == first
-
-
-def test_liouville_power_is_memoized_per_form_content():
-    omega = standard_symplectic(2)
-    vol = liouville_power(omega)
-    assert vol == wedge(omega, omega) * Fraction(1, 2)
-    # an equal form built afresh shares the cached power
-    assert liouville_power(standard_symplectic(2)) is vol
-    assert liouville_power(omega, 1) == omega
-    # a different form, or a different power, is not served the cached one
-    assert liouville_power(standard_symplectic(2, [3, 1])) == vol * 3
-    assert liouville_power(omega, 0) == TorusForm.function(4, 1)
 
 
 # -- Poisson bracket and the point cocycle -------------------------------------
