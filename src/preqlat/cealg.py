@@ -7,13 +7,21 @@ maps from strictly increasing index tuples to rationals.  The differential
 is fixed by  (d a)(x, y) = -a([x, y])  on degree one and extends as an
 antiderivation; with this convention the differential of a basis covector
 e_k is  -sum_{i<j} c_ijk e_i ^ e_j.
+
+Everything here reads one integer table: d e_k for each generator, scaled
+by the lcm L of the constants' denominators.  ``complex_matrices`` needs
+L = 1; ``validate_presentation`` checks the Jacobi identity (every
+d(d e_k) vanishes) and nilpotency (the lower central series, as integer
+Hermite bases, reaches zero) exactly on the scaled constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
+from . import intlinalg as lin
 from .combinat import degree_tuples, merge_tuples, sort_sign
 
 
@@ -51,21 +59,6 @@ class LieAlgebraPresentation:
         if i < j:
             return dict(self.structure.get((i, j), {}))
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
-
-    def bracket(self, x, y):
-        """Bracket of coefficient vectors (length-dim sequences)."""
-        out = [Fraction(0)] * self.dim
-        for (i, j), comps in self.structure.items():
-            coef = x[i] * y[j] - x[j] * y[i]
-            if coef:
-                for k, c in comps.items():
-                    out[k] += coef * c
-        return out
-
-    def is_integral(self):
-        return all(
-            c.denominator == 1 for comps in self.structure.values() for c in comps.values()
-        )
 
 
 def heisenberg_times_line(r=1) -> LieAlgebraPresentation:
@@ -206,31 +199,39 @@ def ce_differential(c: Cochain, lie: LieAlgebraPresentation) -> Cochain:
     """
     if c.dim != lie.dim:
         raise ValueError("cochain does not match presentation dimension")
-    m = lie.dim
+    scale, gens = _integer_generators(lie)
     out = {}
-    d1 = _differential_on_generators(lie)
     for idx, coef in c.coeffs.items():
-        for pos, gen in enumerate(idx):
+        coef /= scale
+        for t, x in _d_terms(gens, idx):
+            out[t] = out.get(t, 0) + coef * x
+    return Cochain(lie.dim, c.degree + 1, out)
+
+
+def _integer_generators(lie):
+    """The lcm L of the structure constants' denominators, and L * d e_k
+    for each generator k as a list of ((i, j), int) terms."""
+    scale = lcm(*(c.denominator for comps in lie.structure.values() for c in comps.values()))
+    gens = [[] for _ in range(lie.dim)]
+    for pair, comps in lie.structure.items():
+        for k, c in comps.items():
+            gens[k].append((pair, -c.numerator * (scale // c.denominator)))
+    return scale, gens
+
+
+def _d_terms(gens, idx):
+    """Terms (tuple, int) of d e_I for the monomial I = idx, by the
+    antiderivation rule: for each position p of I, the tabulated terms of
+    d e_{I_p} merged with I minus I_p, with sign (-1)^p times the shuffle
+    sign.  A tuple may repeat; the caller sums."""
+    for pos, gen in enumerate(idx):
+        if gens[gen]:
             rest = idx[:pos] + idx[pos + 1:]
             sgn_pos = -1 if pos % 2 else 1
-            for pair, cc in d1[gen].items():
+            for pair, c in gens[gen]:
                 merged = merge_tuples(pair, rest)
-                if merged is None:
-                    continue
-                new_idx, sgn = merged
-                val = coef * cc * sgn * sgn_pos
-                if val:
-                    out[new_idx] = out.get(new_idx, Fraction(0)) + val
-    return Cochain(m, c.degree + 1, out)
-
-
-def _differential_on_generators(lie):
-    """d e_k as {(i, j): coefficient} for each generator k."""
-    d1 = [dict() for _ in range(lie.dim)]
-    for (i, j), comps in lie.structure.items():
-        for k, c in comps.items():
-            d1[k][(i, j)] = d1[k].get((i, j), Fraction(0)) - c
-    return d1
+                if merged is not None:
+                    yield merged[0], sgn_pos * merged[1] * c
 
 
 def complex_matrices(lie: LieAlgebraPresentation):
@@ -239,31 +240,21 @@ def complex_matrices(lie: LieAlgebraPresentation):
     Returns [d_0, ..., d_{m-1}] where d_k maps degree-k coefficient
     vectors (lexicographic increasing-tuple basis) to degree k+1.
     Raises ValueError unless the structure constants are integers.
-
-    The column of a monomial e_I is the antiderivation rule of
-    ``ce_differential`` on integers: for each position p of I, the
-    tabulated terms of d e_{I_p} are merged with I minus I_p, with sign
-    (-1)^p times the shuffle sign.
+    The column of a monomial is filled from the integer generator table
+    by the antiderivation rule of ``ce_differential``.
     """
     m = lie.dim
-    if not lie.is_integral():
+    scale, gens = _integer_generators(lie)
+    if scale != 1:
         raise ValueError("non-integral basis")
-    gens = [[(pair, int(c)) for pair, c in dk.items()] for dk in _differential_on_generators(lie)]
     mats = []
     for k in range(m):
         src = degree_tuples(m, k)
         dst_pos = {t: i for i, t in enumerate(degree_tuples(m, k + 1))}
         mat = [[0] * len(src) for _ in dst_pos]
         for col, idx in enumerate(src):
-            for pos, gen in enumerate(idx):
-                if not gens[gen]:
-                    continue
-                rest = idx[:pos] + idx[pos + 1:]
-                sgn_pos = -1 if pos % 2 else 1
-                for pair, c in gens[gen]:
-                    merged = merge_tuples(pair, rest)
-                    if merged is not None:
-                        mat[dst_pos[merged[0]]][col] += sgn_pos * merged[1] * c
+            for t, x in _d_terms(gens, idx):
+                mat[dst_pos[t]][col] += x
         mats.append(mat)
     return mats
 
@@ -285,69 +276,51 @@ class ValidationReport:
 
 def validate_presentation(lie: LieAlgebraPresentation) -> ValidationReport:
     """Check the Jacobi identity on all basis triples and that the lower
-    central series reaches zero.  Failures are reported, not raised."""
-    m = lie.dim
-    jacobi_ok = True
-    witness = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                acc = [Fraction(0)] * m
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = lie.bracket_basis(a, b)
-                    for t, coef in inner.items():
-                        for s, coef2 in lie.bracket_basis(t, c).items():
-                            acc[s] += coef * coef2
-                if any(acc):
-                    jacobi_ok = False
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    central series reaches zero.  Failures are reported, not raised.
 
-    # lower central series over Q: L_1 = [g, g], L_{t+1} = [g, L_t]
-    span = _basis_brackets_span(lie)
+    Both checks are exact and read the integer generator table, whose
+    scaling by L changes neither the Jacobi identity nor any span.  The
+    coefficient of e_i ^ e_j ^ e_k in d(d e_s) is the e_s-component of
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], so the
+    witness is the least triple on which some d(d e_s) is nonzero.
+    """
+    m = lie.dim
+    _, gens = _integer_generators(lie)
+    failing = set()
+    for terms in gens:
+        dde = {}
+        for pair, c in terms:
+            for t, x in _d_terms(gens, pair):
+                dde[t] = dde.get(t, 0) + c * x
+        failing.update(t for t, x in dde.items() if x)
+    witness = min(failing, default=None)
+
+    # [e_i, e_l] has e_k-coefficient c for each (l, k, c) in brackets[i]
+    brackets = [[] for _ in range(m)]
+    for k, terms in enumerate(gens):
+        for (i, j), c in terms:
+            brackets[i].append((j, k, -c))
+            brackets[j].append((i, k, c))
+
+    def commutators(span):
+        """Hermite basis of [g, span] in Z^m."""
+        vecs = []
+        for terms in brackets:
+            for w in span:
+                v = [0] * m
+                for l, k, c in terms:
+                    v[k] += c * w[l]
+                vecs.append(v)
+        return lin.column_style_hermite(vecs, m)
+
+    # lower central series: L_1 = [g, g], L_{t+1} = [g, L_t]
+    span = commutators(lin.identity(m))
     step = 1
     while span:
-        new_span = _bracket_span(lie, span)
-        # [g, L_t] lies in L_t by bilinearity, so equal dimension means the series stalled
-        if len(new_span) == len(span):
-            return ValidationReport(jacobi_ok, witness, False, None, len(span))
-        span = new_span
+        smaller = commutators(span)
+        # [g, L_t] lies in L_t by bilinearity, so equal rank means the series stalled
+        if len(smaller) == len(span):
+            return ValidationReport(witness is None, witness, False, None, len(span))
+        span = smaller
         step += 1
-    return ValidationReport(jacobi_ok, witness, True, step, 0)
-
-
-def _basis_brackets_span(lie):
-    vecs = []
-    for (i, j), comps in lie.structure.items():
-        v = [Fraction(0)] * lie.dim
-        for k, c in comps.items():
-            v[k] = c
-        vecs.append(v)
-    return _row_reduce(vecs)
-
-
-def _bracket_span(lie, span):
-    vecs = []
-    for i in range(lie.dim):
-        ei = [Fraction(1 if t == i else 0) for t in range(lie.dim)]
-        for w in span:
-            vecs.append(lie.bracket(ei, w))
-    return _row_reduce(vecs)
-
-
-def _row_reduce(vecs):
-    rows = [list(v) for v in vecs if any(v)]
-    basis = []
-    for row in rows:
-        for b in basis:
-            piv = next(i for i, x in enumerate(b) if x)
-            if row[piv]:
-                f = row[piv] / b[piv]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(row):
-            basis.append(row)
-    return basis
+    return ValidationReport(witness is None, witness, True, step, 0)

@@ -270,8 +270,8 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
         u = lin.identity(s)
         uinv = lin.identity(s)
 
-    free_idx = [i for i in range(s) if i >= len(diag) or diag[i] == 0]
-    tors_idx = [i for i in range(s) if i < len(diag) and diag[i] > 1]
+    free_idx = [i for i in range(s) if diag[i] == 0]
+    tors_idx = [i for i in range(s) if diag[i] > 1]
     torsion = [diag[i] for i in tors_idx]
 
     def reduce_row(i):
@@ -330,10 +330,9 @@ class CohomologyRing:
     presets (surfaces) the custom reduction encodes the ring structure.
     """
 
-    def __init__(self, cohomology: GradedCohomology, top_degree, preset=None, lie=None):
+    def __init__(self, cohomology: GradedCohomology, top_degree, lie=None):
         self.cohomology = cohomology
         self.top_degree = top_degree
-        self.preset = preset
         self.lie = lie
         self._orient()
 
@@ -442,7 +441,7 @@ def nilmanifold_ring(lie: LieAlgebraPresentation) -> CohomologyRing:
     mats = complex_matrices(lie)
     conames = tuple(f"{n}*" for n in lie.basis_names)
     groups = integral_cohomology(mats, lie.dim, conames)
-    return CohomologyRing(groups, top_degree=lie.dim, preset=("nilmanifold",), lie=lie)
+    return CohomologyRing(groups, top_degree=lie.dim, lie=lie)
 
 
 def torus_ring(m) -> CohomologyRing:
@@ -451,8 +450,7 @@ def torus_ring(m) -> CohomologyRing:
     lie = abelian(m, names=tuple(f"dx{i+1}" for i in range(m)))
     mats = complex_matrices(lie)
     groups = integral_cohomology(mats, m, lie.basis_names)
-    ring = CohomologyRing(groups, top_degree=m, preset=("torus", m), lie=lie)
-    return ring
+    return CohomologyRing(groups, top_degree=m, lie=lie)
 
 
 def surface_ring(genus) -> CohomologyRing:
@@ -505,7 +503,7 @@ def surface_ring(genus) -> CohomologyRing:
         degrees.append(dd)
 
     groups = GradedCohomology(dim, names, degrees)
-    return CohomologyRing(groups, top_degree=2, preset=("surface", g))
+    return CohomologyRing(groups, top_degree=2)
 
 
 def ring_from_preset(preset_id, **params) -> CohomologyRing:

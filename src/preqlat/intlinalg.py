@@ -361,31 +361,6 @@ def mat_mul_frac(a, b):
     return out
 
 
-def det(a):
-    """Exact determinant via fraction-free Gaussian elimination (Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def int_inverse(a):
     """Inverse of a unimodular integer matrix, as an integer matrix.
 

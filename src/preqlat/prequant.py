@@ -124,9 +124,6 @@ def gysin_kernel(ring: CohomologyRing, e: EulerClass):
         row = [images[i].torsion[j] for i in range(b1)]
         row += [mods[j] if jj == j else 0 for jj in range(t)]
         rows.append(row)
-    if not rows:
-        basis = [[1 if i == j else 0 for i in range(b1)] for j in range(b1)]
-        return lin.column_style_hermite(basis, b1)
     ker = lin.kernel_basis(rows, ncols=b1 + t)
     projected = [v[:b1] for v in ker]
     return lin.column_style_hermite(projected, b1)

@@ -2,6 +2,7 @@
 evaluation of the alternating-sum formula on basis tuples."""
 
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,8 @@ from preqlat.cealg import (
     wedge,
 )
 from preqlat.combinat import degree_tuples
+
+from util import fraction_validate_presentation, two_step_presentation
 
 
 def differential_by_alternating_sum(c, lie, indices):
@@ -136,6 +139,120 @@ def test_jacobi_failure_reports_first_triple():
     rep = validate_presentation(bad)
     assert not rep.jacobi_ok
     assert rep.jacobi_witness == (0, 1, 2)
+
+
+def random_rational(rng, m, density):
+    """Brackets drawn with probability ``density``, each landing on up to
+    three generators with constants p/q, |p| <= 3, q <= 3.  The Jacobi
+    identity often fails."""
+    structure = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < density:
+                targets = rng.sample(range(m), rng.randint(1, min(3, m)))
+                structure[(i, j)] = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                     for k in targets}
+    return LieAlgebraPresentation(m, tuple(f"e{i+1}" for i in range(m)), structure)
+
+
+def random_graded(rng, m):
+    """Strictly positive weights with at least one generator of each weight
+    1, 2 and 3, brackets landing on the generators of the summed weight,
+    so the series reaches zero, often at class 3 or more.  Constants may
+    be rational, and the Jacobi identity may fail."""
+    weights = sorted([1, 2, 3] + [rng.choice((1, 1, 2, 3, 4)) for _ in range(m - 3)])
+    structure = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            targets = [k for k in range(m) if weights[k] == weights[i] + weights[j]]
+            comps = {k: Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+                     for k in targets if rng.random() < 0.7}
+            structure[(i, j)] = comps
+    return LieAlgebraPresentation(m, tuple(f"e{i+1}" for i in range(m)), structure)
+
+
+def random_filiform_rational(rng, m):
+    """[e_1, e_i] = c_i e_{i+1} with nonzero rational c_i: a Lie algebra of
+    class m - 1."""
+    structure = {(0, i): {i + 1: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))}
+                 for i in range(1, m - 1)}
+    return LieAlgebraPresentation(m, tuple(f"e{i+1}" for i in range(m)), structure)
+
+
+def direct_sum(first, second):
+    """Presentation of the direct sum, with the second summand's basis
+    after the first's."""
+    n = first.dim
+    structure = dict(first.structure)
+    for (i, j), comps in second.structure.items():
+        structure[(i + n, j + n)] = {k + n: c for k, c in comps.items()}
+    names = tuple(f"e{i+1}" for i in range(n + second.dim))
+    return LieAlgebraPresentation(n + second.dim, names, structure)
+
+
+def random_stalling(rng, m):
+    """A nilpotent summand plus sl2-like or [x, y] = l*y: the lower central
+    series stalls at the non-nilpotent summand's derived algebra."""
+    if rng.random() < 0.5:
+        a, b = Fraction(rng.randint(1, 3), rng.randint(1, 2)), rng.randint(1, 3)
+        stuck = LieAlgebraPresentation(3, ("e", "f", "h"), {
+            (0, 1): {2: a}, (0, 2): {0: -2 * b}, (1, 2): {1: 2 * b}})
+    else:
+        stuck = LieAlgebraPresentation(2, ("x", "y"), {
+            (0, 1): {1: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))}})
+    rest = max(m - stuck.dim, 0)
+    nil = random_filiform_rational(rng, rest) if rng.random() < 0.5 \
+        else two_step_presentation(rng.random(), rest, min(2, rest), 2)
+    return direct_sum(nil, stuck) if rng.random() < 0.5 else direct_sum(stuck, nil)
+
+
+def validation_inputs():
+    rng = random.Random(8)
+    lies = [abelian(m) for m in range(9)] + [sl2_like(), filiform4(), heisenberg_times_line(3)]
+    lies.append(LieAlgebraPresentation(5, ("a", "b", "c", "x", "e"),
+                                       {(0, 1): {2: 1}, (3, 4): {4: 1}}))
+    for _ in range(70):
+        for m in range(9):
+            lies.append(random_rational(rng, m, rng.choice((0.1, 0.25, 0.5))))
+    for t in range(40):
+        for m in range(3, 9):
+            lies.append(random_graded(rng, m))
+            if t < 15:
+                lies.append(random_filiform_rational(rng, m))
+    for _ in range(40):
+        for m in range(2, 9):
+            lies.append(random_stalling(rng, m))
+    for seed in range(900):
+        dim = 2 + seed % 7
+        lies.append(two_step_presentation(seed, dim, 1 + seed % min(3, dim - 1), 1 + seed % 3,
+                                          (1.0, 0.5, 0.2)[seed % 3]))
+    return lies
+
+
+def _stuck(signum, frame):
+    raise TimeoutError("validate_presentation did not finish")
+
+
+def test_validate_matches_fraction_reference():
+    """The integer checks give the Fraction reference's report, field for
+    field.  A series check that misses a stall loops for ever, so the
+    integer validation runs under an alarm."""
+    lies = validation_inputs()
+    assert len(lies) >= 2000
+    want = [fraction_validate_presentation(lie) for lie in lies]
+    previous = signal.signal(signal.SIGALRM, _stuck)
+    signal.alarm(10)
+    try:
+        got = [validate_presentation(lie) for lie in lies]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == want
+    # every kind of outcome is covered
+    assert sum(not r.jacobi_ok for r in want) >= 300
+    assert len({r.jacobi_witness for r in want}) >= 20
+    assert sum(r.jacobi_ok and not r.nilpotent for r in want) >= 300
+    assert sum(r.ok and r.nilpotency_class >= 3 for r in want) >= 100
 
 
 # -- wedge -----------------------------------------------------------------
@@ -343,9 +460,6 @@ def test_matrices_integrality_flag():
 def test_presentation_bracket_antisymmetry():
     lie = heisenberg_times_line(2)
     assert lie.bracket_basis(1, 0) == {3: -2}
-    x = [Fraction(1), Fraction(2), Fraction(0), Fraction(0)]
-    y = [Fraction(3), Fraction(-1), Fraction(0), Fraction(0)]
-    assert lie.bracket(x, y) == [0, 0, 0, Fraction(-14)]
 
 
 def test_cochain_render():

@@ -1,6 +1,7 @@
 """Job parsing, report structure, determinism, and exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -125,6 +126,31 @@ def test_presentation_rational_constants_rejected_for_cohomology(tmp_path):
     }))
     with pytest.raises(InputError, match="non-integral basis"):
         run_argv(["cohomology", "--input", str(path)])
+
+
+# Validation runs before the complex is built, so a Jacobi-failing
+# presentation with a rational constant gets the Jacobi message.
+@pytest.mark.parametrize(
+    "brackets, msg",
+    [
+        ([{"i": 1, "j": 2, "c": {"3": "1"}}, {"i": 1, "j": 3, "c": {"1": "1"}}],
+         "cealg: Jacobi identity fails on basis triple (0, 1, 2)"),
+        ([{"i": 1, "j": 2, "c": {"3": "1/2"}}, {"i": 1, "j": 3, "c": {"1": "1"}}],
+         "cealg: Jacobi identity fails on basis triple (0, 1, 2)"),
+        ([{"i": 1, "j": 2, "c": {"3": "1"}}, {"i": 1, "j": 3, "c": {"1": "-2"}},
+          {"i": 2, "j": 3, "c": {"2": "2"}}],
+         "cealg: presentation is not nilpotent"),
+    ],
+    ids=["jacobi", "jacobi-half", "sl2"],
+)
+def test_cohomology_input_rejected_by_validation(brackets, msg, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "basis": ["a", "b", "c"], "brackets": brackets}))
+    argv = ["cohomology", "--input", str(path)]
+    with pytest.raises(InputError, match=re.escape(msg)):
+        run_argv(argv)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {msg}\n"
 
 
 def test_malformed_presentation(tmp_path):
@@ -425,3 +451,24 @@ def test_text_render_contains_symbolic_pi(capsys):
     assert main(["lattice", "--preset", "surface", "--g", "2", "--vol", "5"]) == 0
     out = capsys.readouterr().out
     assert "2/5/(2*pi)" in out or "2/(5*(2*pi))" in out or "(2*pi)" in out
+
+
+# Default-format (text) reports of a cohomology and a verify job, byte for byte.
+PINNED_TEXT_REPORTS = [
+    (
+        ["cohomology", "--preset", "thurston", "--r", "2"],
+        "preqlat 0.1.0\ndegree  betti  torsion  generators\nH^0: 1  [-]  1\n"
+        "H^1: 3  [-]  x*; p*; z*\nH^2: 4  [2]  x*^z*; x*^h*; p*^z*; p*^h*; x*^p*\n"
+        "H^3: 3  [2]  x*^p*^h*; x*^z*^h*; p*^z*^h*; x*^p*^z*\nH^4: 1  [-]  x*^p*^z*^h*\n",
+    ),
+    (
+        ["verify", "--suite", "jacobi", "--trials", "2", "--seed", "1"],
+        "preqlat 0.1.0\nverify seed=1 trials=2\n  jacobi     2/2 pass\nok\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_TEXT_REPORTS, ids=["thurston2", "verify-jacobi"])
+def test_text_report_pinned(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected

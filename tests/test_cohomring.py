@@ -11,7 +11,6 @@ from math import comb
 
 import pytest
 
-from preqlat import intlinalg as lin
 from preqlat.cealg import (
     Cochain,
     LieAlgebraPresentation,
@@ -31,7 +30,7 @@ from preqlat.cohomring import (
 )
 from preqlat.combinat import degree_tuples
 
-from util import two_step_presentation
+from util import det, two_step_presentation
 
 
 def heis_ring(r):
@@ -322,7 +321,7 @@ def test_free_pairing_unimodular(ring_factory):
             [ring.fundamental_pairing(ring.reduce(wedge(u, v))) for v in dd_l.free_reps]
             for u in dd_k.free_reps
         ]
-        assert abs(lin.det(mat)) == 1
+        assert abs(det(mat)) == 1
 
 
 def test_universal_coefficients_pattern_for_heisenberg():

@@ -11,7 +11,7 @@ import pytest
 from preqlat import intlinalg as lin
 from preqlat.cealg import complex_matrices
 
-from util import full_scan_smith_normal_form, two_step_presentation
+from util import det, full_scan_smith_normal_form, two_step_presentation
 
 
 def minor_gcd(a, k):
@@ -21,7 +21,7 @@ def minor_gcd(a, k):
     for rows in combinations(range(n), k):
         for cols in combinations(range(m), k):
             sub = [[a[i][j] for j in cols] for i in rows]
-            g = gcd(g, abs(lin.det(sub)))
+            g = gcd(g, abs(det(sub)))
     return g
 
 
@@ -29,8 +29,8 @@ def check_decomposition(a):
     snf = lin.smith_normal_form(a)
     n, m = len(a), len(a[0])
     assert lin.mat_mul(lin.mat_mul(snf.u, snf.d), snf.v) == [list(r) for r in a]
-    assert abs(lin.det(snf.u)) == 1
-    assert abs(lin.det(snf.v)) == 1
+    assert abs(det(snf.u)) == 1
+    assert abs(det(snf.v)) == 1
     assert lin.mat_mul(snf.u, snf.uinv) == lin.identity(n)
     assert lin.mat_mul(snf.v, snf.vinv) == lin.identity(m)
     diag = snf.diagonal
@@ -292,6 +292,6 @@ def test_int_inverse_unimodular():
 
 
 def test_det_bareiss():
-    assert lin.det([[1, 2], [3, 4]]) == -2
-    assert lin.det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
-    assert lin.det([[1, 1], [1, 1]]) == 0
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
+    assert det([[1, 1], [1, 1]]) == 0

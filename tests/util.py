@@ -1,5 +1,6 @@
-"""Shared generators, float evaluation, the float-grid quadrature oracle
-and the full-scan Smith normal form oracle.
+"""Shared generators, float evaluation, the float-grid quadrature oracle,
+the full-scan Smith normal form oracle, the Bareiss determinant and the
+Fraction validation oracle.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -11,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from preqlat.cealg import LieAlgebraPresentation
+from preqlat.cealg import LieAlgebraPresentation, ValidationReport
 from preqlat.exact import ExactScalar
 from preqlat.intlinalg import SmithDecomposition, identity
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
@@ -266,3 +267,113 @@ def full_scan_smith_normal_form(a) -> SmithDecomposition:
 
     rank = sum(1 for i in range(size) if b[i][i])
     return SmithDecomposition(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
+
+
+def det(a):
+    """Exact determinant via fraction-free Gaussian elimination (Bareiss)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(map(int, row)) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+# Reference validation: the Jacobi identity checked with Fraction dicts on
+# every basis triple, and the lower central series spanned by Fraction
+# Gaussian elimination.  cealg.validate_presentation works on the integer
+# generator table and must return the same report.
+def fraction_validate_presentation(lie: LieAlgebraPresentation) -> ValidationReport:
+    """Check the Jacobi identity on all basis triples and that the lower
+    central series reaches zero.  Failures are reported, not raised."""
+    m = lie.dim
+    jacobi_ok = True
+    witness = None
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                acc = [Fraction(0)] * m
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = lie.bracket_basis(a, b)
+                    for t, coef in inner.items():
+                        for s, coef2 in lie.bracket_basis(t, c).items():
+                            acc[s] += coef * coef2
+                if any(acc):
+                    jacobi_ok = False
+                    witness = (i, j, k)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+
+    # lower central series over Q: L_1 = [g, g], L_{t+1} = [g, L_t]
+    span = _basis_brackets_span(lie)
+    step = 1
+    while span:
+        new_span = _bracket_span(lie, span)
+        # [g, L_t] lies in L_t by bilinearity, so equal dimension means the series stalled
+        if len(new_span) == len(span):
+            return ValidationReport(jacobi_ok, witness, False, None, len(span))
+        span = new_span
+        step += 1
+    return ValidationReport(jacobi_ok, witness, True, step, 0)
+
+
+def _basis_brackets_span(lie):
+    vecs = []
+    for (i, j), comps in lie.structure.items():
+        v = [Fraction(0)] * lie.dim
+        for k, c in comps.items():
+            v[k] = c
+        vecs.append(v)
+    return _row_reduce(vecs)
+
+
+def _bracket_span(lie, span):
+    vecs = []
+    for i in range(lie.dim):
+        ei = [Fraction(1 if t == i else 0) for t in range(lie.dim)]
+        for w in span:
+            vecs.append(_fraction_bracket(lie, ei, w))
+    return _row_reduce(vecs)
+
+
+def _row_reduce(vecs):
+    rows = [list(v) for v in vecs if any(v)]
+    basis = []
+    for row in rows:
+        for b in basis:
+            piv = next(i for i, x in enumerate(b) if x)
+            if row[piv]:
+                f = row[piv] / b[piv]
+                row = [x - f * y for x, y in zip(row, b)]
+        if any(row):
+            basis.append(row)
+    return basis
+
+
+def _fraction_bracket(lie, x, y):
+    """Bracket of coefficient vectors (length-dim sequences)."""
+    out = [Fraction(0)] * lie.dim
+    for (i, j), comps in lie.structure.items():
+        coef = x[i] * y[j] - x[j] * y[i]
+        if coef:
+            for k, c in comps.items():
+                out[k] += coef * c
+    return out
