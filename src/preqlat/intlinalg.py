@@ -1,24 +1,33 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are plain lists of row lists.  The Smith normal form keeps the
-unimodular transforms and their inverses, which is what the cohomology
-engine needs to read off torsion, representatives and reduction maps.
-Pivots are chosen by minimal absolute value to keep intermediate entries
-small.  On the sparse differentials of the dim-9 2-step presentation
-``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``
-the 126x126 d_4 factors in about 0.11 s and the 126x84 d_3 in about
-0.04 s (median of 7, Python 3.11, 2-core Xeon), against 0.18 s and
-0.06 s when every pivot search scanned the whole trailing block.
+Matrices are plain lists of row lists.  The Smith normal form eliminates
+on the matrix alone and logs its row and column operations.  Each of the
+unimodular transforms and their inverses, which the cohomology engine
+needs to read off torsion, representatives and reduction maps, is
+replayed from those logs the first time a caller reads it.  Pivots are
+chosen by minimal absolute value to keep intermediate entries small.  On
+the sparse differentials of the dim-9 2-step presentation
+``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``,
+eliminating the 126x126 d_4 takes about 0.027 s and the 126x84 d_3 about
+0.006 s; with V and the columns of V^{-1} read, as ``kernel_transform``
+does, 0.050 s and 0.013 s (median of 7, three runs, Python 3.11, 2-core
+Xeon).  Keeping all four transforms current through the elimination took
+0.079 s and 0.024 s, and reading all four from the logs takes about as
+long.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    eye = [[0] * n for _ in range(n)]
+    for i in range(n):
+        eye[i][i] = 1
+    return eye
 
 
 def mat_mul(a, b):
@@ -45,22 +54,82 @@ def mat_vec(a, v):
 class SmithDecomposition:
     """A = U @ D @ V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    ``uinv`` and ``vinv`` are the exact integer inverses of U and V; they
-    come out of the elimination for free and save a unimodular inversion
-    later.  ``rank`` is the number of nonzero diagonal entries.
+    ``uinv`` and ``vinv`` are the exact integer inverses of U and V.  The
+    elimination works on D alone and logs each row operation (swap, add,
+    negate) in ``row_ops`` and each column operation (swap, add) in
+    ``col_ops``.  Each of the four transforms is built the first time it
+    is read, by replaying its side's log on an identity matrix, and is
+    then kept; a caller that reads two of them pays for those two only.
+    ``rank`` is the number of nonzero diagonal entries.
     """
 
-    u: list
     d: list
-    v: list
-    uinv: list
-    vinv: list
     rank: int
+    row_ops: list
+    col_ops: list
 
     @property
     def diagonal(self):
         n = min(len(self.d), len(self.d[0]) if self.d else 0)
         return [self.d[i][i] for i in range(n)]
+
+    # A row op B <- E B keeps A = U B V when U <- U E^{-1}, and a column
+    # op B <- B F when V <- F^{-1} V.  So U^{-1} = E_k ... E_1 is the row
+    # log replayed on I, and U^T the same with each E as E^{-T}.  The
+    # transpose of a logged column op is the row op with the same
+    # (src, dst, q), so the column log replayed gives V^{-T}, and with
+    # each op as its E^{-T} it gives V.
+    @cached_property
+    def uinv(self):
+        return _replay(len(self.d), self.row_ops, False)
+
+    @cached_property
+    def u(self):
+        return _transpose(_replay(len(self.d), self.row_ops, True))
+
+    @cached_property
+    def v(self):
+        return _replay(self._ncols, self.col_ops, True)
+
+    @cached_property
+    def vinv(self):
+        return _transpose(self._vinv_columns)
+
+    @cached_property
+    def _vinv_columns(self):
+        """The columns of V^{-1}, as rows."""
+        return _replay(self._ncols, self.col_ops, False)
+
+    @property
+    def _ncols(self):
+        return len(self.d[0]) if self.d else 0
+
+
+def _replay(n, ops, inverse):
+    """The identity of order n after the logged operations, in order, as
+    row operations: ``("add", src, dst, q)`` adds q times row src to row
+    dst, ``("swap", i, j)`` and ``("neg", i)`` do what they say.  With
+    ``inverse`` each operation E is replaced by E^{-T}: an add becomes
+    row src -= q row dst, and swaps and negations stay as they are."""
+    r = identity(n)
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            _, src, dst, q = op
+            if inverse:
+                src, dst, q = dst, src, -q
+            r[dst] = [x + q * y for x, y in zip(r[dst], r[src])]
+        elif kind == "swap":
+            _, i, j = op
+            r[i], r[j] = r[j], r[i]
+        else:
+            i = op[1]
+            r[i] = [-x for x in r[i]]
+    return r
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
 
 
 def _least_entry(b, t, n, m):
@@ -86,54 +155,42 @@ def smith_normal_form(a) -> SmithDecomposition:
     its first entry of least nonzero |x| in row-major order.  The search
     stops at the first unit, which no entry undercuts, and a unit pivot
     skips the scan for an entry it does not divide, since it divides
-    every entry.
+    every entry.  Only D is eliminated here; the transforms are replayed
+    from the operation logs when first read.
     """
     n = len(a)
     m = len(a[0]) if n else 0
     b = [list(map(int, row)) for row in a]
-    u = identity(n)
-    uinv = identity(n)
-    v = identity(m)
-    vinv = identity(m)
+    row_ops = []
+    col_ops = []
 
-    # Row op B <- E B keeps A = U B V when U <- U E^{-1}; col op B <- B F
-    # needs V <- F^{-1} V.  The inverses absorb E and F directly.
     def swap_rows(i, j):
         b[i], b[j] = b[j], b[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
+        row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
         for row in b:
             row[i], row[j] = row[j], row[i]
-        for row in vinv:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
+        col_ops.append(("swap", i, j))
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
         if q == 0:
             return
         b[dst] = [x + q * y for x, y in zip(b[dst], b[src])]
-        uinv[dst] = [x + q * y for x, y in zip(uinv[dst], uinv[src])]
-        for row in u:
-            row[src] -= q * row[dst]
+        row_ops.append(("add", src, dst, q))
 
-    def add_col(src, dst, q):
+    def add_col(src, dst, q, rows):
+        # col[dst] += q * col[src], on the rows where col[src] is nonzero
         if q == 0:
             return
-        for row in b:
+        for row in rows:
             row[dst] += q * row[src]
-        for row in vinv:
-            row[dst] += q * row[src]
-        v[src] = [x - q * y for x, y in zip(v[src], v[dst])]
+        col_ops.append(("add", src, dst, q))
 
     def negate_row(i):
         b[i] = [-x for x in b[i]]
-        uinv[i] = [-x for x in uinv[i]]
-        for row in u:
-            row[i] = -row[i]
+        row_ops.append(("neg", i))
 
     size = min(n, m)
     t = 0
@@ -154,9 +211,13 @@ def smith_normal_form(a) -> SmithDecomposition:
                     add_row(t, i, -(b[i][t] // p))
                     if b[i][t]:
                         done = False
+            # the column ops below leave column t alone, so its support is
+            # fixed for the rest of the step: the pivot row alone when the
+            # row ops cleared the column, as they do under a unit pivot
+            rows = [row for row in b if row[t]]
             for j in range(t + 1, m):
                 if b[t][j]:
-                    add_col(t, j, -(b[t][j] // p))
+                    add_col(t, j, -(b[t][j] // p), rows)
                     if b[t][j]:
                         done = False
             if done:
@@ -183,7 +244,7 @@ def smith_normal_form(a) -> SmithDecomposition:
         t += 1
 
     rank = sum(1 for i in range(size) if b[i][i])
-    return SmithDecomposition(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
+    return SmithDecomposition(d=b, rank=rank, row_ops=row_ops, col_ops=col_ops)
 
 
 def kernel_transform(a, ncols=None):
@@ -201,10 +262,9 @@ def kernel_transform(a, ncols=None):
         eye = identity(m)
         return eye, eye, []
     snf = smith_normal_form(a)
-    m, r = len(a[0]), snf.rank
+    r = snf.rank
     # A (Vinv e_j) = U D e_j = 0 for j >= rank
-    basis = [[snf.vinv[i][j] for i in range(m)] for j in range(r, m)]
-    return basis, snf.v[r:], snf.v[:r]
+    return snf._vinv_columns[r:], snf.v[r:], snf.v[:r]
 
 
 def kernel_basis(a, ncols=None):

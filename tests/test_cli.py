@@ -1,5 +1,6 @@
 """Job parsing, report structure, determinism, and exit codes."""
 
+import hashlib
 import json
 import re
 
@@ -369,6 +370,34 @@ def test_cohomology_report_bytes_pinned(spec, expected, tmp_path, capsys):
     report.pop("timestamp")
     assert report["job"].pop("input") == str(path)
     assert json.dumps(report, sort_keys=True) == expected
+
+
+# SHA-256 of the JSON report (timestamp and input path removed) of
+# ``cohomology --input`` on a dim-9 2-step presentation with torsion in
+# degrees 3 to 7 (Z/2 + Z/2 + Z/144 + Z/144 in degree 3), too long to pin
+# as a string.
+PINNED_DIM9_REPORT_SHA256 = "1ea99ec0b491f3903061e8e9ad624935004622d354103a7cf92368f9d2e1e34e"
+
+
+def test_cohomology_report_dim9_digest_pinned(tmp_path, capsys):
+    lie = two_step_presentation("9-3", 9, 3, 2, 0.5)
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({
+        "dim": lie.dim,
+        "basis": list(lie.basis_names),
+        "brackets": [
+            {"i": i + 1, "j": j + 1, "c": {str(k + 1): str(c) for k, c in comps.items()}}
+            for (i, j), comps in sorted(lie.structure.items())
+        ],
+    }))
+    assert main(["cohomology", "--input", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timestamp")
+    assert report["job"].pop("input") == str(path)
+    torsion = {frag["degree"]: frag["torsion"] for frag in report["cohomology"]}
+    assert torsion[3] == [2, 2, 144, 144]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_DIM9_REPORT_SHA256
 
 
 def test_cohomology_report_torus():

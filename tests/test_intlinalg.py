@@ -150,6 +150,27 @@ def test_smith_matches_full_scan_reference():
         assert got.uinv == want.uinv and got.vinv == want.vinv
 
 
+def test_smith_transforms_read_in_any_order():
+    """Each transform is replayed from the operation logs on first read:
+    read alone from a fresh decomposition, or all four in reverse order,
+    each equals the full-scan oracle's, and together they factor A.  The
+    input matrix is left as it was."""
+    names = ("u", "uinv", "v", "vinv")
+    for a in snf_reference_inputs():
+        original = [row[:] for row in a]
+        want = full_scan_smith_normal_form(a)
+        for name in names:
+            assert getattr(lin.smith_normal_form(a), name) == getattr(want, name), name
+        snf = lin.smith_normal_form(a)
+        got = {name: getattr(snf, name) for name in reversed(names)}
+        assert got == {name: getattr(want, name) for name in names}
+        n, m = len(a), len(a[0])
+        assert lin.mat_mul(lin.mat_mul(snf.u, snf.d), snf.v) == original
+        assert lin.mat_mul(snf.u, snf.uinv) == lin.identity(n)
+        assert lin.mat_mul(snf.v, snf.vinv) == lin.identity(m)
+        assert a == original
+
+
 def test_kernel_basis_annihilates_and_saturates():
     rng = random.Random(99)
     for _ in range(40):

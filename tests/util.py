@@ -10,11 +10,12 @@ independent numerical check of the exact integrals.
 import cmath
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from preqlat.cealg import LieAlgebraPresentation, ValidationReport
 from preqlat.exact import ExactScalar
-from preqlat.intlinalg import SmithDecomposition, identity
+from preqlat.intlinalg import identity
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
 
 
@@ -156,8 +157,13 @@ def two_step_presentation(seed, dim, centre, bound, density=1.0):
 # Reference Smith normal form: every pivot search walks the whole trailing
 # block, and every pivot, units included, is followed by the divisibility
 # scan.  intlinalg.smith_normal_form must make the same choices with less
-# scanning, so it must return the same decomposition.
-def full_scan_smith_normal_form(a) -> SmithDecomposition:
+# scanning, so it must return the same decomposition.  The transforms are
+# kept current through every operation, so they also check the replay of
+# intlinalg's operation logs.
+FullScanSmith = namedtuple("FullScanSmith", "u d v uinv vinv rank")
+
+
+def full_scan_smith_normal_form(a) -> FullScanSmith:
     """Smith normal form of an integer matrix, with transforms.
 
     Deterministic for a fixed input: the pivot is always the nonzero
@@ -266,7 +272,7 @@ def full_scan_smith_normal_form(a) -> SmithDecomposition:
         t += 1
 
     rank = sum(1 for i in range(size) if b[i][i])
-    return SmithDecomposition(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
+    return FullScanSmith(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
 
 
 def det(a):
