@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -66,7 +67,11 @@ class JobDescriptor:
         return out
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and then shared: a process
+    that parses many jobs builds it once, and each parse starts from a
+    fresh namespace, so no state carries over between jobs."""
     parser = argparse.ArgumentParser(
         prog="preqlat",
         description="Exact integrable-cocycle lattices and identity verification.",

@@ -8,21 +8,22 @@ Presets cover the complexes the lattice computations need: nilmanifold
 presentations, tori, and compact orientable surfaces (whose ring is
 installed directly, since a genus >= 2 surface is not a nilmanifold).
 
-Class arithmetic works on supports, never on dense cochain vectors.  A
-support is a list of (basis position, coefficient) pairs over the nonzero
-coefficients of a cochain, with ``int`` coefficients when the cochain is
-integral and ``Fraction`` ones otherwise.  Each degree keeps the sparse
-columns of d_k from when it is built, and derives once the position of
-every basis tuple, the sparse columns of the reduction map and its
-representatives as integer terms; closedness and reduction then touch
-only the columns in the support, and a cup product wedges the
+Each degree is stored once, in integers: its representatives as lists of
+(index tuple, int) terms and its reduction map as integer rows, free
+classes first and torsion classes after.  Class arithmetic works on
+supports, never on dense cochain vectors.  A support is a list of (basis
+position, coefficient) pairs over the nonzero coefficients of a cochain,
+with ``int`` coefficients when the cochain is integral and ``Fraction``
+ones otherwise.  Each degree keeps the sparse columns of d_k from when it
+is built, and derives on first use the position of every basis tuple and
+the sparse columns of the reduction map; closedness and reduction then
+touch only the columns in the support, and a cup product wedges the
 representatives' terms directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -57,9 +58,12 @@ class CohomClass:
 
 @dataclass
 class DegreeData:
-    """One degree of the cohomology: its tables, and the sparse views of
-    them that class arithmetic reads.  Each view is derived once, on first
-    use, so a degree that no class lands in never builds one.  A group with
+    """One degree of the cohomology, held once in integers: one
+    representative and one reduction row per class, the free classes
+    first and the torsion classes after.  The views that class arithmetic
+    reads (``pos``, ``reduce_cols``) are derived once, on first use, so a
+    degree that no class lands in never builds one; ``free_reps`` and
+    ``torsion_reps`` build ``Cochain``s afresh on each read.  A group with
     neither classes nor a differential (a surface above degree 2) never
     lists its basis: every cochain there is closed and reduces to the
     empty class."""
@@ -68,10 +72,8 @@ class DegreeData:
     dim: int                         # number of degree-one generators
     betti: int
     torsion: list                    # invariant factors > 1
-    free_reps: list                  # Cochain
-    torsion_reps: list               # Cochain
-    reduce_free: list                # betti x N rows (integers for complexes)
-    reduce_torsion: list             # len(torsion) x N rows
+    reps: list                       # [(index tuple, int)] per class
+    reduce_rows: list                # one int row of length N per class
     d_cols: list | None = None       # [(row, entry)] per column of d_k; None: no differential
 
     @property
@@ -86,22 +88,24 @@ class DegreeData:
 
     @cached_property
     def reduce_cols(self):
-        """[(row, entry)] per basis position, over the free reduction rows
-        followed by the torsion ones."""
+        """[(row, entry)] per basis position: the reduction rows as sparse
+        columns."""
         cols = [[] for _ in range(comb(self.dim, self.degree))]
-        for i, row in enumerate(self.reduce_free + self.reduce_torsion):
+        for i, row in enumerate(self.reduce_rows):
             for j, x in enumerate(row):
                 if x:
-                    cols[j].append((i, _exact(x)))
+                    cols[j].append((i, x))
         return cols
 
-    @cached_property
-    def rep_terms(self):
-        """[(index tuple, coefficient)] per free, then torsion, representative."""
-        return [
-            [(idx, _exact(x)) for idx, x in rep.coeffs.items()]
-            for rep in self.free_reps + self.torsion_reps
-        ]
+    @property
+    def free_reps(self):
+        """Representatives of the free classes, as Cochains."""
+        return [Cochain(self.dim, self.degree, dict(t)) for t in self.reps[:self.betti]]
+
+    @property
+    def torsion_reps(self):
+        """Representatives of the torsion classes, as Cochains."""
+        return [Cochain(self.dim, self.degree, dict(t)) for t in self.reps[self.betti:]]
 
     def support(self, c: Cochain):
         """The (basis position, coefficient) pairs of a cochain of this
@@ -122,27 +126,21 @@ class DegreeData:
             support = [(j, x.numerator) for j, x in support]
         if not self.is_closed(support):
             raise ValueError("not a cocycle")
-        coords = [0 if integral else Fraction(0)] * (self.betti + len(self.torsion))
+        coords = [0] * len(self.reduce_rows)
         for j, x in support:
             for i, r in self.reduce_cols[j]:
                 coords[i] += r * x
-        free, tors = coords[:self.betti], coords[self.betti:]
+        free, tors = tuple(coords[:self.betti]), coords[self.betti:]
         if not integral:
-            return CohomClass(self.degree, tuple(free), (0,) * len(tors))
-        if any(x.denominator != 1 for x in coords):
-            raise ValueError("integer cocycle reduced to non-integer coordinate")
-        return CohomClass(
-            self.degree,
-            tuple(x.numerator for x in free),
-            tuple(x.numerator % d for x, d in zip(tors, self.torsion)),
-        )
+            return CohomClass(self.degree, free, (0,) * len(tors))
+        return CohomClass(self.degree, free, tuple(x % d for x, d in zip(tors, self.torsion)))
 
     def terms(self, cls: CohomClass) -> dict:
         """{index tuple: coefficient} of the representative of a class."""
         if len(cls.free) != self.betti or len(cls.torsion) != len(self.torsion):
             raise ValueError("class coordinates do not match the degree data")
         out = {}
-        for coef, terms in zip((*cls.free, *cls.torsion), self.rep_terms):
+        for coef, terms in zip((*cls.free, *cls.torsion), self.reps):
             if coef:
                 for idx, x in terms:
                     out[idx] = out.get(idx, 0) + coef * x
@@ -156,11 +154,6 @@ def _kills(cols, support):
         for i, d in cols[j]:
             image[i] = image.get(i, 0) + d * x
     return not any(image.values())
-
-
-def _exact(x):
-    """An integral Fraction as an int; anything else unchanged."""
-    return x.numerator if x.denominator == 1 else x
 
 
 class GradedCohomology:
@@ -243,7 +236,7 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
     kercols, coord_rows, _ = lin.kernel_transform(d_k, ncols=n_k)
     s = len(kercols)
     if s == 0:
-        return DegreeData(k, dim, 0, [], [], [], [], [], d_cols)
+        return DegreeData(k, dim, 0, [], [], [], d_cols)
 
     # coboundary image in kernel coordinates, read off the sparse columns of
     # the coordinate rows: one pass over the entries in the rows of the
@@ -274,9 +267,6 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
     tors_idx = [i for i in range(s) if diag[i] > 1]
     torsion = [diag[i] for i in tors_idx]
 
-    def reduce_row(i):
-        return lin.mat_mul([uinv[i]], coord_rows)[0]
-
     def rep_col(i):
         col = [0] * n_k
         for j in range(s):
@@ -288,37 +278,31 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
                         col[row] += c * kj[row]
         return col
 
-    free_cols = [rep_col(i) for i in free_idx]
-    reduce_free = [reduce_row(i) for i in free_idx]
-    if free_cols:
+    # the basis changes act on the rows of uinv, which are only s wide; one
+    # product with the coordinate rows then gives every reduction row
+    cols = [rep_col(i) for i in free_idx]
+    rows = [uinv[i] for i in free_idx]
+    if cols:
         # the coordinates of the old basis in the Hermite basis are the
-        # columns of the change of basis that carries the reduction rows over
-        hnf_cols = lin.column_style_hermite(free_cols, n_k)
-        t_inv_cols = lin.echelon_coords(hnf_cols, free_cols)
+        # columns of the change of basis that carries the rows over
+        hnf_cols = lin.column_style_hermite(cols, n_k)
+        t_inv_cols = lin.echelon_coords(hnf_cols, cols)
         t_inv = [[c[i] for c in t_inv_cols] for i in range(len(hnf_cols))]
-        reduce_free = lin.mat_mul(t_inv, reduce_free)
-        free_cols = hnf_cols
-
-    tors_cols = [rep_col(i) for i in tors_idx]
-    reduce_torsion = [reduce_row(i) for i in tors_idx]
-    for j, col in enumerate(tors_cols):
-        lead = next((x for x in col if x), 0)
-        if lead < 0:
-            tors_cols[j] = [-x for x in col]
-            reduce_torsion[j] = [-x for x in reduce_torsion[j]]
-
-    def to_cochain(col):
-        return Cochain(dim, k, {basis[i]: Fraction(col[i]) for i in range(n_k) if col[i]})
+        rows = lin.mat_mul(t_inv, rows)
+        cols = hnf_cols
+    for i in tors_idx:
+        col = rep_col(i)
+        sign = -1 if next(x for x in col if x) < 0 else 1
+        cols.append([sign * x for x in col])
+        rows.append([sign * x for x in uinv[i]])
 
     return DegreeData(
         degree=k,
         dim=dim,
         betti=len(free_idx),
         torsion=torsion,
-        free_reps=[to_cochain(c) for c in free_cols],
-        torsion_reps=[to_cochain(c) for c in tors_cols],
-        reduce_free=reduce_free,
-        reduce_torsion=reduce_torsion,
+        reps=[[(basis[j], x) for j, x in enumerate(col) if x] for col in cols],
+        reduce_rows=lin.mat_mul(rows, coord_rows),
         d_cols=d_cols,
     )
 
@@ -340,18 +324,13 @@ class CohomologyRing:
         top = self.cohomology.data(self.top_degree)
         if top.betti != 1:
             raise ValueError("top cohomology is not of rank one; no orientation")
-        mono = Cochain.basis(self.cohomology.dim, tuple(range(self.cohomology.dim))) \
-            if self.cohomology.dim == self.top_degree else None
-        if mono is None:
+        dim = self.cohomology.dim
+        if dim != self.top_degree:
             # formal presets: keep the installed generator
             return
-        coord = self.reduce(mono).free[0]
-        if coord not in (1, -1):
+        # the Hermite basis makes the top representative +1 * the top monomial
+        if self.reduce(Cochain.basis(dim, tuple(range(dim)))).free[0] != 1:
             raise ValueError("top monomial does not generate the orientation line")
-        if coord == -1:
-            self.cohomology.degrees[self.top_degree] = replace(
-                top, free_reps=[-top.free_reps[0]],
-                reduce_free=[[-x for x in top.reduce_free[0]]])
 
     # -- class-level operations -------------------------------------------
 
@@ -466,42 +445,21 @@ def surface_ring(genus) -> CohomologyRing:
         raise ValueError("genus must be >= 0")
     g = genus
     if g == 0:
-        names = ("u", "v")
-        dim = 2
-        one_reps, one_reduce = [], []
+        names, dim, pairs = ("u", "v"), 2, [(0, 1)]
     else:
         names = tuple(f"a{i+1}" for i in range(g)) + tuple(f"b{i+1}" for i in range(g))
-        dim = 2 * g
-        one_reps = [Cochain.basis(dim, (i,)) for i in range(dim)]
-        one_reduce = [
-            [Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)
-        ]
-
-    degrees = []
-    for k in range(dim + 1):
-        if k == 0:
-            dd = DegreeData(0, dim, 1, [], [Cochain.basis(dim, ())], [],
-                            [[Fraction(1)]], [])
-        elif k == 1:
-            dd = DegreeData(1, dim, len(one_reps), [], list(one_reps), [],
-                            [list(r) for r in one_reduce], [])
-        elif k == 2:
-            # the symplectic contraction: only the coefficients on the
-            # paired tuples (a_i, b_i) survive, and they all agree in H^2
-            pos = {t: i for i, t in enumerate(degree_tuples(dim, 2))}
-            row = [Fraction(0)] * len(pos)
-            if g == 0:
-                row[pos[(0, 1)]] = Fraction(1)
-                rep = Cochain.basis(dim, (0, 1))
-            else:
-                for i in range(g):
-                    row[pos[(i, g + i)]] = Fraction(1)
-                rep = Cochain.basis(dim, (0, g))
-            dd = DegreeData(2, dim, 1, [], [rep], [], [row], [])
-        else:
-            dd = DegreeData(k, dim, 0, [], [], [], [], [])
-        degrees.append(dd)
-
+        dim, pairs = 2 * g, [(i, g + i) for i in range(g)]
+    b1 = 2 * g
+    degrees = [
+        DegreeData(0, dim, 1, [], [[((), 1)]], [[1]]),
+        DegreeData(1, dim, b1, [], [[((i,), 1)] for i in range(b1)],
+                   [[int(i == j) for j in range(dim)] for i in range(b1)]),
+        # the symplectic contraction: only the coefficients on the paired
+        # tuples (a_i, b_i) survive, and they all agree in H^2
+        DegreeData(2, dim, 1, [], [[(pairs[0], 1)]],
+                   [[int(t in pairs) for t in degree_tuples(dim, 2)]]),
+    ]
+    degrees += [DegreeData(k, dim, 0, [], [], []) for k in range(3, dim + 1)]
     groups = GradedCohomology(dim, names, degrees)
     return CohomologyRing(groups, top_degree=2)
 

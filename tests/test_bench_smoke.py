@@ -28,16 +28,12 @@ def test_bench_self_check():
     assert result["fail_ratio"]["clean"] == 0
 
 
-def test_traced_pass_reaches_every_layer(tmp_path):
-    """One traced pass of three small jobs: the tracer finds every layer
-    it wraps (a renamed library function fails here) and the trig, cealg
-    and cocycle counters move."""
+def traced_layers(tmp_path, argvs):
+    """Per-layer metrics of one traced pass over ``argvs``, every job of
+    which must exit 0."""
+    tmp_path.mkdir(exist_ok=True)
     jobs = tmp_path / "jobs.json"
-    jobs.write_text(json.dumps([
-        ["verify", "--suite", "cocycles", "--trials", "1"],
-        ["lattice", "--preset", "thurston", "--r", "2"],
-        ["cohomology", "--preset", "torus", "--m", "4"],
-    ]))
+    jobs.write_text(json.dumps(argvs))
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "passrun.py"),
@@ -46,8 +42,19 @@ def test_traced_pass_reaches_every_layer(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout)
-    assert [job["code"] for job in result["jobs"]] == [0, 0, 0]
-    layers = result["layers"]
+    assert [job["code"] for job in result["jobs"]] == [0] * len(argvs)
+    return result["layers"]
+
+
+def test_traced_pass_reaches_every_layer(tmp_path):
+    """One traced pass of three small jobs: the tracer finds every layer
+    it wraps (a renamed library function fails here) and the trig, cealg
+    and cocycle counters move."""
+    layers = traced_layers(tmp_path, [
+        ["verify", "--suite", "cocycles", "--trials", "1"],
+        ["lattice", "--preset", "thurston", "--r", "2"],
+        ["cohomology", "--preset", "torus", "--m", "4"],
+    ])
     for name in ("toruscalc.trig.mul_mode_pairs", "cealg.complex_matrices_calls",
                  "toruscalc.residuals.ks_calls"):
         assert layers[name] > 0, name
@@ -57,23 +64,21 @@ def test_traced_cohomology_builds_integer_complex(tmp_path):
     """Two traced cohomology jobs build one complex each, straight from the
     structure constants: no per-monomial ``ce_differential`` call.  They
     make the 12 Smith normal forms, with entries of at most 2 bits, that
-    the full-scan pivot search made."""
-    jobs = tmp_path / "jobs.json"
-    jobs.write_text(json.dumps([
+    the full-scan pivot search made.  A traced lattice job then reads the
+    representatives as ``Cochain``s (in the tracer's hook on
+    ``integral_cohomology``) and makes its 2 reductions and 20 cup
+    products."""
+    layers = traced_layers(tmp_path / "cohomology", [
         ["cohomology", "--preset", "torus", "--m", "6"],
         ["cohomology", "--preset", "thurston", "--r", "2"],
-    ]))
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, os.path.join("bench", "passrun.py"),
-         "--jobs", str(jobs), "--spans", str(tmp_path / "spans.tsv.gz")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    result = json.loads(proc.stdout)
-    assert [job["code"] for job in result["jobs"]] == [0, 0]
-    layers = result["layers"]
+    ])
     assert layers["cealg.complex_matrices_calls"] == 2
     assert layers["cealg.ce_differential_calls"] == 0
     assert layers["intlinalg.smith_normal_form_calls"] == 12
     assert layers["intlinalg.snf_max_bits"] == 2
+    layers = traced_layers(tmp_path / "lattice", [
+        ["lattice", "--preset", "thurston", "--r", "6", "--a", "1", "--b", "4"],
+    ])
+    assert layers["cohomring.rep_max_bits"] == 1
+    assert layers["cohomring.reduce_calls"] == 2
+    assert layers["cohomring.cup_calls"] == 20

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from preqlat import cli
 from preqlat.cli import (
     InputError,
     load_presentation,
@@ -76,6 +77,20 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_job(["lattice", "--preset", "thurston", "--frobnicate", "1"])
     assert exc.value.code == 2
+
+
+def test_shared_parser_keeps_no_state_between_jobs():
+    """One parser serves every job of a process: an appended --suite, or
+    an argv that argparse rejects, leaves nothing behind for the next."""
+    assert cli._build_parser() is cli._build_parser()
+    assert parse_job(["verify", "--suite", "jacobi"]).suites == ["jacobi"]
+    assert parse_job(["verify", "--suite", "jacobi"]).suites == ["jacobi"]
+    assert parse_job(["verify"]).suites == ["all"]
+    with pytest.raises(SystemExit):
+        parse_job(["lattice", "--preset", "thurston", "--frobnicate", "1"])
+    job = parse_job(["lattice", "--preset", "thurston", "--r", "2"])
+    assert job.params == {"r": 2, "a": 1, "b": 1, "c": 0}
+    assert job.level == 1
 
 
 def test_main_maps_input_error_to_exit_2(capsys):

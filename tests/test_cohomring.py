@@ -30,7 +30,7 @@ from preqlat.cohomring import (
 )
 from preqlat.combinat import degree_tuples
 
-from util import det, two_step_presentation
+from util import det, rational_rank, two_step_presentation
 
 
 def heis_ring(r):
@@ -399,30 +399,7 @@ def test_deterministic_construction():
     for k in range(5):
         assert [c.coeffs for c in r1.cohomology.data(k).free_reps] == \
                [c.coeffs for c in r2.cohomology.data(k).free_reps]
-        assert r1.cohomology.data(k).reduce_free == r2.cohomology.data(k).reduce_free
-
-
-def rational_rank(mat):
-    """Row-echelon rank over Q; independent of the Smith-form machinery."""
-    rows = [[Fraction(x) for x in row] for row in mat if any(row)]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        head = rows[0]
-        rows = [
-            [x - (r[col] / head[col]) * y for x, y in zip(r, head)] if r[col] else r
-            for r in rows[1:]
-        ]
-        rows = [r for r in rows if any(r)]
-        rank += 1
-        col += 1
-    return rank
+        assert r1.cohomology.data(k).reduce_rows == r2.cohomology.data(k).reduce_rows
 
 
 def rank_mod_p(mat, p):
@@ -526,14 +503,14 @@ def dense_reduce(ring, mats, c):
             raise ValueError("not a cocycle")
     integral = all(x.denominator == 1 for x in vec)
     free = []
-    for row in dd.reduce_free:
+    for row in dd.reduce_rows[:dd.betti]:
         val = sum((r * x for r, x in zip(row, vec)), Fraction(0))
         if integral:
             assert val.denominator == 1
             val = int(val)
         free.append(val)
     torsion = []
-    for row, d in zip(dd.reduce_torsion, dd.torsion):
+    for row, d in zip(dd.reduce_rows[dd.betti:], dd.torsion):
         val = sum((r * x for r, x in zip(row, vec)), Fraction(0)) if integral else 0
         assert val.denominator == 1
         torsion.append(int(val) % d)
@@ -560,6 +537,35 @@ ORACLE_RINGS = {
     "torsion6": lambda: torsion_rings()[0],
     "torsion7": lambda: torsion_rings()[1],
 }
+
+
+# every ORACLE_RINGS ring, the surfaces of genus 0-3, and two seeded 2-step
+# presentations for each dim 3-7
+INTEGER_FORM_RINGS = {
+    **ORACLE_RINGS,
+    **{f"surface{g}": (lambda g=g: surface_ring(g)) for g in range(4)},
+    **{f"two-step{dim}-{i}": (lambda dim=dim, i=i: nilmanifold_ring(
+        two_step_presentation(f"int-form:{dim}:{i}", dim, min(1 + i, dim - 2), 3, 0.7)))
+       for dim in range(3, 8) for i in range(2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_FORM_RINGS))
+def test_degree_data_holds_plain_ints(name):
+    """Each degree holds one representative and one reduction row per class,
+    all of plain ``int``s, and the top representative is the top monomial
+    (a1^b1 on a surface) with coefficient 1, which orients the ring as
+    it stands."""
+    ring = INTEGER_FORM_RINGS[name]()
+    groups = ring.cohomology
+    for dd in groups.degrees:
+        assert len(dd.reps) == len(dd.reduce_rows) == dd.betti + len(dd.torsion)
+        assert all(type(x) is int for terms in dd.reps for _, x in terms)
+        assert all(type(x) is int for row in dd.reduce_rows for x in row)
+    dim, top = groups.dim, ring.top_degree
+    mono = tuple(range(dim)) if dim == top else (0, dim // 2)
+    assert groups.data(top).reps == [[(mono, 1)]]
+    assert ring.fundamental_pairing(ring.representative(ring.orientation_class())) == 1
 
 
 def _random_class(rng, ring, degree):

@@ -1,12 +1,21 @@
 """Volumes, Euler candidates, Gysin kernels and integrable lattices on
 the shipped presets."""
 
+import random
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 
-from preqlat.cealg import Cochain, heisenberg_times_line
+from preqlat.cealg import (
+    Cochain,
+    LieAlgebraPresentation,
+    ce_differential,
+    complex_matrices,
+    heisenberg_times_line,
+    validate_presentation,
+)
 from preqlat.cohomring import nilmanifold_ring, surface_ring, torus_ring
 from preqlat.exact import ExactScalar
 from preqlat.prequant import (
@@ -18,6 +27,8 @@ from preqlat.prequant import (
     liouville_volume,
     symplectic_from_cochain,
 )
+
+from util import rational_rank
 
 
 def heis_setup(r, a, b):
@@ -275,6 +286,70 @@ def test_two_center_product_preset():
     for cand in cands:
         assert gysin_kernel(ring, cand) == []
         assert integrable_lattice(ring, cand).rank == 0
+
+
+# -- prequantization-bundle oracle ----------------------------------------------
+#
+# The prequantum circle bundle over a nilmanifold or torus preset is again a
+# nilmanifold, with Lie algebra g_e = g + Z t and d t* = e for the ring's
+# representative of the Euler class e.  Its complex is the mapping cone of
+# cup e, so the Gysin sequence H^0 -> H^2(g) -> H^2(g_e) -> H^1 -> H^3 is
+# exact (Hochschild-Serre, 1953), and over Q
+#     b_2(g_e) = b_2(g) - [e != 0] + dim ker(cup e: H^1 -> H^3).
+# b_2(g_e) comes from rational ranks of the bundle's own differentials; no
+# cup product or Smith form of the ring enters it.
+
+def bundle_presentation(lie, rep):
+    """g_e: ``lie`` with a last generator t whose dual has d t* = rep, the
+    degree-two representative of e (c_ij^t = -rep_ij)."""
+    m = lie.dim
+    structure = {ij: dict(comps) for ij, comps in lie.structure.items()}
+    for ij, c in rep.coeffs.items():
+        structure.setdefault(ij, {})[m] = -c
+    return LieAlgebraPresentation(m + 1, lie.basis_names + ("t",), structure)
+
+
+def seeded_torus_setup(m):
+    """T^m with a seeded integral symplectic class of positive Pfaffian."""
+    rng = random.Random(f"bundle-oracle:{m}")
+    ring = torus_ring(m)
+    pairs = list(combinations(range(m), 2))
+    while True:
+        coeffs = {(2 * i, 2 * i + 1): rng.randint(1, 3) for i in range(m // 2)}
+        for ij in rng.sample(pairs, min(2, len(pairs))):
+            coeffs.setdefault(ij, rng.choice((-2, -1, 1, 2)))
+        omega = symplectic_from_cochain(ring, Cochain(m, 2, coeffs))
+        try:
+            liouville_volume(ring, omega)
+        except ValueError:              # non-positive Pfaffian
+            continue
+        return ring, omega
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [("thurston", a, b) for a, b in ((1, 1), (1, 4), (2, 3))]
+    + [("torus", m) for m in (2, 4, 6)],
+    ids=lambda setup: "-".join(map(str, setup)),
+)
+def test_bundle_betti_matches_gysin_kernel(setup):
+    if setup[0] == "thurston":
+        cases = [heis_setup(r, *setup[1:]) for r in range(1, 13)]
+    else:
+        cases = [seeded_torus_setup(setup[1])]
+    checked = 0
+    for ring, omega in cases:
+        m = ring.cohomology.dim
+        for e in euler_candidates(ring, omega):
+            rep = ring.representative(e.as_class())
+            lie_e = bundle_presentation(ring.lie, rep)
+            assert validate_presentation(lie_e).ok
+            assert ce_differential(Cochain.basis(m + 1, (m,)), lie_e).coeffs == rep.coeffs
+            d = complex_matrices(lie_e)
+            b2_e = comb(m + 1, 2) - rational_rank(d[2]) - rational_rank(d[1])
+            assert b2_e == ring.betti(2) - any(e.free) + len(gysin_kernel(ring, e))
+            checked += 1
+    assert checked == (78 if setup[0] == "thurston" else 1)
 
 
 # -- report -------------------------------------------------------------------

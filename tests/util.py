@@ -1,6 +1,6 @@
 """Shared generators, float evaluation, the float-grid quadrature oracle,
-the full-scan Smith normal form oracle, the Bareiss determinant and the
-Fraction validation oracle.
+the full-scan Smith normal form oracle, the Bareiss determinant, the
+rational rank and the Fraction validation oracle.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -298,6 +298,29 @@ def det(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def rational_rank(mat):
+    """Row-echelon rank over Q; independent of the Smith-form machinery."""
+    rows = [[Fraction(x) for x in row] for row in mat if any(row)]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    col = 0
+    while rows and col < ncols:
+        piv = next((i for i, r in enumerate(rows) if r[col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[0], rows[piv] = rows[piv], rows[0]
+        head = rows[0]
+        rows = [
+            [x - (r[col] / head[col]) * y for x, y in zip(r, head)] if r[col] else r
+            for r in rows[1:]
+        ]
+        rows = [r for r in rows if any(r)]
+        rank += 1
+        col += 1
+    return rank
 
 
 # Reference validation: the Jacobi identity checked with Fraction dicts on
