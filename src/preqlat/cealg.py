@@ -154,22 +154,26 @@ class Cochain:
 
     def render(self, names, star="*"):
         """Human-readable form like ``2*x*^p* - h*`` given basis names."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            mono = "^".join(f"{names[i]}{star}" for i in idx) if idx else "1"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" {'-' if p.startswith('-') else '+'} {p.lstrip('-')}"
-        return out
+        return render_terms(sorted(self.coeffs.items()), names, star)
+
+
+def render_terms(terms, names, star="*"):
+    """``2*x*^p* - h*`` from (index tuple, int or Fraction) terms, in order."""
+    parts = []
+    for idx, c in terms:
+        mono = "^".join(f"{names[i]}{star}" for i in idx) if idx else "1"
+        if c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" {'-' if p.startswith('-') else '+'} {p.lstrip('-')}"
+    return out
 
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -120,11 +121,18 @@ def _preset_flags(p):
     p.add_argument("--vol", type=str, help="surface volume (positive integer)")
 
 
+MAX_DIGITS = 30     # in the numerator or the denominator of a rational input
+
+
 def _parse_rational(text, name):
+    if "e" in text.lower():
+        raise InputError(f"malformed rational for --{name}: {text!r} (no exponent notation)")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"malformed rational for --{name}: {text!r}")
+    if max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
+        raise InputError(f"rational for --{name} has more than {MAX_DIGITS} digits")
     return value
 
 
@@ -227,16 +235,8 @@ def parse_omega_spec(spec, m) -> Cochain:
     text = spec.replace(" ", "")
     if not text:
         raise InputError("empty omega spec")
-    terms = []
-    cur = ""
-    for ch in text:
-        if ch in "+-" and cur:
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    for term in terms:
+    # every sign but a leading one starts a term
+    for term in re.split(r"(?<=.)(?=[+-])", text):
         body = term.lstrip("+-")
         sign = -1 if term.startswith("-") else 1
         if "e" not in body:
@@ -255,7 +255,7 @@ def parse_omega_spec(spec, m) -> Cochain:
 
 
 def load_presentation(path) -> LieAlgebraPresentation:
-    """Read the JSON presentation schema:
+    """Read the JSON presentation schema, with int dim, i, j and no repeats:
     {"dim": m, "basis": [...], "brackets": [{"i":1,"j":2,"c":{"3":"r"}}]}."""
     try:
         with open(path) as fh:
@@ -263,11 +263,17 @@ def load_presentation(path) -> LieAlgebraPresentation:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read presentation: {exc}")
     try:
-        dim = int(data["dim"])
+        dim, brackets = data["dim"], data.get("brackets", [])
+        if any(type(x) is not int for x in [dim, *(e[key] for e in brackets for key in "ij")]):
+            raise InputError("malformed presentation: dim, i and j must be JSON integers")
         names = tuple(str(n) for n in data["basis"])
+        if len(set(names)) != len(names):
+            raise InputError(f"malformed presentation: repeated basis name in {list(names)}")
         structure = {}
-        for entry in data.get("brackets", []):
-            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
+        for entry in brackets:
+            i, j = entry["i"] - 1, entry["j"] - 1
+            if (i, j) in structure:
+                raise InputError(f"malformed presentation: repeated bracket ({i + 1}, {j + 1})")
             comps = {}
             for k, val in entry["c"].items():
                 comps[int(k) - 1] = _parse_rational(str(val), "bracket coefficient")

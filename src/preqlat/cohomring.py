@@ -10,19 +10,23 @@ installed directly, since a genus >= 2 surface is not a nilmanifold).
 
 Each degree is stored once, in integers: its representatives as lists of
 (index tuple, int) terms and its reduction map as integer rows, free
-classes first and torsion classes after.  Class arithmetic works on
-supports, never on dense cochain vectors.  A support is a list of (basis
-position, coefficient) pairs over the nonzero coefficients of a cochain,
-with ``int`` coefficients when the cochain is integral and ``Fraction``
-ones otherwise.  Each degree keeps the sparse columns of d_k from when it
-is built, and derives on first use the position of every basis tuple and
-the sparse columns of the reduction map; closedness and reduction then
-touch only the columns in the support, and a cup product wedges the
-representatives' terms directly.
+classes first and torsion classes after.  The representatives are built
+with the degree, from just the columns of the Smith transform they need;
+the reduction rows only when something first reduces into the degree,
+which a ``cohomology`` job does in the top degree alone.  Class
+arithmetic works on supports, never on dense cochain vectors.  A support
+is a list of (basis position, coefficient) pairs over the nonzero
+coefficients of a cochain, with ``int`` coefficients when the cochain is
+integral and ``Fraction`` ones otherwise.  Each degree keeps the sparse
+columns of d_k from when it is built, and derives on first use the
+position of every basis tuple and the sparse columns of the reduction
+map; closedness and reduction then touch only the columns in the
+support, and a cup product wedges the representatives' terms directly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -32,9 +36,9 @@ from .cealg import (
     Cochain,
     LieAlgebraPresentation,
     abelian,
-    ce_differential,
     complex_matrices,
     heisenberg_times_line,
+    render_terms,
     validate_presentation,
 )
 from .combinat import degree_tuples, merge_tuples
@@ -60,21 +64,26 @@ class CohomClass:
 class DegreeData:
     """One degree of the cohomology, held once in integers: one
     representative and one reduction row per class, the free classes
-    first and the torsion classes after.  The views that class arithmetic
-    reads (``pos``, ``reduce_cols``) are derived once, on first use, so a
-    degree that no class lands in never builds one; ``free_reps`` and
-    ``torsion_reps`` build ``Cochain``s afresh on each read.  A group with
-    neither classes nor a differential (a surface above degree 2) never
-    lists its basis: every cochain there is closed and reduces to the
-    empty class."""
+    first and the torsion classes after.  The reduction rows, and the
+    views that class arithmetic reads (``pos``, ``reduce_cols``), are
+    built on first use, so a degree that no class lands in builds none;
+    ``free_reps`` and ``torsion_reps`` build ``Cochain``s afresh on each
+    read.  A group with neither classes nor a differential (a surface
+    above degree 2) never lists its basis: every cochain there is closed
+    and reduces to the empty class."""
 
     degree: int
     dim: int                         # number of degree-one generators
     betti: int
     torsion: list                    # invariant factors > 1
     reps: list                       # [(index tuple, int)] per class
-    reduce_rows: list                # one int row of length N per class
+    make_reduce_rows: Callable[[], list]  # builds reduce_rows, once, on first read
     d_cols: list | None = None       # [(row, entry)] per column of d_k; None: no differential
+
+    @cached_property
+    def reduce_rows(self):
+        """One int row of length N per class."""
+        return self.make_reduce_rows()
 
     @property
     def basis(self):
@@ -233,10 +242,10 @@ def _sparse_columns(mat, ncols):
 
 def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
     n_k = len(basis)
-    kercols, coord_rows, _ = lin.kernel_transform(d_k, ncols=n_k)
+    kercols, coord_rows = lin.kernel_transform(d_k, ncols=n_k)
     s = len(kercols)
     if s == 0:
-        return DegreeData(k, dim, 0, [], [], [], d_cols)
+        return DegreeData(k, dim, 0, [], [], list, d_cols)
 
     # coboundary image in kernel coordinates, read off the sparse columns of
     # the coordinate rows: one pass over the entries in the rows of the
@@ -253,56 +262,50 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
         x_cols.append(acc)
 
     if x_cols:
-        x_mat = [[c[i] for c in x_cols] for i in range(s)]
-        snf = lin.smith_normal_form(x_mat)
-        diag = snf.diagonal + [0] * (s - len(snf.diagonal))
-        u = snf.u
-        uinv = snf.uinv
+        snf = lin.smith_normal_form([[c[i] for c in x_cols] for i in range(s)])
     else:
-        diag = [0] * s
-        u = lin.identity(s)
-        uinv = lin.identity(s)
-
+        # the s x 0 matrix is its own Smith form, with identity transforms
+        snf = lin.SmithDecomposition([[] for _ in range(s)], 0, [], [])
+    diag = snf.diagonal + [0] * (s - len(snf.diagonal))
     free_idx = [i for i in range(s) if diag[i] == 0]
     tors_idx = [i for i in range(s) if diag[i] > 1]
-    torsion = [diag[i] for i in tors_idx]
+    betti = len(free_idx)
 
-    def rep_col(i):
+    # a representative is the kernel basis times a column of U; only the
+    # columns of the free and torsion classes are replayed
+    ker_terms = [[(row, x) for row, x in enumerate(kj) if x] for kj in kercols]
+    cols = []
+    for ucol in snf.read("u", free_idx + tors_idx):
         col = [0] * n_k
-        for j in range(s):
-            c = u[j][i]
+        for c, terms in zip(ucol, ker_terms):
             if c:
-                kj = kercols[j]
-                for row in range(n_k):
-                    if kj[row]:
-                        col[row] += c * kj[row]
-        return col
+                for row, x in terms:
+                    col[row] += c * x
+        cols.append(col)
+    free_cols = cols[:betti]
+    hnf_cols = lin.column_style_hermite(free_cols, n_k) if free_cols else []
+    signs = [-1 if next(x for x in col if x) < 0 else 1 for col in cols[betti:]]
+    cols = hnf_cols + [[sign * x for x in col] for sign, col in zip(signs, cols[betti:])]
 
-    # the basis changes act on the rows of uinv, which are only s wide; one
-    # product with the coordinate rows then gives every reduction row
-    cols = [rep_col(i) for i in free_idx]
-    rows = [uinv[i] for i in free_idx]
-    if cols:
-        # the coordinates of the old basis in the Hermite basis are the
-        # columns of the change of basis that carries the rows over
-        hnf_cols = lin.column_style_hermite(cols, n_k)
-        t_inv_cols = lin.echelon_coords(hnf_cols, cols)
-        t_inv = [[c[i] for c in t_inv_cols] for i in range(len(hnf_cols))]
-        rows = lin.mat_mul(t_inv, rows)
-        cols = hnf_cols
-    for i in tors_idx:
-        col = rep_col(i)
-        sign = -1 if next(x for x in col if x) < 0 else 1
-        cols.append([sign * x for x in col])
-        rows.append([sign * x for x in uinv[i]])
+    def reduce_rows():
+        # the basis changes act on the rows of U^{-1}, which are only s
+        # wide; one product with the coordinate rows then gives every row
+        rows = snf.read("uinv", free_idx + tors_idx)
+        if free_cols:
+            # the coordinates of the old basis in the Hermite basis are the
+            # columns of the change of basis that carries the rows over
+            t_inv = list(zip(*lin.echelon_coords(hnf_cols, free_cols)))
+            rows[:betti] = lin.mat_mul(t_inv, rows[:betti])
+        rows[betti:] = [[sign * x for x in row] for sign, row in zip(signs, rows[betti:])]
+        return lin.mat_mul(rows, coord_rows)
 
     return DegreeData(
         degree=k,
         dim=dim,
-        betti=len(free_idx),
-        torsion=torsion,
+        betti=betti,
+        torsion=[diag[i] for i in tors_idx],
         reps=[[(basis[j], x) for j, x in enumerate(col) if x] for col in cols],
-        reduce_rows=lin.mat_mul(rows, coord_rows),
+        make_reduce_rows=reduce_rows,
         d_cols=d_cols,
     )
 
@@ -391,13 +394,11 @@ class CohomologyRing:
 
     def report_fragment(self, k) -> dict:
         dd = self.cohomology.data(k)
-        gens = [c.render(self.cohomology.conames, star="") for c in dd.free_reps]
-        gens += [c.render(self.cohomology.conames, star="") for c in dd.torsion_reps]
         return {
             "degree": k,
             "betti": dd.betti,
             "torsion": list(dd.torsion),
-            "generators": gens,
+            "generators": [render_terms(t, self.cohomology.conames, star="") for t in dd.reps],
         }
 
 
@@ -451,15 +452,15 @@ def surface_ring(genus) -> CohomologyRing:
         dim, pairs = 2 * g, [(i, g + i) for i in range(g)]
     b1 = 2 * g
     degrees = [
-        DegreeData(0, dim, 1, [], [[((), 1)]], [[1]]),
+        DegreeData(0, dim, 1, [], [[((), 1)]], lambda: [[1]]),
         DegreeData(1, dim, b1, [], [[((i,), 1)] for i in range(b1)],
-                   [[int(i == j) for j in range(dim)] for i in range(b1)]),
+                   lambda: [[int(i == j) for j in range(dim)] for i in range(b1)]),
         # the symplectic contraction: only the coefficients on the paired
         # tuples (a_i, b_i) survive, and they all agree in H^2
         DegreeData(2, dim, 1, [], [[(pairs[0], 1)]],
-                   [[int(t in pairs) for t in degree_tuples(dim, 2)]]),
+                   lambda: [[int(t in pairs) for t in degree_tuples(dim, 2)]]),
     ]
-    degrees += [DegreeData(k, dim, 0, [], [], []) for k in range(3, dim + 1)]
+    degrees += [DegreeData(k, dim, 0, [], [], list) for k in range(3, dim + 1)]
     groups = GradedCohomology(dim, names, degrees)
     return CohomologyRing(groups, top_degree=2)
 
@@ -477,10 +478,3 @@ def ring_from_preset(preset_id, **params) -> CohomologyRing:
         return surface_ring(params["g"])
     raise ValueError(f"unknown preset {preset_id!r}")
 
-
-def coboundary(ring: CohomologyRing, c: Cochain) -> Cochain:
-    """Differential of a cochain in the ring's complex (zero for direct
-    presets); handy for wedging-coboundary well-definedness checks."""
-    if ring.lie is None:
-        return Cochain.zero(ring.cohomology.dim, c.degree + 1)
-    return ce_differential(c, ring.lie)

@@ -1,19 +1,16 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are plain lists of row lists.  The Smith normal form eliminates
-on the matrix alone and logs its row and column operations.  Each of the
-unimodular transforms and their inverses, which the cohomology engine
-needs to read off torsion, representatives and reduction maps, is
-replayed from those logs the first time a caller reads it.  Pivots are
-chosen by minimal absolute value to keep intermediate entries small.  On
-the sparse differentials of the dim-9 2-step presentation
-``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``,
-eliminating the 126x126 d_4 takes about 0.027 s and the 126x84 d_3 about
-0.006 s; with V and the columns of V^{-1} read, as ``kernel_transform``
-does, 0.050 s and 0.013 s (median of 7, three runs, Python 3.11, 2-core
-Xeon).  Keeping all four transforms current through the elimination took
-0.079 s and 0.024 s, and reading all four from the logs takes about as
-long.
+on the matrix alone and logs its row and column operations; a caller
+replays from those logs just the rows or columns of the transforms it
+reads.  Pivots are chosen by minimal absolute value to keep intermediate
+entries small.  On the d_4 (126x126, rank 54) of the dim-9 2-step
+presentation ``two_step_presentation(random.Random(88), 9, 3, 2)`` of
+``bench/jobs.py``, eliminating takes about 0.04 s; reading the 72 rows of
+V and columns of V^{-1} that ``kernel_transform`` returns takes 0.011 to
+0.015 s, where replaying both whole took 0.028 to 0.038 s, and all four
+whole transforms take 0.05 to 0.06 s (medians of 9, two runs, Python
+3.11, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -57,10 +54,9 @@ class SmithDecomposition:
     ``uinv`` and ``vinv`` are the exact integer inverses of U and V.  The
     elimination works on D alone and logs each row operation (swap, add,
     negate) in ``row_ops`` and each column operation (swap, add) in
-    ``col_ops``.  Each of the four transforms is built the first time it
-    is read, by replaying its side's log on an identity matrix, and is
-    then kept; a caller that reads two of them pays for those two only.
-    ``rank`` is the number of nonzero diagonal entries.
+    ``col_ops``.  ``read`` replays a log on just the rows or columns asked
+    for; each whole transform is read the same way when first asked for,
+    and is then kept.  ``rank`` is the number of nonzero diagonal entries.
     """
 
     d: list
@@ -75,57 +71,73 @@ class SmithDecomposition:
 
     # A row op B <- E B keeps A = U B V when U <- U E^{-1}, and a column
     # op B <- B F when V <- F^{-1} V.  So U^{-1} = E_k ... E_1 is the row
-    # log replayed on I, and U^T the same with each E as E^{-T}.  The
+    # log multiplied out, and U^T the same with each E as E^{-T}.  The
     # transpose of a logged column op is the row op with the same
-    # (src, dst, q), so the column log replayed gives V^{-T}, and with
-    # each op as its E^{-T} it gives V.
+    # (src, dst, q), so the column log multiplied out gives V^{-T}, and
+    # with each op as its E^{-T} it gives V.
+    def read(self, name, idx):
+        """Rows idx of ``uinv`` or ``v``, or columns idx of ``u`` or ``vinv``
+        as lists; sliced from the whole transform once that has been read."""
+        whole = vars(self).get(name)
+        if whole is not None:
+            vectors = whole if name in ("uinv", "v") else _transpose(whole)
+            return [list(vectors[i]) for i in idx]
+        ops, n = (self.row_ops, len(self.d)) if name[0] == "u" else (self.col_ops, self._ncols)
+        if not ops:         # an empty log, as for a zero matrix, is the identity
+            eye = identity(n)
+            return [eye[i] for i in idx]
+        return _transpose(_replay(ops, n, idx, name in ("u", "v")))
+
+    # the replay holds its vectors as columns, so U and V^{-1} come out whole
     @cached_property
     def uinv(self):
-        return _replay(len(self.d), self.row_ops, False)
+        return self.read("uinv", range(len(self.d)))
 
     @cached_property
     def u(self):
-        return _transpose(_replay(len(self.d), self.row_ops, True))
+        return _replay(self.row_ops, len(self.d), range(len(self.d)), True)
 
     @cached_property
     def v(self):
-        return _replay(self._ncols, self.col_ops, True)
+        return self.read("v", range(self._ncols))
 
     @cached_property
     def vinv(self):
-        return _transpose(self._vinv_columns)
-
-    @cached_property
-    def _vinv_columns(self):
-        """The columns of V^{-1}, as rows."""
-        return _replay(self._ncols, self.col_ops, False)
+        return _replay(self.col_ops, self._ncols, range(self._ncols), False)
 
     @property
     def _ncols(self):
         return len(self.d[0]) if self.d else 0
 
 
-def _replay(n, ops, inverse):
-    """The identity of order n after the logged operations, in order, as
-    row operations: ``("add", src, dst, q)`` adds q times row src to row
-    dst, ``("swap", i, j)`` and ``("neg", i)`` do what they say.  With
-    ``inverse`` each operation E is replaced by E^{-T}: an add becomes
-    row src -= q row dst, and swaps and negations stay as they are."""
-    r = identity(n)
-    for op in ops:
+def _replay(ops, n, idx, inverse):
+    """Rows idx of E_k ... E_1 for the logged row operations (E^{-T} for E
+    under ``inverse``), as the columns of an n x len(idx) matrix.  Row i
+    is e_i^T E_k ... E_1, so the ops run last first, on all the vectors at
+    once: ("add", src, dst, q) as x[src] += q x[dst] (x[dst] -= q x[src]
+    for E^{-T}), skipped while the entry it reads is zero in every one.
+    A position that is zero in every vector is one shared tuple."""
+    w = len(idx)
+    zero = (0,) * w         # shared by every position no vector has reached
+    held = [zero] * n
+    for c, i in enumerate(idx):
+        if held[i] is zero:
+            held[i] = [0] * w
+        held[i][c] = 1
+    for op in reversed(ops):
         kind = op[0]
         if kind == "add":
             _, src, dst, q = op
             if inverse:
                 src, dst, q = dst, src, -q
-            r[dst] = [x + q * y for x, y in zip(r[dst], r[src])]
+            if held[dst] is not zero:
+                held[src] = [a + q * b for a, b in zip(held[src], held[dst])]
         elif kind == "swap":
             _, i, j = op
-            r[i], r[j] = r[j], r[i]
-        else:
-            i = op[1]
-            r[i] = [-x for x in r[i]]
-    return r
+            held[i], held[j] = held[j], held[i]
+        elif held[op[1]] is not zero:           # ("neg", i)
+            held[op[1]] = [-a for a in held[op[1]]]
+    return held
 
 
 def _transpose(rows):
@@ -250,21 +262,19 @@ def smith_normal_form(a) -> SmithDecomposition:
 def kernel_transform(a, ncols=None):
     """Kernel basis of A together with the rows that read coordinates in it.
 
-    Returns ``(basis, coords, checks)``.  With A = U D V and r = rank,
-    ``basis`` is the columns r.. of V^{-1}: a saturated basis of ker(A)
-    in Z^m.  Since V V^{-1} = I, the rows ``coords`` (rows r.. of V) send
-    a kernel vector to its coordinates in ``basis``, and a vector lies in
-    the rational kernel exactly when the rows ``checks`` (rows ..r of V)
-    all vanish on it.
+    Returns ``(basis, coords)``.  With A = U D V and r = rank, ``basis``
+    is the columns r.. of V^{-1}: a saturated basis of ker(A) in Z^m.
+    Since V V^{-1} = I, the rows ``coords`` (rows r.. of V) send a kernel
+    vector to its coordinates in ``basis``.  Only those rows and columns
+    are replayed.
     """
-    if not a or not a[0]:
-        m = ncols if ncols is not None else (len(a[0]) if a else 0)
-        eye = identity(m)
-        return eye, eye, []
+    if not a:
+        eye = identity(ncols or 0)
+        return eye, eye
     snf = smith_normal_form(a)
-    r = snf.rank
     # A (Vinv e_j) = U D e_j = 0 for j >= rank
-    return snf._vinv_columns[r:], snf.v[r:], snf.v[:r]
+    idx = range(snf.rank, len(a[0]))
+    return snf.read("vinv", idx), snf.read("v", idx)
 
 
 def kernel_basis(a, ncols=None):
@@ -355,31 +365,13 @@ def solve_in_lattice(cols, target, n):
     Returns the coefficient list, or None if target is not in the lattice.
     Rational targets are supported (rational coefficients come back).
     """
-    k = len(cols)
-    if k == 0:
-        return [] if all(x == 0 for x in target) else None
-    a = [[cols[j][i] for j in range(k)] for i in range(n)]
-    snf = smith_normal_form(a)
-    if snf.rank < k:
-        raise ValueError("lattice generators are dependent")
-    rhs = mat_vec(snf.uinv, list(target))
-    y = []
-    for i in range(n):
-        di = snf.d[i][i] if i < k else 0
-        if i < k:
-            val = Fraction(rhs[i], di)
-            if isinstance(target[0], int) and all(isinstance(x, int) for x in target):
-                if rhs[i] % di:
-                    return None
-                val = rhs[i] // di
-            y.append(val)
-        elif rhs[i] != 0:
-            return None
-    coords = mat_vec(snf.vinv, y)
-    if any(isinstance(c, Fraction) and c.denominator != 1 for c in coords):
-        # rational but not integral coordinates: in the Q-span only
-        return coords
-    return [int(c) for c in coords]
+    coords = mat_vec(rational_solver(cols, n), target)
+    if any(sum(c[i] * x for c, x in zip(cols, coords)) != target[i] for i in range(n)):
+        return None         # outside the rational span
+    if all(c.denominator == 1 for c in coords):
+        return [int(c) for c in coords]
+    # rational coordinates: in the Q-span only
+    return None if all(isinstance(x, int) for x in target) else coords
 
 
 def rational_solver(cols, n):
@@ -389,19 +381,14 @@ def rational_solver(cols, n):
     Returns a k x n matrix of Fractions.
     """
     k = len(cols)
-    if k == 0:
-        return []
     a = [[cols[j][i] for j in range(k)] for i in range(n)]
     snf = smith_normal_form(a)
     if snf.rank < k:
         raise ValueError("columns are dependent")
-    # x = U D V coords  =>  coords = Vinv D^+ Uinv x
-    s = [[Fraction(0)] * n for _ in range(k)]
-    for i in range(k):
-        di = snf.d[i][i]
-        for j in range(n):
-            if snf.uinv[i][j]:
-                s[i][j] = Fraction(snf.uinv[i][j], di)
+    # x = U D V coords  =>  coords = Vinv D^+ Uinv x, and D^+ reads only
+    # the first k rows of Uinv
+    d = snf.diagonal
+    s = [[Fraction(x, d[i]) for x in row] for i, row in enumerate(snf.read("uinv", range(k)))]
     return mat_mul_frac(snf.vinv, s)
 
 

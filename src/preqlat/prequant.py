@@ -22,9 +22,17 @@ from .cohomring import CohomClass, CohomologyRing
 from .exact import ExactScalar
 
 
+def _integral(coords, what):
+    """The coordinates as ints; ValueError names the first that is not."""
+    for i, x in enumerate(coords):
+        if x.denominator != 1:
+            raise ValueError(f"{what} is not integral: free coordinate {i} is {x}")
+    return tuple(int(x) for x in coords)
+
+
 @dataclass(frozen=True)
 class SymplecticClass:
-    """Free H^2 coordinates of an integral symplectic class on a
+    """Free H^2 coordinates, as ints, of an integral symplectic class on a
     2n-dimensional preset."""
 
     free: tuple
@@ -34,7 +42,7 @@ class SymplecticClass:
 @dataclass(frozen=True)
 class EulerClass:
     """H^2 coordinates of a bundle's Euler class: the symplectic free
-    part plus a choice of torsion part."""
+    part, as ints, plus a choice of torsion part."""
 
     free: tuple
     torsion: tuple
@@ -66,13 +74,13 @@ class IntegrableLattice:
 
 
 def symplectic_from_cochain(ring: CohomologyRing, omega: Cochain) -> SymplecticClass:
-    """Reduce an explicit degree-two cocycle to its symplectic class."""
+    """Reduce an explicit degree-two cocycle to its integral symplectic class."""
     cls = ring.reduce(omega)
     if any(cls.torsion):
         raise ValueError("symplectic cochain reduces with a torsion component")
     if ring.top_degree % 2:
         raise ValueError("preset has odd top degree")
-    return SymplecticClass(cls.free, ring.top_degree // 2)
+    return SymplecticClass(_integral(cls.free, "symplectic class"), ring.top_degree // 2)
 
 
 def liouville_volume(ring: CohomologyRing, omega: SymplecticClass) -> Fraction:
@@ -104,8 +112,9 @@ def gysin_kernel(ring: CohomologyRing, e: EulerClass):
     The cup lands in free coordinates and torsion coordinates; a class is
     in the kernel iff the free coordinates vanish and each torsion
     coordinate vanishes modulo its invariant factor.  The basis comes
-    back in column Hermite normal form.
+    back in column Hermite normal form.  A non-integral class raises.
     """
+    _integral(e.free, "Euler class")
     b1 = ring.betti(1)
     if b1 == 0:
         return []

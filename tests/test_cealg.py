@@ -17,6 +17,7 @@ from preqlat.cealg import (
     ce_differential,
     complex_matrices,
     heisenberg_times_line,
+    render_terms,
     validate_presentation,
     wedge,
 )
@@ -463,5 +464,13 @@ def test_presentation_bracket_antisymmetry():
 
 
 def test_cochain_render():
-    c = Cochain(4, 2, {(0, 1): 2, (2, 3): -1})
-    assert c.render(("x", "p", "z", "h")) == "2*x*^p* - z*^h*"
+    """A cochain and its integer terms render alike, whether a coefficient
+    is an int or the equal Fraction."""
+    names = ("x", "p", "z", "h")
+    c = Cochain(4, 2, {(0, 1): 2, (0, 2): Fraction(1, 3), (1, 3): 1, (2, 3): -1})
+    assert c.render(names) == "2*x*^p* + 1/3*x*^z* + p*^h* - z*^h*"
+    for terms in ([((0, 1), 2), ((2, 3), -1)], [((0, 1), Fraction(2)), ((2, 3), Fraction(-1))]):
+        assert render_terms(terms, names) == "2*x*^p* - z*^h*"
+        assert render_terms(terms, names, star="") == "2*x^p - z^h"
+    assert render_terms([], names) == Cochain.zero(4, 2).render(names) == "0"
+    assert render_terms([((), 1)], names) == "1"      # the unit of H^0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -516,3 +517,176 @@ PINNED_TEXT_REPORTS = [
 def test_text_report_pinned(argv, expected, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+# -- integral classes only ----------------------------------------------------------
+
+def test_lattice_rejects_half_integral_omega(capsys):
+    """(1/2) e12 + e34 on T^4 is not integral: no prequantum bundle."""
+    argv = ["lattice", "--preset", "torus", "--m", "4", "--omega", "1/2e12+e34"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: prequant: symplectic class is not integral: free coordinate 0 is 1/2\n")
+
+
+def _omega_spec(terms):
+    return "".join(f"{'-' if num < 0 else '+'}{abs(num)}/{den}e{i + 1}{j + 1}"
+                   for (i, j), num, den in terms).lstrip("+")
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_rational_omega_on_tori(m, capsys):
+    """Seeded rational classes on T^m: a class with a non-integer
+    coordinate exits 2 and names the first one (torus coordinates follow
+    the pairs in order); an integral class spelled with fractions gets
+    the report of its integer spelling."""
+    rng = random.Random(f"rational-omega:{m}")
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    standard = [(i, i + 1) for i in range(0, m, 2)]
+    seen = {"odd": 0, "kept": 0}
+    for _ in range(8):
+        # positive on the standard pairs, plus at most one more pair: a
+        # perfect matching that uses it needs a second non-standard pair,
+        # so the Pfaffian, and with it the volume, stays positive
+        chosen = sorted(set(standard + rng.sample(pairs, rng.randint(0, 1))))
+        odd_class = rng.random() < 0.5
+        terms = []
+        for pair in chosen:
+            k = rng.choice((1, 2, 3)) if pair in standard else rng.choice((-2, -1, 1, 2))
+            den = rng.choice((1, 2, 3))
+            num = k * den
+            if odd_class and (pair == chosen[-1] or rng.random() < 0.5):
+                den = rng.choice((2, 3))
+                num = k * den + rng.choice((1, -1))
+            terms.append((pair, num, den))
+        argv = ["lattice", "--preset", "torus", "--m", str(m), "--format", "json"]
+        code = main(argv + [f"--omega={_omega_spec(terms)}"])
+        out, err = capsys.readouterr()
+        odd = [(pairs.index(pair), Fraction(num, den)) for pair, num, den in terms
+               if num % den]
+        if odd:
+            t, value = odd[0]
+            assert code == 2
+            assert err == ("error: prequant: symplectic class is not integral: "
+                           f"free coordinate {t} is {value}\n")
+            seen["odd"] += 1
+            continue
+        integer_spec = _omega_spec([(pair, num // den, 1) for pair, num, den in terms])
+        want_code = main(argv + [f"--omega={integer_spec}"])
+        want_out, want_err = capsys.readouterr()
+        assert code == want_code == 0 and err == want_err == ""
+        got, want = json.loads(out), json.loads(want_out)
+        assert got["lattice"] == want["lattice"] and got["volume"] == want["volume"]
+        seen["kept"] += 1
+    assert seen["odd"] and seen["kept"]
+
+
+def test_prequant_boundary_needs_integral_classes():
+    from preqlat.cealg import Cochain
+    from preqlat.cohomring import torus_ring
+    from preqlat.prequant import EulerClass, gysin_kernel, symplectic_from_cochain
+
+    ring = torus_ring(4)
+    with pytest.raises(ValueError, match="symplectic class is not integral: free coordinate 5 is 3/2"):
+        symplectic_from_cochain(ring, Cochain(4, 2, {(0, 1): 1, (2, 3): Fraction(3, 2)}))
+    omega = symplectic_from_cochain(ring, Cochain(4, 2, {(0, 1): Fraction(4, 2), (2, 3): 1}))
+    assert omega.free == (2, 0, 0, 0, 0, 1) and all(type(x) is int for x in omega.free)
+    free = (Fraction(1, 2),) + (0,) * 4 + (1,)
+    with pytest.raises(ValueError, match="Euler class is not integral: free coordinate 0 is 1/2"):
+        gysin_kernel(ring, EulerClass(free, ()))
+
+
+# -- strict numeric input -------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, msg",
+    [
+        (["--a", "1e4000"], "no exponent notation"),
+        (["--a", "1E3"], "no exponent notation"),
+        (["--b", "1" * 31], "more than 30 digits"),
+        (["--a", "1/" + "7" * 31], "more than 30 digits"),
+    ],
+    ids=["exponent", "exponent-upper", "long-numerator", "long-denominator"],
+)
+def test_rational_flags_strict(argv, msg, capsys):
+    full = ["lattice", "--preset", "thurston", *argv]
+    with pytest.raises(InputError, match=msg):
+        parse_job(full)
+    assert main(full) == 2
+    job = parse_job(["lattice", "--preset", "thurston", "--b", "9" * 30])
+    assert job.params["b"] == 10 ** 30 - 1
+
+
+def _write_presentation(tmp_path, data):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+HEIS3 = {"dim": 3, "basis": ["x", "y", "z"], "brackets": [{"i": 1, "j": 2, "c": {"3": "1"}}]}
+
+
+@pytest.mark.parametrize(
+    "change, msg",
+    [
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3": "1e4000"}}]}, "no exponent notation"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3": "1e999999"}}]}, "no exponent notation"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3": "2" * 31}}]}, "more than 30 digits"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3": "1"}}, {"i": 1, "j": 2, "c": {"3": "2"}}]},
+         r"repeated bracket \(1, 2\)"),
+        ({"basis": ["x", "y", "x"]}, "repeated basis name"),
+        ({"dim": "3"}, "must be JSON integers"),
+        ({"dim": True}, "must be JSON integers"),
+        ({"dim": 3.0}, "must be JSON integers"),
+        ({"brackets": [{"i": "1", "j": 2, "c": {"3": "1"}}]}, "must be JSON integers"),
+        ({"brackets": [{"i": 1, "j": True, "c": {"3": "1"}}]}, "must be JSON integers"),
+        ({"brackets": [{"i": 1, "j": 2.0, "c": {"3": "1"}}]}, "must be JSON integers"),
+    ],
+    ids=["exponent", "huge-exponent", "long-coefficient", "repeated-bracket",
+         "repeated-name", "dim-string", "dim-bool", "dim-float", "index-string",
+         "index-bool", "index-float"],
+)
+def test_presentation_input_strict(change, msg, tmp_path, capsys):
+    path = _write_presentation(tmp_path, {**HEIS3, **change})
+    with pytest.raises(InputError, match=msg):
+        load_presentation(path)
+    assert main(["cohomology", "--input", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["cohomology", "--input", _write_presentation(tmp_path, HEIS3)]) == 0
+
+
+# -- byte identity of the cohomology workload ------------------------------------------
+
+# SHA-256 over the JSON reports (timestamp removed, input path cut to its
+# file name) of the 33 seed-1 jobs of the benchmark's cohomology workload,
+# in job order.  Rewrites of the engine that keep the representatives
+# must keep it.
+PINNED_WORKLOAD_SHA256 = "66530efb5918902b955819af29c9daa67f9837c0432285f35019ca08aa6fe271"
+
+
+def _bench_jobs_module():
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "jobs.py")
+    spec = importlib.util.spec_from_file_location("preqlat_bench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cohomology_workload_digest_pinned(tmp_path, capsys):
+    import os
+
+    jobs = _bench_jobs_module().make_jobs("cohomology", 1, str(tmp_path))
+    assert len(jobs) == 33
+    digest = hashlib.sha256()
+    for job in jobs:
+        assert main(list(job["argv"]) + ["--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("timestamp")
+        if "input" in report["job"]:
+            report["job"]["input"] = os.path.basename(report["job"]["input"])
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_WORKLOAD_SHA256

@@ -21,7 +21,6 @@ from preqlat.cealg import (
 )
 from preqlat.cohomring import (
     CohomClass,
-    coboundary,
     integral_cohomology,
     nilmanifold_ring,
     ring_from_preset,
@@ -30,7 +29,7 @@ from preqlat.cohomring import (
 )
 from preqlat.combinat import degree_tuples
 
-from util import det, rational_rank, two_step_presentation
+from util import det, eager_reduce_rows, rational_rank, two_step_presentation
 
 
 def heis_ring(r):
@@ -478,14 +477,6 @@ def test_betti_against_rank_oracle_and_dim8_speed():
     assert bettis == bettis[::-1]  # free parts pair across the orientation
 
 
-def test_coboundary_helper():
-    ring = heis_ring(2)
-    c = Cochain.basis(4, (3,))
-    assert coboundary(ring, c).coeffs == {(0, 1): -2}
-    sring = surface_ring(2)
-    assert coboundary(sring, Cochain.basis(4, (0,))).is_zero()
-
-
 # -- dense reference for the support-sparse class arithmetic --------------------
 
 def dense_reduce(ring, mats, c):
@@ -628,3 +619,65 @@ def test_sparse_cup_matches_dense_reference(index):
                 ru, rv = dense_representative(ring, u), dense_representative(ring, v)
                 assert ring.representative(u) == ru
                 assert ring.cup(u, v) == dense_reduce(ring, mats, wedge(ru, rv))
+
+
+# -- reduction rows on demand ----------------------------------------------------
+
+LAZY_ORACLE_RINGS = {
+    **ORACLE_RINGS,
+    **{name: make for name, make in INTEGER_FORM_RINGS.items() if name.startswith("two-step")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_ORACLE_RINGS))
+def test_lazy_reduce_rows_match_eager_formula(name):
+    """Reduction rows built on first read, top degree first, equal the rows
+    the eager engine formed with each degree; a surface keeps its
+    installed tables."""
+    ring = LAZY_ORACLE_RINGS[name]()
+    groups = ring.cohomology
+    dim = groups.dim
+    if ring.lie is None:
+        g = groups.betti(1) // 2
+        assert groups.data(0).reduce_rows == [[1]]
+        assert groups.data(1).reduce_rows == [[int(i == j) for j in range(dim)]
+                                              for i in range(2 * g)]
+        pairs = [(i, g + i) for i in range(g)] or [(0, 1)]
+        assert groups.data(2).reduce_rows == [[int(t in pairs)
+                                               for t in degree_tuples(dim, 2)]]
+        assert all(groups.data(k).reduce_rows == [] for k in range(3, dim + 1))
+        return
+    mats = complex_matrices(ring.lie)
+    for k in reversed(range(dim + 1)):
+        assert groups.data(k).reduce_rows == eager_reduce_rows(mats, k), k
+
+
+def test_cohomology_job_builds_only_top_reduce_rows(monkeypatch, tmp_path):
+    """A cohomology job reduces only the top monomial (the orientation
+    check): after its report, no lower degree has built reduction rows."""
+    import json
+
+    from preqlat import cli
+
+    lie = two_step_presentation("7-2", 7, 2, 3, 0.5)
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({
+        "dim": lie.dim,
+        "basis": list(lie.basis_names),
+        "brackets": [{"i": i + 1, "j": j + 1, "c": {str(k + 1): str(c) for k, c in comps.items()}}
+                     for (i, j), comps in sorted(lie.structure.items())],
+    }))
+    rings = []
+
+    def keep(lie):
+        rings.append(nilmanifold_ring(lie))
+        return rings[-1]
+
+    monkeypatch.setattr(cli, "nilmanifold_ring", keep)
+    for argv in (["--preset", "thurston", "--r", "6"], ["--input", str(path)]):
+        report, code = cli.run(cli.parse_job(["cohomology", *argv]))
+        assert code == 0 and report["cohomology"]
+    assert [ring.cohomology.dim for ring in rings] == [4, 7]
+    for ring in rings:
+        built = ["reduce_rows" in vars(dd) for dd in ring.cohomology.degrees]
+        assert built == [False] * ring.top_degree + [True]

@@ -1,6 +1,7 @@
 """Shared generators, float evaluation, the float-grid quadrature oracle,
-the full-scan Smith normal form oracle, the Bareiss determinant, the
-rational rank and the Fraction validation oracle.
+the full-scan Smith normal form oracle, the eager reduction-row oracle,
+the Bareiss determinant, the rational rank and the Fraction validation
+oracle.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from preqlat.cealg import LieAlgebraPresentation, ValidationReport
 from preqlat.exact import ExactScalar
-from preqlat.intlinalg import identity
+from preqlat.intlinalg import column_style_hermite, echelon_coords, identity, mat_mul, mat_vec
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
 
 
@@ -273,6 +274,52 @@ def full_scan_smith_normal_form(a) -> FullScanSmith:
 
     rank = sum(1 for i in range(size) if b[i][i])
     return FullScanSmith(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
+
+
+# Reference reduction rows: the whole formula of the eager engine, which
+# built every degree's rows with the degree from the full transforms.
+# Here the transforms come from the full-scan oracle, so the oracle shares
+# neither the operation-log replay nor the laziness of cohomring.
+def eager_reduce_rows(mats, k):
+    """Reduction rows of degree k of the complex with differentials
+    ``mats`` (d_0, ..., d_{m-1}): one integer row per class, free classes
+    (in the Hermite basis of their representatives) first, then torsion
+    classes (each representative's first nonzero entry positive)."""
+    d_k = mats[k] if k < len(mats) else []
+    n_k = len(d_k[0]) if d_k else len(mats[k - 1])
+    if d_k:
+        ker = full_scan_smith_normal_form(d_k)
+        kercols = [list(c) for c in zip(*ker.vinv)][ker.rank:]
+        coord_rows = ker.v[ker.rank:]
+    else:
+        kercols = coord_rows = identity(n_k)
+    s = len(kercols)
+    if s == 0:
+        return []
+    prev = [list(c) for c in zip(*mats[k - 1]) if any(c)] if k >= 1 else []
+    x_cols = [mat_vec(coord_rows, c) for c in prev]
+    if x_cols:
+        x = full_scan_smith_normal_form([[c[i] for c in x_cols] for i in range(s)])
+        diag = [x.d[i][i] for i in range(min(s, len(x_cols)))]
+        diag += [0] * (s - len(diag))
+        u, uinv = x.u, x.uinv
+    else:
+        diag, u, uinv = [0] * s, identity(s), identity(s)
+
+    def rep_col(i):
+        return [sum(u[j][i] * kercols[j][row] for j in range(s)) for row in range(n_k)]
+
+    free_idx = [i for i in range(s) if diag[i] == 0]
+    cols = [rep_col(i) for i in free_idx]
+    rows = [uinv[i] for i in free_idx]
+    if cols:
+        hnf = column_style_hermite(cols, n_k)
+        t_inv_cols = echelon_coords(hnf, cols)
+        rows = mat_mul([[c[i] for c in t_inv_cols] for i in range(len(hnf))], rows)
+    for i in (i for i in range(s) if diag[i] > 1):
+        sign = -1 if next(x for x in rep_col(i) if x) < 0 else 1
+        rows.append([sign * x for x in uinv[i]])
+    return mat_mul(rows, coord_rows)
 
 
 def det(a):
