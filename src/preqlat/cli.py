@@ -186,10 +186,10 @@ def _load_suite_descriptor(path):
         out["suites"] = [str(s) for s in data["suites"]]
     for key in ("trials", "seed"):
         if key in data:
-            try:
-                out[key] = int(data[key])
-            except (TypeError, ValueError):
+            # a JSON integer only: not a float, and not a bool (an int subclass)
+            if type(data[key]) is not int:
                 raise InputError(f"descriptor {key!r} must be an integer")
+            out[key] = data[key]
     return out
 
 

@@ -22,6 +22,15 @@ columns of d_k from when it is built, and derives on first use the
 position of every basis tuple and the sparse columns of the reduction
 map; closedness and reduction then touch only the columns in the
 support, and a cup product wedges the representatives' terms directly.
+
+What stays dense is the interface to ``intlinalg``: d_k arrives as dense
+integer rows, and so does each degree's second-stage matrix (the
+coboundaries in kernel coordinates, written straight into its rows from
+the sparse columns of d_{k-1}), which the Smith form turns into sparse
+rows to eliminate; the kernel basis, the coordinate rows and the columns
+of U read off its transforms are dense vectors, as are the representative
+columns the Hermite form takes (it reduces them as sparse columns) and
+the reduction rows.
 """
 
 from __future__ import annotations
@@ -247,25 +256,24 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
     if s == 0:
         return DegreeData(k, dim, 0, [], [], list, d_cols)
 
-    # coboundary image in kernel coordinates, read off the sparse columns of
-    # the coordinate rows: one pass over the entries in the rows of the
-    # coboundary's support.  The columns lie in the kernel (the complex was
+    # coboundary image in kernel coordinates, one column per coboundary
+    # column, written straight into the s rows of the matrix the Smith form
+    # takes: one pass over the entries of the coordinate rows in the rows of
+    # each column's support.  The columns lie in the kernel (the complex was
     # checked), and the coordinates are integral because the kernel lattice
     # is saturated.
     coord_cols = [[(t, x) for t, x in enumerate(col) if x] for col in zip(*coord_rows)]
-    x_cols = []
-    for col in prev_cols:
-        acc = [0] * s
+    x_rows = [[0] * len(prev_cols) for _ in range(s)]
+    for c, col in enumerate(prev_cols):
         for i, x in col:
             for t, v in coord_cols[i]:
-                acc[t] += v * x
-        x_cols.append(acc)
+                x_rows[t][c] += v * x
 
-    if x_cols:
-        snf = lin.smith_normal_form([[c[i] for c in x_cols] for i in range(s)])
+    if prev_cols:
+        snf = lin.smith_normal_form(x_rows)
     else:
         # the s x 0 matrix is its own Smith form, with identity transforms
-        snf = lin.SmithDecomposition([[] for _ in range(s)], 0, [], [])
+        snf = lin.SmithDecomposition([], (s, 0), 0, [], [])
     diag = snf.diagonal + [0] * (s - len(snf.diagonal))
     free_idx = [i for i in range(s) if diag[i] == 0]
     tors_idx = [i for i in range(s) if diag[i] > 1]

@@ -1,16 +1,20 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are plain lists of row lists.  The Smith normal form eliminates
-on the matrix alone and logs its row and column operations; a caller
-replays from those logs just the rows or columns of the transforms it
-reads.  Pivots are chosen by minimal absolute value to keep intermediate
-entries small.  On the d_4 (126x126, rank 54) of the dim-9 2-step
-presentation ``two_step_presentation(random.Random(88), 9, 3, 2)`` of
-``bench/jobs.py``, eliminating takes about 0.04 s; reading the 72 rows of
-V and columns of V^{-1} that ``kernel_transform`` returns takes 0.011 to
-0.015 s, where replaying both whole took 0.028 to 0.038 s, and all four
-whole transforms take 0.05 to 0.06 s (medians of 9, two runs, Python
-3.11, 2-core Xeon).
+Matrices are plain lists of row lists at the interface.  The Smith normal
+form eliminates on sparse rows, one ``{column: entry}`` dict per row with
+one set per column of the rows that hold an entry there, so each row or
+column operation costs the nonzero entries it touches.  It logs its row
+and column operations, and a caller replays from those logs just the rows
+or columns of the transforms it reads.  Pivots are chosen by minimal
+absolute value, first in row-major order, to keep intermediate entries
+small.  The column Hermite normal form works on sparse columns in the
+same way.  The d_4 of the dim-9 2-step presentation
+``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``
+is 126 x 126 with 800 nonzero entries and rank 54: eliminating it takes
+0.010 to 0.011 s, where the dense elimination took 0.028 s; reading the
+72 rows of V and columns of V^{-1} that ``kernel_transform`` returns
+takes 0.008 to 0.009 s, and all four whole transforms 0.041 to 0.048 s
+(medians of 9, two runs, Python 3.11, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 
 
 def identity(n):
@@ -51,23 +56,29 @@ def mat_vec(a, v):
 class SmithDecomposition:
     """A = U @ D @ V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    ``uinv`` and ``vinv`` are the exact integer inverses of U and V.  The
-    elimination works on D alone and logs each row operation (swap, add,
-    negate) in ``row_ops`` and each column operation (swap, add) in
-    ``col_ops``.  ``read`` replays a log on just the rows or columns asked
-    for; each whole transform is read the same way when first asked for,
-    and is then kept.  ``rank`` is the number of nonzero diagonal entries.
+    ``diagonal`` holds the min(n, m) diagonal entries of the n x m matrix
+    D, which ``d`` lays out as a dense matrix when first read.  ``uinv``
+    and ``vinv`` are the exact integer inverses of U and V.  The
+    elimination logs each row operation (swap, add, negate) in
+    ``row_ops`` and each column operation (swap, add) in ``col_ops``.
+    ``read`` replays a log on just the rows or columns asked for; each
+    whole transform is read the same way when first asked for, and is
+    then kept.  ``rank`` is the number of nonzero diagonal entries.
     """
 
-    d: list
+    diagonal: list
+    shape: tuple
     rank: int
     row_ops: list
     col_ops: list
 
-    @property
-    def diagonal(self):
-        n = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return [self.d[i][i] for i in range(n)]
+    @cached_property
+    def d(self):
+        n, m = self.shape
+        d = [[0] * m for _ in range(n)]
+        for i, x in enumerate(self.diagonal):
+            d[i][i] = x
+        return d
 
     # A row op B <- E B keeps A = U B V when U <- U E^{-1}, and a column
     # op B <- B F when V <- F^{-1} V.  So U^{-1} = E_k ... E_1 is the row
@@ -82,7 +93,7 @@ class SmithDecomposition:
         if whole is not None:
             vectors = whole if name in ("uinv", "v") else _transpose(whole)
             return [list(vectors[i]) for i in idx]
-        ops, n = (self.row_ops, len(self.d)) if name[0] == "u" else (self.col_ops, self._ncols)
+        ops, n = (self.row_ops, self.shape[0]) if name[0] == "u" else (self.col_ops, self.shape[1])
         if not ops:         # an empty log, as for a zero matrix, is the identity
             eye = identity(n)
             return [eye[i] for i in idx]
@@ -91,23 +102,19 @@ class SmithDecomposition:
     # the replay holds its vectors as columns, so U and V^{-1} come out whole
     @cached_property
     def uinv(self):
-        return self.read("uinv", range(len(self.d)))
+        return self.read("uinv", range(self.shape[0]))
 
     @cached_property
     def u(self):
-        return _replay(self.row_ops, len(self.d), range(len(self.d)), True)
+        return _replay(self.row_ops, self.shape[0], range(self.shape[0]), True)
 
     @cached_property
     def v(self):
-        return self.read("v", range(self._ncols))
+        return self.read("v", range(self.shape[1]))
 
     @cached_property
     def vinv(self):
-        return _replay(self.col_ops, self._ncols, range(self._ncols), False)
-
-    @property
-    def _ncols(self):
-        return len(self.d[0]) if self.d else 0
+        return _replay(self.col_ops, self.shape[1], range(self.shape[1]), False)
 
 
 def _replay(ops, n, idx, inverse):
@@ -144,70 +151,118 @@ def _transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def _least_entry(b, t, n, m):
-    """Position of the first entry of least nonzero |x| in the block
-    b[t:, t:], in row-major order, or None if the block is zero.  No entry
-    undercuts a unit, so the scan returns at the first one."""
-    pivot, least = None, 0
-    for i in range(t, n):
-        row = b[i]
-        for j in range(t, m):
-            x = row[j]
-            if x and (not least or abs(x) < least):
-                pivot, least = (i, j), abs(x)
-                if least == 1:
-                    return pivot
-    return pivot
-
-
 def smith_normal_form(a) -> SmithDecomposition:
     """Smith normal form of an integer matrix, with transforms.
 
+    ``a`` is a list of dense rows and is left unchanged.  The elimination
+    runs on sparse rows, ``{column: entry}`` dicts of the nonzero entries,
+    next to one set per column of the rows that hold an entry there: a
+    row operation touches the source row's entries, a column operation or
+    swap the rows in the columns' sets, and the scan for an entry the
+    pivot does not divide reads nonzero entries only.
+
     Deterministic for a fixed input: the pivot of the trailing block is
-    its first entry of least nonzero |x| in row-major order.  The search
-    stops at the first unit, which no entry undercuts, and a unit pivot
-    skips the scan for an entry it does not divide, since it divides
-    every entry.  Only D is eliminated here; the transforms are replayed
-    from the operation logs when first read.
+    its first entry of least nonzero |x| in row-major order, that is, in
+    the first row holding that |x|, the one in the smallest column.  The
+    search stops at the first row holding a unit, which no entry
+    undercuts, and a unit pivot skips the scan for an entry it does not
+    divide, since it divides every entry.  Only D is eliminated here; the
+    transforms are replayed from the operation logs when first read.
     """
     n = len(a)
     m = len(a[0]) if n else 0
-    b = [list(map(int, row)) for row in a]
+    rows = [{j: v for j, x in enumerate(row) if x and (v := int(x))} if any(row) else {}
+            for row in a]
+    support = [set() for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j in row:
+            support[j].add(i)
     row_ops = []
     col_ops = []
 
     def swap_rows(i, j):
-        b[i], b[j] = b[j], b[i]
+        ri, rj = rows[i], rows[j]
+        for c in ri:
+            if c not in rj:
+                s = support[c]
+                s.discard(i)
+                s.add(j)
+        for c in rj:
+            if c not in ri:
+                s = support[c]
+                s.discard(j)
+                s.add(i)
+        rows[i], rows[j] = rj, ri
         row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
-        for row in b:
-            row[i], row[j] = row[j], row[i]
+        si, sj = support[i], support[j]
+        for r in si | sj:
+            row = rows[r]
+            x = row.pop(i, 0)
+            y = row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        support[i], support[j] = sj, si
         col_ops.append(("swap", i, j))
 
+    # q is never 0 in the two adds below: the pivot is the least |x| of
+    # the block, and an offending row is folded in with q = 1
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
-        if q == 0:
-            return
-        b[dst] = [x + q * y for x, y in zip(b[dst], b[src])]
+        target = rows[dst]
+        for j, y in rows[src].items():
+            x = target.get(j)
+            if x is None:
+                target[j] = q * y
+                support[j].add(dst)
+            elif x + q * y:
+                target[j] = x + q * y
+            else:
+                del target[j]
+                support[j].discard(dst)
         row_ops.append(("add", src, dst, q))
 
-    def add_col(src, dst, q, rows):
+    def add_col(src, dst, q):
         # col[dst] += q * col[src], on the rows where col[src] is nonzero
-        if q == 0:
-            return
-        for row in rows:
-            row[dst] += q * row[src]
+        holders = support[dst]
+        for i in support[src]:
+            row = rows[i]
+            x = row.get(dst)
+            if x is None:
+                row[dst] = q * row[src]
+                holders.add(i)
+            elif x + q * row[src]:
+                row[dst] = x + q * row[src]
+            else:
+                del row[dst]
+                holders.discard(i)
         col_ops.append(("add", src, dst, q))
 
-    def negate_row(i):
-        b[i] = [-x for x in b[i]]
-        row_ops.append(("neg", i))
+    def least_entry(t):
+        # the first row holding the least |x| of rows t.., and in it the
+        # smallest column holding that |x|; None if those rows are empty.
+        # Rows and columns before t hold their diagonal entry alone, so
+        # rows t.. are the whole trailing block.
+        least, at = 0, None
+        for i in range(t, n):
+            row = rows[i]
+            if row:
+                x = min(map(abs, row.values()))
+                if not least or x < least:
+                    least, at = x, i
+                    if x == 1:
+                        break
+        if at is None:
+            return None
+        return at, min(j for j, x in rows[at].items() if x == least or x == -least)
 
     size = min(n, m)
     t = 0
     while t < size:
-        pivot = _least_entry(b, t, n, m)
+        pivot = least_entry(t)
         if pivot is None:
             break
         while True:
@@ -216,47 +271,45 @@ def smith_normal_form(a) -> SmithDecomposition:
                 swap_rows(t, i0)
             if j0 != t:
                 swap_cols(t, j0)
-            p = b[t][t]
+            pivot_row = rows[t]
+            p = pivot_row[t]
             done = True
-            for i in range(t + 1, n):
-                if b[i][t]:
-                    add_row(t, i, -(b[i][t] // p))
-                    if b[i][t]:
+            # each op below changes only the row (column) it adds into, so
+            # the entries left to clear can be listed up front, in order
+            for i in sorted(support[t]):
+                if i != t:
+                    add_row(t, i, -(rows[i][t] // p))
+                    if t in rows[i]:
                         done = False
-            # the column ops below leave column t alone, so its support is
-            # fixed for the rest of the step: the pivot row alone when the
-            # row ops cleared the column, as they do under a unit pivot
-            rows = [row for row in b if row[t]]
-            for j in range(t + 1, m):
-                if b[t][j]:
-                    add_col(t, j, -(b[t][j] // p), rows)
-                    if b[t][j]:
+            # the column ops leave column t alone, so its support is fixed
+            # for the rest of the step: the pivot row alone when the row
+            # ops cleared the column, as they do under a unit pivot
+            for j in sorted(pivot_row):
+                if j != t:
+                    add_col(t, j, -(pivot_row[j] // p))
+                    if j in pivot_row:
                         done = False
             if done:
                 # pivot must divide the whole trailing block for the
                 # divisibility chain; fold an offending row in and redo.
                 # A unit divides everything.
-                p = b[t][t]
                 if p == 1 or p == -1:
                     break
-                offender = None
                 for i in range(t + 1, n):
-                    for j in range(t + 1, m):
-                        if b[i][j] % p:
-                            offender = i
-                            break
-                    if offender is not None:
+                    if rows[i] and any(x % p for x in rows[i].values()):
+                        add_row(i, t, 1)
                         break
-                if offender is None:
-                    break
-                add_row(offender, t, 1)
-            pivot = _least_entry(b, t, n, m)
-        if b[t][t] < 0:
-            negate_row(t)
+                else:
+                    break           # no offender: the step is done
+            pivot = least_entry(t)
+        if rows[t][t] < 0:
+            rows[t][t] = -rows[t][t]
+            row_ops.append(("neg", t))
         t += 1
 
-    rank = sum(1 for i in range(size) if b[i][i])
-    return SmithDecomposition(d=b, rank=rank, row_ops=row_ops, col_ops=col_ops)
+    diagonal = [rows[i].get(i, 0) for i in range(size)]
+    rank = sum(1 for x in diagonal if x)
+    return SmithDecomposition(diagonal, (n, m), rank, row_ops, col_ops)
 
 
 def kernel_transform(a, ncols=None):
@@ -282,9 +335,13 @@ def kernel_basis(a, ncols=None):
 
     The result is a list of column vectors spanning ker(A) as a saturated
     sublattice of Z^m (every integer kernel vector is an integer
-    combination of the basis).
+    combination of the basis): the columns r.. of V^{-1}, the only
+    vectors replayed.
     """
-    return kernel_transform(a, ncols)[0]
+    if not a:
+        return identity(ncols or 0)
+    snf = smith_normal_form(a)
+    return snf.read("vinv", range(snf.rank, len(a[0])))
 
 
 def column_style_hermite(cols, n):
@@ -293,42 +350,61 @@ def column_style_hermite(cols, n):
 
     Pivots are positive, sit in strictly increasing rows, and all entries
     to the right of a pivot in its row are reduced into [0, pivot).
-    Dependent generators are eliminated; the result is a basis.
+    Dependent generators are eliminated; the result is a basis.  The work
+    runs on sparse columns, ``{row: entry}`` dicts, filed by the row of
+    their first entry, and visits only the rows where some column starts.
     """
-    work = [list(c) for c in cols]
+    # every column is zero above its first entry
+    starts = {}
+    for col in cols:
+        c = dict(compress(enumerate(col), col))
+        if c:
+            starts.setdefault(min(c), []).append(c)
     basis = []
-    for row in range(n):
-        live = [c for c in work if c[row] != 0]
-        rest = [c for c in work if c[row] == 0]
-        if not live:
-            work = rest
-            continue
+    while starts:
+        row = min(starts)
+        live = starts.pop(row)
         # gcd-combine all columns with a nonzero entry in this row; columns
-        # whose entry clears drop back into the pool for later rows
+        # whose entry clears are filed again under their new first row
         while len(live) > 1:
             live.sort(key=lambda c: abs(c[row]))
             c0 = live[0]
             still = [c0]
             for c in live[1:]:
-                q = c[row] // c0[row]
-                for i in range(n):
-                    c[i] -= q * c0[i]
-                (still if c[row] else rest).append(c)
+                _add_scaled(c, c0, -(c[row] // c0[row]))
+                if row in c:
+                    still.append(c)
+                elif c:
+                    starts.setdefault(min(c), []).append(c)
             live = still
         piv = live[0]
         if piv[row] < 0:
-            for i in range(n):
+            for i in piv:
                 piv[i] = -piv[i]
         # reduce previously found pivot columns against this one
         for c in basis:
-            if c[row]:
+            if row in c:
                 q = c[row] // piv[row]
                 if q:
-                    for i in range(n):
-                        c[i] -= q * piv[i]
+                    _add_scaled(c, piv, -q)
         basis.append(piv)
-        work = [c for c in rest if any(c)]
-    return basis
+    out = []
+    for c in basis:
+        col = [0] * n
+        for i, x in c.items():
+            col[i] = x
+        out.append(col)
+    return out
+
+
+def _add_scaled(c, src, q):
+    """c += q * src on sparse columns, dropping the entries that cancel."""
+    for i, y in src.items():
+        x = c.get(i, 0) + q * y
+        if x:
+            c[i] = x
+        else:
+            c.pop(i, None)
 
 
 def echelon_coords(basis, cols):

@@ -655,6 +655,34 @@ def test_presentation_input_strict(change, msg, tmp_path, capsys):
     assert main(["cohomology", "--input", _write_presentation(tmp_path, HEIS3)]) == 0
 
 
+@pytest.mark.parametrize(
+    "descriptor, key",
+    [
+        ({"suites": ["jacobi"], "trials": 1.5, "seed": True}, "trials"),
+        ({"suites": ["jacobi"], "trials": 1, "seed": True}, "seed"),
+        ({"suites": ["jacobi"], "trials": 1, "seed": 1.5}, "seed"),
+        ({"suites": ["jacobi"], "trials": 2.0}, "trials"),
+        ({"suites": ["jacobi"], "trials": "2"}, "trials"),
+        ({"suites": ["jacobi"], "seed": None}, "seed"),
+    ],
+    ids=["float-trials-bool-seed", "bool-seed", "float-seed", "integral-float-trials",
+         "string-trials", "null-seed"],
+)
+def test_suite_descriptor_needs_json_integers(descriptor, key, tmp_path, capsys):
+    """A verify descriptor's trials and seed must be JSON integers: a
+    float, a bool, a string or null exits 2 and names the key, where
+    int() once ran one trial at seed 1 for trials 1.5 and seed true."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(descriptor))
+    with pytest.raises(InputError, match=f"descriptor '{key}' must be an integer"):
+        parse_job(["verify", "--input", str(path)])
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: descriptor '{key}' must be an integer\n"
+    path.write_text(json.dumps({"suites": ["jacobi"], "trials": 1, "seed": 1}))
+    job = parse_job(["verify", "--input", str(path)])
+    assert (job.trials, job.seed) == (1, 1)
+
+
 # -- byte identity of the cohomology workload ------------------------------------------
 
 # SHA-256 over the JSON reports (timestamp removed, input path cut to its

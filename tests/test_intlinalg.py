@@ -4,14 +4,21 @@ import random
 import signal
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from preqlat import intlinalg as lin
 from preqlat.cealg import complex_matrices
+from preqlat.cohomring import nilmanifold_ring
 
-from util import det, full_scan_smith_normal_form, rational_rank, two_step_presentation
+from util import (
+    dense_column_style_hermite,
+    det,
+    full_scan_smith_normal_form,
+    rational_rank,
+    two_step_presentation,
+)
 
 
 def minor_gcd(a, k):
@@ -150,6 +157,91 @@ def test_smith_matches_full_scan_reference():
         assert got.uinv == want.uinv and got.vinv == want.vinv
 
 
+def _tie_inputs():
+    """Matrices with no unit entry, so that every step runs the divisibility
+    scan, whose least |x| repeats within rows and across rows: a column
+    swap re-inserts the swapped entries, so later pivot rows hold their
+    keys out of column order and the tie must still go to the smallest
+    column.  The first one is built for that: the step-0 swap of columns
+    0 and 1 leaves row 1 as {2: 2, 1: 2} after its row op, and step 1
+    must pivot on column 1, not on column 2, which comes first in the
+    row."""
+    rng = random.Random(8128)
+    mats = [[[4, 2, 0], [6, 2, 2]],
+            [[3, 0, 2], [2, 4, 2]],
+            [[4, 6, 4], [6, 4, 6], [4, 4, 6]],
+            [[0, 6, 0, 6], [6, 0, 6, 0], [4, 6, 6, 4]],
+            [[2, 2], [2, 2]],
+            [[-2, 2, -2], [2, -2, 2], [2, 2, -2]]]
+    for _ in range(150):
+        n, m = rng.randint(2, 8), rng.randint(2, 8)
+        values = rng.choice(((2, -2, 4), (2, -2, 3, -3), (2, 2, -2, 6, 9), (3, -3, 6, 9, -12)))
+        fill = rng.uniform(0.3, 1.0)
+        mats.append([[rng.choice(values) if rng.random() < fill else 0 for _ in range(m)]
+                     for _ in range(n)])
+    return mats
+
+
+def _recorded_ring_inputs():
+    """The Smith form inputs (every d_k, then each degree's second-stage
+    matrix of coboundaries in kernel coordinates) and the Hermite inputs
+    (lower central series and free representatives) of one seeded dim-8
+    half-density two-step presentation with torsion."""
+    lie = two_step_presentation("8-2", 8, 2, 2, 0.5)
+    snf_in, hnf_in = [], []
+    smith, hermite = lin.smith_normal_form, lin.column_style_hermite
+
+    def record_smith(a):
+        snf_in.append([list(row) for row in a])
+        return smith(a)
+
+    def record_hermite(cols, n):
+        hnf_in.append(([list(c) for c in cols], n))
+        return hermite(cols, n)
+
+    lin.smith_normal_form, lin.column_style_hermite = record_smith, record_hermite
+    try:
+        ring = nilmanifold_ring(lie)
+    finally:
+        lin.smith_normal_form, lin.column_style_hermite = smith, hermite
+    return lie, ring, snf_in, hnf_in
+
+
+def test_smith_op_log_matches_full_scan_on_ties_and_complexes():
+    """The sparse elimination logs the full scan's operations, in order,
+    and returns its D, rank and transforms: on inputs whose least entries
+    tie within and across rows, and on every Smith input of a dim-8 ring
+    build, each d_k and each second-stage matrix.  Under an alarm, as a
+    wrong pivot can loop."""
+    lie, ring, recorded, _ = _recorded_ring_inputs()
+    mats_k = [d for d in complex_matrices(lie) if d]
+    assert all(d in recorded for d in mats_k)
+    second = [a for a in recorded if a not in mats_k]
+    assert len(second) >= 4 and any(ring.torsion(k) for k in range(lie.dim + 1))
+    ties = _tie_inputs()
+    # the least |x| repeats within one row in most of them, and across rows
+    def least_count(rows):
+        least = min(abs(x) for row in rows for x in row if x)
+        return [sum(1 for x in row if abs(x) == least) for row in rows]
+    counts = [least_count(a) for a in ties if any(any(row) for row in a)]
+    assert sum(max(c) >= 2 for c in counts) > 100
+    assert sum(sum(1 for x in c if x) >= 2 for c in counts) > 100
+    assert all(x not in (1, -1) for a in ties for row in a for x in row)
+    previous = signal.signal(signal.SIGALRM, _stuck)
+    signal.alarm(20)
+    try:
+        pairs = [(a, lin.smith_normal_form(a), full_scan_smith_normal_form(a))
+                 for a in ties + mats_k + second]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for a, got, want in pairs:
+        assert got.row_ops == want.row_ops and got.col_ops == want.col_ops, a
+        assert got.rank == want.rank and got.d == want.d
+        assert got.u == want.u and got.v == want.v
+        assert got.uinv == want.uinv and got.vinv == want.vinv
+
+
 def test_smith_transforms_read_in_any_order():
     """Each transform is replayed from the operation logs on first read:
     read alone from a fresh decomposition, or all four in reverse order,
@@ -227,6 +319,38 @@ def test_kernel_basis_annihilates_and_saturates():
             assert coords == coeffs
 
 
+def test_kernel_basis_replays_only_its_columns(monkeypatch):
+    """kernel_basis reads the columns rank.. of V^{-1} and no row of V, and
+    equals those columns of the full-scan oracle's V^{-1}; so does the
+    Gysin kernel, one kernel_basis call per Euler candidate."""
+    from preqlat.cohomring import ring_from_preset
+    from preqlat.prequant import EulerClass, gysin_kernel
+
+    reads = []
+    read = lin.SmithDecomposition.read
+
+    def counted(self, name, idx):
+        reads.append(name)
+        return read(self, name, idx)
+
+    rng = random.Random(1618)
+    ring = ring_from_preset("thurston", r=6)
+    monkeypatch.setattr(lin.SmithDecomposition, "read", counted)
+    for _ in range(30):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 1, -1, 2, 3, -4)) for _ in range(m)] for _ in range(n)]
+        want = full_scan_smith_normal_form(a)
+        assert lin.kernel_basis(a, ncols=m) == [list(c) for c in zip(*want.vinv)][want.rank:]
+    assert reads == ["vinv"] * 30
+    reads.clear()
+    free = (1,) + (0,) * (ring.betti(2) - 1)
+    assert ring.torsion(2) == [6]
+    for t in range(6):
+        gysin_kernel(ring, EulerClass(free, (t,)))
+    # the first cup products build the reduction rows of H^3 from U^{-1}
+    assert "v" not in reads and reads.count("vinv") == 6
+
+
 def test_kernel_of_zero_rows():
     ker = lin.kernel_basis([], ncols=3)
     assert len(ker) == 3
@@ -285,6 +409,43 @@ def test_hermite_canonical_and_same_lattice():
         # and adding the basis back to the generators changes nothing,
         # so the two lattices coincide
         assert lin.column_style_hermite([list(c) for c in cols] + h, n) == h
+
+
+def test_hermite_matches_dense_reference():
+    """The sparse column Hermite form returns the dense reference's basis:
+    on seeded generator sets with dependent columns, zero columns and
+    negative leading entries, and on every Hermite input of a dim-8 ring
+    build, the free representatives among them."""
+    rng = random.Random(2357)
+    sets = []
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        cols = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)]
+                for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.5:     # a dependent column
+            a, b = rng.choice(cols), rng.choice(cols)
+            cols.append([rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a, b)])
+        if rng.random() < 0.3:
+            cols.insert(rng.randrange(len(cols) + 1), [0] * n)
+        if rng.random() < 0.5:     # a negative leading entry
+            lead = next((c for c in cols if any(c)), None)
+            if lead:
+                i = next(i for i, x in enumerate(lead) if x)
+                lead[i] = -abs(lead[i])
+        sets.append((cols, n))
+    sets += [([[0, 0, 0]], 3), ([], 4), ([[0, -2], [0, -3]], 2), ([[-4, 6], [-6, 9]], 2)]
+    lie, ring, _, recorded = _recorded_ring_inputs()
+    # a degree's free representatives: one column per free class, as long
+    # as the degree's cochains
+    free = {(comb(lie.dim, k), ring.betti(k)) for k in range(lie.dim + 1)}
+    assert sum((n, len(cols)) in free for cols, n in recorded) >= 5
+    for cols, n in sets + recorded:
+        want = dense_column_style_hermite([list(c) for c in cols], n)
+        assert lin.column_style_hermite([list(c) for c in cols], n) == want
+    # the generators are not changed
+    cols = [[0, -2, 4], [0, 3, 1]]
+    lin.column_style_hermite(cols, 3)
+    assert cols == [[0, -2, 4], [0, 3, 1]]
 
 
 def test_hermite_pivots_positive_increasing():

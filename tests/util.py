@@ -1,7 +1,7 @@
 """Shared generators, float evaluation, the float-grid quadrature oracle,
-the full-scan Smith normal form oracle, the eager reduction-row oracle,
-the Bareiss determinant, the rational rank and the Fraction validation
-oracle.
+the full-scan Smith normal form oracle, the dense column Hermite normal
+form oracle, the eager reduction-row oracle, the Bareiss determinant, the
+rational rank and the Fraction validation oracle.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from preqlat.cealg import LieAlgebraPresentation, ValidationReport
 from preqlat.exact import ExactScalar
-from preqlat.intlinalg import column_style_hermite, echelon_coords, identity, mat_mul, mat_vec
+from preqlat.intlinalg import echelon_coords, identity, mat_mul, mat_vec
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
 
 
@@ -156,12 +156,13 @@ def two_step_presentation(seed, dim, centre, bound, density=1.0):
 
 
 # Reference Smith normal form: every pivot search walks the whole trailing
-# block, and every pivot, units included, is followed by the divisibility
-# scan.  intlinalg.smith_normal_form must make the same choices with less
-# scanning, so it must return the same decomposition.  The transforms are
-# kept current through every operation, so they also check the replay of
+# block of a dense matrix, and every pivot, units included, is followed by
+# the divisibility scan.  intlinalg.smith_normal_form must make the same
+# choices on sparse rows with less scanning, so it must return the same
+# decomposition and log the same operations.  The transforms are kept
+# current through every operation, so they also check the replay of
 # intlinalg's operation logs.
-FullScanSmith = namedtuple("FullScanSmith", "u d v uinv vinv rank")
+FullScanSmith = namedtuple("FullScanSmith", "u d v uinv vinv rank row_ops col_ops")
 
 
 def full_scan_smith_normal_form(a) -> FullScanSmith:
@@ -177,6 +178,8 @@ def full_scan_smith_normal_form(a) -> FullScanSmith:
     uinv = identity(n)
     v = identity(m)
     vinv = identity(m)
+    row_ops = []
+    col_ops = []
 
     # Row op B <- E B keeps A = U B V when U <- U E^{-1}; col op B <- B F
     # needs V <- F^{-1} V.  The inverses absorb E and F directly.
@@ -185,6 +188,7 @@ def full_scan_smith_normal_form(a) -> FullScanSmith:
         uinv[i], uinv[j] = uinv[j], uinv[i]
         for row in u:
             row[i], row[j] = row[j], row[i]
+        row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
         for row in b:
@@ -192,6 +196,7 @@ def full_scan_smith_normal_form(a) -> FullScanSmith:
         for row in vinv:
             row[i], row[j] = row[j], row[i]
         v[i], v[j] = v[j], v[i]
+        col_ops.append(("swap", i, j))
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
@@ -201,6 +206,7 @@ def full_scan_smith_normal_form(a) -> FullScanSmith:
         uinv[dst] = [x + q * y for x, y in zip(uinv[dst], uinv[src])]
         for row in u:
             row[src] -= q * row[dst]
+        row_ops.append(("add", src, dst, q))
 
     def add_col(src, dst, q):
         if q == 0:
@@ -210,12 +216,14 @@ def full_scan_smith_normal_form(a) -> FullScanSmith:
         for row in vinv:
             row[dst] += q * row[src]
         v[src] = [x - q * y for x, y in zip(v[src], v[dst])]
+        col_ops.append(("add", src, dst, q))
 
     def negate_row(i):
         b[i] = [-x for x in b[i]]
         uinv[i] = [-x for x in uinv[i]]
         for row in u:
             row[i] = -row[i]
+        row_ops.append(("neg", i))
 
     size = min(n, m)
     t = 0
@@ -273,13 +281,60 @@ def full_scan_smith_normal_form(a) -> FullScanSmith:
         t += 1
 
     rank = sum(1 for i in range(size) if b[i][i])
-    return FullScanSmith(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank)
+    return FullScanSmith(u=u, d=b, v=v, uinv=uinv, vinv=vinv, rank=rank,
+                         row_ops=row_ops, col_ops=col_ops)
+
+
+# Reference column Hermite normal form on dense columns: every row is
+# visited and every column operation runs over the whole column.
+# intlinalg.column_style_hermite works on sparse columns; the Hermite
+# basis of a lattice is unique, so the two must agree.
+def dense_column_style_hermite(cols, n):
+    """Canonical basis, in column Hermite normal form, of the lattice
+    generated by the given column vectors of length n: positive pivots in
+    strictly increasing rows, the entries to the right of a pivot in its
+    row reduced into [0, pivot), dependent generators eliminated."""
+    work = [list(c) for c in cols]
+    basis = []
+    for row in range(n):
+        live = [c for c in work if c[row] != 0]
+        rest = [c for c in work if c[row] == 0]
+        if not live:
+            work = rest
+            continue
+        # gcd-combine all columns with a nonzero entry in this row; columns
+        # whose entry clears drop back into the pool for later rows
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[row]))
+            c0 = live[0]
+            still = [c0]
+            for c in live[1:]:
+                q = c[row] // c0[row]
+                for i in range(n):
+                    c[i] -= q * c0[i]
+                (still if c[row] else rest).append(c)
+            live = still
+        piv = live[0]
+        if piv[row] < 0:
+            for i in range(n):
+                piv[i] = -piv[i]
+        # reduce previously found pivot columns against this one
+        for c in basis:
+            if c[row]:
+                q = c[row] // piv[row]
+                if q:
+                    for i in range(n):
+                        c[i] -= q * piv[i]
+        basis.append(piv)
+        work = [c for c in rest if any(c)]
+    return basis
 
 
 # Reference reduction rows: the whole formula of the eager engine, which
 # built every degree's rows with the degree from the full transforms.
-# Here the transforms come from the full-scan oracle, so the oracle shares
-# neither the operation-log replay nor the laziness of cohomring.
+# Here the transforms come from the full-scan oracle and the Hermite basis
+# from the dense one, so the oracle shares neither the operation-log
+# replay, the sparse elimination nor the laziness of cohomring.
 def eager_reduce_rows(mats, k):
     """Reduction rows of degree k of the complex with differentials
     ``mats`` (d_0, ..., d_{m-1}): one integer row per class, free classes
@@ -313,7 +368,7 @@ def eager_reduce_rows(mats, k):
     cols = [rep_col(i) for i in free_idx]
     rows = [uinv[i] for i in free_idx]
     if cols:
-        hnf = column_style_hermite(cols, n_k)
+        hnf = dense_column_style_hermite(cols, n_k)
         t_inv_cols = echelon_coords(hnf, cols)
         rows = mat_mul([[c[i] for c in t_inv_cols] for i in range(len(hnf))], rows)
     for i in (i for i in range(s) if diag[i] > 1):
