@@ -291,7 +291,10 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
                     col[row] += c * x
         cols.append(col)
     free_cols = cols[:betti]
-    hnf_cols = lin.column_style_hermite(free_cols, n_k) if free_cols else []
+    # unit columns in increasing rows (every degree of a torus) are their
+    # own Hermite basis, with the identity as change of basis
+    unit = _unit_echelon(free_cols)
+    hnf_cols = free_cols if unit else lin.column_style_hermite(free_cols, n_k)
     signs = [-1 if next(x for x in col if x) < 0 else 1 for col in cols[betti:]]
     cols = hnf_cols + [[sign * x for x in col] for sign, col in zip(signs, cols[betti:])]
 
@@ -299,7 +302,7 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
         # the basis changes act on the rows of U^{-1}, which are only s
         # wide; one product with the coordinate rows then gives every row
         rows = snf.read("uinv", free_idx + tors_idx)
-        if free_cols:
+        if not unit:
             # the coordinates of the old basis in the Hermite basis are the
             # columns of the change of basis that carries the rows over
             t_inv = list(zip(*lin.echelon_coords(hnf_cols, free_cols)))
@@ -316,6 +319,20 @@ def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
         make_reduce_rows=reduce_rows,
         d_cols=d_cols,
     )
+
+
+def _unit_echelon(cols):
+    """True when the columns are unit vectors e_r in strictly increasing
+    rows r (vacuously for none)."""
+    last = -1
+    for col in cols:
+        if col.count(0) != len(col) - 1 or 1 not in col:
+            return False
+        r = col.index(1)
+        if r <= last:
+            return False
+        last = r
+    return True
 
 
 class CohomologyRing:

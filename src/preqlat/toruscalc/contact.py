@@ -7,11 +7,17 @@ polynomials; the strict contact fields split into the constant span of
 (d/dx, d/dy) and an exact part.  Everything here is exact, including the
 identity relating the pulled-back degree-two cocycle on fields to the
 cycle cocycle on invariant functions.
+
+The preset's fixed forms and fields (theta, d(theta), mu, the Reeb and
+transverse fields) are built on first use and then shared by every call,
+so callers must not change them.  The cycle integrals are read off mode
+pairs without forming the integrand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from ..exact import ExactScalar
 from .forms import (
@@ -20,7 +26,8 @@ from .forms import (
     TorusVectorField,
     contract,
     exterior_derivative,
-    integrate_over_cycle,
+    integrate_contraction,
+    integrate_product,
     lie_derivative,
     wedge,
 )
@@ -30,6 +37,7 @@ DIM = 3
 X_AXIS, Y_AXIS, Z_AXIS = 0, 1, 2
 
 
+@cache
 def contact_form() -> TorusForm:
     """theta = cos z dx + sin z dy."""
     return TorusForm(
@@ -42,12 +50,19 @@ def contact_form() -> TorusForm:
     )
 
 
+@cache
+def contact_differential() -> TorusForm:
+    """d(theta) = sin z dx ^ dz - cos z dy ^ dz."""
+    return exterior_derivative(contact_form())
+
+
+@cache
 def contact_volume() -> TorusForm:
     """mu = (1/2) theta ^ d(theta); equal to -(1/2) dx ^ dy ^ dz."""
-    theta = contact_form()
-    return Fraction(1, 2) * wedge(theta, exterior_derivative(theta))
+    return Fraction(1, 2) * wedge(contact_form(), contact_differential())
 
 
+@cache
 def reeb_field() -> TorusVectorField:
     """E = cos z d/dx + sin z d/dy: i_E theta = 1, i_E d(theta) = 0."""
     return TorusVectorField(
@@ -56,6 +71,7 @@ def reeb_field() -> TorusVectorField:
     )
 
 
+@cache
 def transverse_field() -> TorusVectorField:
     """V = -sin z d/dx + cos z d/dy, the rotated companion of the Reeb field."""
     return TorusVectorField(
@@ -109,10 +125,9 @@ def contact_field(f: TrigPoly) -> TorusVectorField:
 
 def contact_bracket(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """{f, g} = d(theta)(zeta_f, zeta_g) on invariant Hamiltonians."""
-    dtheta = exterior_derivative(contact_form())
     zf = contact_field(f)
     zg = contact_field(g)
-    return contract(zg, contract(zf, dtheta)).as_function()
+    return contract(zg, contract(zf, contact_differential())).as_function()
 
 
 def strict_contact_residual(x: TorusVectorField) -> TorusForm:
@@ -125,14 +140,14 @@ def sigma_cocycle(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly) -> ExactScal
     if len(cycle.axes) != 1:
         raise ValueError("cycle must be one-dimensional")
     df = exterior_derivative(TorusForm.function(DIM, f))
-    return integrate_over_cycle(g * df, cycle)
+    return integrate_product(g, df, cycle)
 
 
 def rho_cochain(cycle: CoordinateCycle, h: TrigPoly) -> ExactScalar:
     """-integral over a 1-cycle of h theta."""
     if len(cycle.axes) != 1:
         raise ValueError("cycle must be one-dimensional")
-    return -integrate_over_cycle(h * contact_form(), cycle)
+    return -integrate_product(h, contact_form(), cycle)
 
 
 def contact_pullback_residual(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly) -> ExactScalar:
@@ -144,10 +159,9 @@ def contact_pullback_residual(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly) 
     """
     if not (is_reeb_invariant(f) and is_reeb_invariant(g)):
         raise ValueError("not Reeb-invariant")
-    mu = contact_volume()
     zf = contact_field(f)
     zg = contact_field(g)
-    lam = integrate_over_cycle(contract(zg, contract(zf, mu)), cycle)
+    lam = integrate_contraction(zg, contract(zf, contact_volume()), cycle)
     sig = sigma_cocycle(cycle, f, g)
     # (d rho)(f, g) = -rho({f, g}) for a 1-cochain rho
     drho = -rho_cochain(cycle, contact_bracket(f, g))
@@ -164,16 +178,13 @@ def contact_flux(f: TrigPoly):
     """
     if not is_reeb_invariant(f):
         raise ValueError("not Reeb-invariant")
-    form = f * exterior_derivative(contact_form())
-    return _two_form_class(form)
+    return _two_form_class(f * contact_differential())
 
 
 def contact_flux_via_field(f: TrigPoly):
     """Class of i_{zeta_f} mu, which matches contact_flux(f) coordinate
     by coordinate."""
-    mu = contact_volume()
-    form = contract(contact_field(f), mu)
-    return _two_form_class(form)
+    return _two_form_class(contract(contact_field(f), contact_volume()))
 
 
 def _two_form_class(form: TorusForm):

@@ -3,7 +3,8 @@
 Coefficients are trigonometric polynomials; a whole form additionally
 carries an integer power of (2*pi), so normalized objects like the unit
 volume form dx_1^...^dx_m/(2*pi)^m stay exact.  Addition requires equal
-powers; products add them.  Integrals land in ExactScalar.
+powers; products add them.  Integrals land in ExactScalar; an integral
+of f * form or of i_Y form is read off mode pairs, never formed.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class TorusForm:
             and self.pi_power == other.pi_power
             and self.coeffs == other.coeffs
         )
+
+    def __hash__(self):
+        return hash((self.dim, self.degree, self.pi_power, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         return (
@@ -219,7 +223,9 @@ class TorusVectorField:
         out = TrigPoly.zero(self.dim)
         for axis, comp in enumerate(self.components):
             if not comp.is_zero():
-                out = out + comp * f.diff(axis)
+                df = f.diff(axis)
+                if not df.is_zero():
+                    out = out + comp * df
         return out
 
 
@@ -233,9 +239,13 @@ def vf_bracket(x: TorusVectorField, y: TorusVectorField) -> TorusVectorField:
         acc = TrigPoly.zero(dim)
         for j in range(dim):
             if not x.components[j].is_zero():
-                acc = acc + x.components[j] * y.components[k].diff(j)
+                dy = y.components[k].diff(j)
+                if not dy.is_zero():
+                    acc = acc + x.components[j] * dy
             if not y.components[j].is_zero():
-                acc = acc - y.components[j] * x.components[k].diff(j)
+                dx = x.components[k].diff(j)
+                if not dx.is_zero():
+                    acc = acc - y.components[j] * dx
         comps.append(acc)
     return TorusVectorField(dim, comps, x.pi_power + y.pi_power)
 
@@ -311,7 +321,8 @@ class CoordinateCycle:
 
     ``axes`` lists the coordinates of the cycle in integration order;
     remaining coordinates are frozen at ``offsets[axis] * pi/2`` (quarter
-    turns keep restriction exact).  ``orientation`` flips the sign.
+    turns keep restriction exact, so an offset must be an ``int``).
+    ``orientation`` flips the sign.
     """
 
     dim: int
@@ -331,7 +342,9 @@ class CoordinateCycle:
                 raise ValueError(f"axis {a} is integrated over; it cannot carry an offset")
             if not 0 <= a < self.dim:
                 raise ValueError("offset axis out of range")
-            offs[a] = int(q) % 4
+            if not isinstance(q, int):
+                raise ValueError("quarter turns must be integers")
+            offs[a] = q % 4
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         object.__setattr__(self, "axes", axes)
@@ -353,19 +366,68 @@ def integrate_over_cycle(f: TorusForm, cycle: CoordinateCycle) -> ExactScalar:
     offsets; only the constant mode along the cycle axes survives, scaled
     by (2*pi) per integrated axis.
     """
-    if f.dim != cycle.dim:
-        raise ValueError("form and cycle live on different tori")
-    if f.degree != len(cycle.axes):
-        raise ValueError("degree mismatch between form and cycle")
-    axes_sorted = tuple(sorted(cycle.axes))
-    sign = sort_sign(cycle.axes) * cycle.orientation
-    poly = f.coeffs.get(axes_sorted)
+    axes = _cycle_slot(f.dim, f.degree, cycle)
+    poly = f.coeffs.get(axes)
     if poly is None:
         return ExactScalar.zero()
-    re, im = poly.slice_mean(axes_sorted, cycle.offsets)
+    return _cycle_value(poly.slice_mean(axes, cycle.offsets), f.pi_power, cycle)
+
+
+def integrate_product(f: TrigPoly, form: TorusForm, cycle: CoordinateCycle) -> ExactScalar:
+    """integrate_over_cycle(f * form, cycle), read off the mode pairs of f
+    and the form's coefficient along the cycle; the product is never
+    formed."""
+    axes = _cycle_slot(form.dim, form.degree, cycle)
+    poly = form.coeffs.get(axes)
+    if poly is None:
+        return ExactScalar.zero()
+    return _cycle_value(f.slice_pairing(poly, axes, cycle.offsets), form.pi_power, cycle)
+
+
+def integrate_contraction(y: TorusVectorField, form: TorusForm,
+                          cycle: CoordinateCycle) -> ExactScalar:
+    """integrate_over_cycle(contract(y, form), cycle), read off mode pairs.
+
+    The coefficient of i_Y form along the cycle is the sum over the axes
+    a off the cycle of sign * Y^a * form[cycle + a], the sign being that
+    of moving a to its sorted place; each term is a pairing.  As in
+    ``contract``, a 0-form contracts to the zero 0-form.
+    """
+    if y.dim != form.dim:
+        raise ValueError("field and form live on different tori")
+    axes = _cycle_slot(form.dim, max(form.degree - 1, 0), cycle)
+    re = im = 0
+    for a, comp in enumerate(y.components):
+        if a in axes or comp.is_zero():
+            continue
+        idx, sign = merge_tuples((a,), axes)
+        poly = form.coeffs.get(idx)
+        if poly is not None:
+            term_re, term_im = comp.slice_pairing(poly, axes, cycle.offsets)
+            re += sign * term_re
+            im += sign * term_im
+    return _cycle_value((re, im), form.pi_power + y.pi_power, cycle)
+
+
+def _cycle_slot(dim, degree, cycle):
+    """The sorted cycle axes: the index of the one coefficient of a form of
+    this dimension and degree that the cycle integrates."""
+    if dim != cycle.dim:
+        raise ValueError("form and cycle live on different tori")
+    if degree != len(cycle.axes):
+        raise ValueError("degree mismatch between form and cycle")
+    return tuple(sorted(cycle.axes))
+
+
+def _cycle_value(mean, pi_power, cycle):
+    """The integral from the slice mean (re, im) of the cycle's
+    coefficient: the orientation and ordering sign, and one (2*pi) per
+    integrated axis."""
+    re, im = mean
     if im:
         raise ValueError("integral of a non-real form")
-    return ExactScalar(sign * re, f.pi_power + len(cycle.axes))
+    sign = sort_sign(cycle.axes) * cycle.orientation
+    return ExactScalar(sign * re, pi_power + len(cycle.axes))
 
 
 def poincare_dual_form(cycle: CoordinateCycle) -> TorusForm:

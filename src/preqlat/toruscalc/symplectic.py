@@ -2,9 +2,12 @@
 
 The preset symplectic structures are sums of scaled coordinate planes,
 omega = sum c_i dx_{2i-1} ^ dx_{2i}; Hamiltonian fields are produced by
-inverting the constant coefficient matrix (factored once per distinct
-form), so every identity downstream (bracket values, cocycle
-evaluations) is exact.
+inverting the constant coefficient matrix, so every identity downstream
+(bracket values, cocycle evaluations) is exact.  Each distinct form is
+factored once: its Hamiltonian operator (the scaled inverse) and its
+Liouville powers are built on first use and shared by every later call
+with an equal form.  The cocycles are integrals of f * form, read off
+mode pairs without forming the product.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .forms import (
     contract,
     exterior_derivative,
     integrate_over_cycle,
+    integrate_product,
     wedge,
 )
 from .trig import TrigPoly
@@ -61,32 +65,34 @@ def _coefficient_matrix(omega: TorusForm):
 
 
 @lru_cache(maxsize=64)
-def _integer_inverse(cols):
-    """Inverse of the integer matrix with the given columns, as tuples of
-    Fractions; one factorization per distinct matrix.  A singular matrix
-    raises on every call, since exceptions are not cached."""
-    try:
-        inv = rational_solver(cols, len(cols))
-    except ValueError:
-        raise ValueError("degenerate symplectic form") from None
-    return tuple(tuple(row) for row in inv)
-
-
-def hamiltonian_field(f: TrigPoly, omega: TorusForm) -> TorusVectorField:
-    """The field X_f with i_{X_f} omega = -df, via the constant inverse."""
+def _hamiltonian_operator(omega: TorusForm):
+    """Per row j of X_f, the (k, c) with X_f^j = sum c * df/dx_k: the
+    nonzero entries of the inverse coefficient matrix, one factorization
+    per distinct form.  An invalid or degenerate form raises on every
+    call, since exceptions are not cached."""
     mat = _coefficient_matrix(omega)
     dim = omega.dim
     # scale * mat is integral, and mat^{-1} = scale * (scale * mat)^{-1}
     scale = lcm(*(x.denominator for row in mat for x in row))
-    inv = _integer_inverse(
-        tuple(tuple(int(scale * mat[i][j]) for i in range(dim)) for j in range(dim)))
+    cols = [[int(scale * mat[i][j]) for i in range(dim)] for j in range(dim)]
+    try:
+        inv = rational_solver(cols, dim)
+    except ValueError:
+        raise ValueError("degenerate symplectic form") from None
+    return tuple(tuple((k, scale * x) for k, x in enumerate(row) if x) for row in inv)
+
+
+def hamiltonian_field(f: TrigPoly, omega: TorusForm) -> TorusVectorField:
+    """The field X_f with i_{X_f} omega = -df, via the constant inverse."""
+    op = _hamiltonian_operator(omega)
+    dim = omega.dim
     grads = [f.diff(k) for k in range(dim)]
     comps = []
-    for j in range(dim):
+    for row in op:
         acc = TrigPoly.zero(dim)
-        for k in range(dim):
-            if inv[j][k] and not grads[k].is_zero():
-                acc = acc + grads[k] * (scale * inv[j][k])
+        for k, c in row:
+            if not grads[k].is_zero():
+                acc = acc + grads[k] * c
         comps.append(acc)
     return TorusVectorField(dim, comps)
 
@@ -111,9 +117,13 @@ def ks_cocycle(f, g, omega, point):
 
 
 def liouville_power(omega: TorusForm, n=None) -> TorusForm:
-    """omega^n / n! (the Liouville volume form of the preset)."""
-    if n is None:
-        n = omega.dim // 2
+    """omega^n / n! (the Liouville volume form of the preset), built once
+    per (form, n) and shared: callers must not change it."""
+    return _liouville_power(omega, omega.dim // 2 if n is None else n)
+
+
+@lru_cache(maxsize=64)
+def _liouville_power(omega, n):
     acc = TorusForm.function(omega.dim, TrigPoly.const(omega.dim, 1))
     for _ in range(n):
         acc = wedge(acc, omega)
@@ -129,11 +139,9 @@ def roger_cocycle(alpha: TorusForm, f: TrigPoly, g: TrigPoly, omega: TorusForm) 
     dim = omega.dim
     n = dim // 2
     xg = hamiltonian_field(g, omega)
-    paired = contract(xg, alpha)   # degree 0, carries alpha's (2*pi) power
-    poly = paired.coefficient(())
-    integrand = (f * poly) * liouville_power(omega, n)
-    integrand = integrand.scale_pi(paired.pi_power)
-    return integrate_over_cycle(integrand, CoordinateCycle.full(dim))
+    # alpha(X_g) is degree 0 and carries alpha's (2*pi) power
+    form = wedge(contract(xg, alpha), liouville_power(omega, n))
+    return integrate_product(f, form, CoordinateCycle.full(dim))
 
 
 def singular_cocycle(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly,
@@ -144,8 +152,7 @@ def singular_cocycle(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly,
     if len(cycle.axes) != 2 * n - 1:
         raise ValueError("cycle dimension must be 2n-1")
     df = exterior_derivative(TorusForm.function(dim, f))
-    form = g * wedge(df, liouville_power(omega, n - 1))
-    return integrate_over_cycle(form, cycle)
+    return integrate_product(g, wedge(df, liouville_power(omega, n - 1)), cycle)
 
 
 def mean_against_volume(f: TrigPoly, omega: TorusForm) -> Fraction:
@@ -154,7 +161,7 @@ def mean_against_volume(f: TrigPoly, omega: TorusForm) -> Fraction:
     voln = liouville_power(omega, dim // 2)
     full = CoordinateCycle.full(dim)
     vol = integrate_over_cycle(voln, full)
-    num = integrate_over_cycle(f * voln, full)
+    num = integrate_product(f, voln, full)
     return (num / vol).q
 
 

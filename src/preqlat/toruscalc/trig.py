@@ -202,9 +202,7 @@ class TrigPoly:
         Only modes constant along ``axes`` survive, and exp(i k_a q pi/2)
         is a power of i, so the value stays exact.
         """
-        frozen = [(a, quarters.get(a, 0)) for a in range(self.dim) if a not in axes]
-        if not all(isinstance(q, int) for _, q in frozen):
-            raise ValueError("quarter turns must be integers")
+        frozen = self._frozen(axes, quarters)
         re = im = 0
         for k, (a, b) in self.modes.items():
             if any(k[j] for j in axes):
@@ -213,6 +211,54 @@ class TrigPoly:
             re += c * a - s * b
             im += c * b + s * a
         return Fraction(re, self.den), Fraction(im, self.den)
+
+    def slice_pairing(self, other, axes, quarters):
+        """slice_mean(axes, quarters) of self * other, read off mode pairs
+        without forming the product.
+
+        A mode k of self and a mode l of other meet in the slice when
+        k + l vanishes along ``axes``, and their phases at the frozen
+        point multiply.  So each factor first sums its modes per slice key
+        (k_j for j in axes), each turned by its power of i, and only
+        opposite keys pair up; on the full torus that is
+        sum_k self_k * other_{-k}.
+        """
+        self._check(other)
+        frozen = self._frozen(axes, quarters)
+        mine, theirs = self._slice_sums(axes, frozen), other._slice_sums(axes, frozen)
+        if len(mine) > len(theirs):
+            mine, theirs = theirs, mine
+        re = im = 0
+        for key, (a1, b1) in mine.items():
+            pair = theirs.get(tuple(-x for x in key))
+            if pair is not None:
+                a2, b2 = pair
+                re += a1 * a2 - b1 * b2
+                im += a1 * b2 + b1 * a2
+        den = self.den * other.den
+        return Fraction(re, den), Fraction(im, den)
+
+    def _frozen(self, axes, quarters):
+        """(axis, quarter turns) for every coordinate outside ``axes``."""
+        frozen = [(a, quarters.get(a, 0)) for a in range(self.dim) if a not in axes]
+        if not all(isinstance(q, int) for _, q in frozen):
+            raise ValueError("quarter turns must be integers")
+        return frozen
+
+    def _slice_sums(self, axes, frozen):
+        """Numerators summed per slice key, each mode turned by its power of
+        i at the frozen quarter turns.  With nothing frozen every mode is
+        its own slice, keyed by k itself."""
+        if not frozen:
+            return self.modes
+        sums = {}
+        for k, (a, b) in self.modes.items():
+            c, s = _I_POWERS[sum(k[j] * q for j, q in frozen) % 4]
+            key = tuple(k[j] for j in axes)
+            prev = sums.get(key)
+            re, im = c * a - s * b, c * b + s * a
+            sums[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return sums
 
     def eval_quarter(self, quarters):
         """Exact value at the point (q_1*pi/2, ..., q_m*pi/2)."""

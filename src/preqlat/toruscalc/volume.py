@@ -17,8 +17,8 @@ from .forms import (
     TorusVectorField,
     contract,
     exterior_derivative,
-    integrate_over_cycle,
-    wedge,
+    integrate_contraction,
+    integrate_product,
 )
 
 
@@ -92,7 +92,7 @@ def lichnerowicz_singular(cycle: CoordinateCycle, x: TorusVectorField,
         nu = unit_volume_form(m)
     if len(cycle.axes) != m - 2:
         raise ValueError("cycle must have codimension two")
-    return integrate_over_cycle(contract(y, contract(x, nu)), cycle)
+    return integrate_contraction(y, contract(x, nu), cycle)
 
 
 def lichnerowicz_eta(eta: TorusForm, x: TorusVectorField, y: TorusVectorField,
@@ -105,5 +105,8 @@ def lichnerowicz_eta(eta: TorusForm, x: TorusVectorField, y: TorusVectorField,
         raise ValueError("need a 2-form")
     if not exterior_derivative(eta).is_zero():
         raise ValueError("2-form is not closed")
-    form = wedge(eta, contract(y, contract(x, nu)))
-    return integrate_over_cycle(form, CoordinateCycle.full(m))
+    # eta ^ i_Y i_X nu = eta(X, Y) nu, since eta ^ i_X nu and
+    # i_Y eta ^ nu have degree m + 1 and vanish
+    pair = contract(y, contract(x, eta))
+    return integrate_product(pair.coefficient(()), nu.scale_pi(pair.pi_power),
+                             CoordinateCycle.full(m))

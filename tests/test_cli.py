@@ -690,6 +690,8 @@ def test_suite_descriptor_needs_json_integers(descriptor, key, tmp_path, capsys)
 # in job order.  Rewrites of the engine that keep the representatives
 # must keep it.
 PINNED_WORKLOAD_SHA256 = "66530efb5918902b955819af29c9daa67f9837c0432285f35019ca08aa6fe271"
+PINNED_VERIFY_LATTICE_SHA256 = (
+    "5fd4b586d45b76b2339a8cf95e92f416dadba110885360bf0ec5af494cc1bde1")
 
 
 def _bench_jobs_module():
@@ -718,3 +720,17 @@ def test_cohomology_workload_digest_pinned(tmp_path, capsys):
             report["job"]["input"] = os.path.basename(report["job"]["input"])
         digest.update(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_WORKLOAD_SHA256
+
+
+def test_verify_lattice_workload_digest_pinned(tmp_path, capsys):
+    # verify reports record pass/fail only; the cocycle values behind them
+    # are checked against formed integrands in test_cocycles/test_contact
+    jobs = _bench_jobs_module().make_jobs("verify_lattice", 1, str(tmp_path))
+    assert len(jobs) == 231
+    digest = hashlib.sha256()
+    for job in jobs:
+        assert main(list(job["argv"]) + ["--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("timestamp")
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_VERIFY_LATTICE_SHA256

@@ -25,6 +25,7 @@ from preqlat.toruscalc import (
     ks_cocycle,
     lichnerowicz_eta,
     lichnerowicz_singular,
+    liouville_power,
     mean_against_volume,
     poincare_dual_form,
     poisson_bracket,
@@ -33,10 +34,12 @@ from preqlat.toruscalc import (
     standard_symplectic,
     unit_volume_form,
     vf_bracket,
+    wedge,
 )
 
 from util import (
     random_closed_oneform,
+    random_field,
     random_form,
     random_fraction,
     random_real_trigpoly,
@@ -346,6 +349,44 @@ def test_cocycle_condition_lichnerowicz():
         assert res.is_zero()
         res = cocycle_residual("lichnerowicz_eta", {"eta": eta, "nu": nu}, *fields)
         assert res.is_zero()
+
+
+def test_cocycles_match_formed_integrands():
+    # each cocycle integral is read off mode pairs; here the integrand is
+    # formed in full and integrated, on seeded inputs in dims 2 to 4
+    rng = random.Random(61)
+    for omega in (T2, standard_symplectic(2, [1, Fraction(-2, 3)])):
+        dim, n = omega.dim, omega.dim // 2
+        for _ in range(4):
+            f, g = random_real_trigpoly(rng, dim), random_real_trigpoly(rng, dim)
+            alpha = random_closed_oneform(rng, dim).scale_pi(-1)
+            paired = contract(hamiltonian_field(g, omega), alpha)
+            formed = (f * paired.coefficient(())) * liouville_power(omega, n)
+            expect = integrate_over_cycle(formed.scale_pi(paired.pi_power),
+                                          CoordinateCycle.full(dim))
+            assert roger_cocycle(alpha, f, g, omega) == expect
+            axes = tuple(rng.sample(range(dim), dim - 1))
+            cycle = CoordinateCycle(dim, axes, {a: rng.randint(1, 3) for a in range(dim)
+                                                if a not in axes}, orientation=-1)
+            df = exterior_derivative(TorusForm.function(dim, f))
+            expect = integrate_over_cycle(g * wedge(df, liouville_power(omega, n - 1)), cycle)
+            assert singular_cocycle(cycle, f, g, omega) == expect
+    for m in (3, 4):
+        nu = TorusForm.basis(m, tuple(range(m)), Fraction(-3, 2), pi_power=-m)
+        for _ in range(4):
+            x = TorusVectorField(m, random_field(rng, m, max_deg=1).components, 1)
+            y = random_field(rng, m, max_deg=1)
+            axes = tuple(rng.sample(range(m), m - 2))
+            cycle = CoordinateCycle(m, axes, {a: rng.randint(1, 3) for a in range(m)
+                                              if a not in axes}, orientation=-1)
+            expect = integrate_over_cycle(contract(y, contract(x, nu)), cycle)
+            assert lichnerowicz_singular(cycle, x, y, nu) == expect
+            # a closed, non-constant 2-form
+            beta = random_form(rng, m, 1, max_deg=1, n_terms=2)
+            eta = exterior_derivative(beta) + TorusForm.basis(m, (0, 1), random_fraction(rng))
+            expect = integrate_over_cycle(wedge(eta, contract(y, contract(x, nu))),
+                                          CoordinateCycle.full(m))
+            assert lichnerowicz_eta(eta, x, y, nu) == expect
 
 
 # -- splitting maps ------------------------------------------------------------------

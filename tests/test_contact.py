@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from preqlat.cli import main
 from preqlat.exact import ExactScalar
 from preqlat.toruscalc import (
     CoordinateCycle,
@@ -22,14 +23,17 @@ from preqlat.toruscalc import (
     contact_volume,
     contract,
     exterior_derivative,
+    integrate_over_cycle,
     invariant_function,
     is_reeb_invariant,
+    liouville_power,
     reeb_field,
     rho_cochain,
     sigma_cocycle,
     strict_contact_residual,
     transverse_field,
 )
+from preqlat.toruscalc.contact import contact_differential
 
 from util import random_invariant
 
@@ -139,6 +143,51 @@ def test_pullback_residual_zero_on_z_circle_example():
 
     assert integrate_over_cycle(lam, zc) == ExactScalar(Fraction(1, 2), 1)
     assert contact_pullback_residual(zc, f, g).is_zero()
+
+
+def test_contact_integrals_match_formed_integrands():
+    # sigma, rho and the lambda term are read off mode pairs; here each
+    # integrand is formed in full and integrated
+    rng = random.Random(75)
+    theta = TorusForm(3, 1, {(0,): TrigPoly.cos_axis(3, 2), (1,): TrigPoly.sin_axis(3, 2)})
+    mu = TorusForm.basis(3, (0, 1, 2), Fraction(-1, 2))
+    lams = []
+    for axis in (0, 1, 2) * 4:
+        offsets = {a: rng.randint(1, 3) for a in range(3) if a != axis}
+        cycle = CoordinateCycle.circle(3, axis, offsets, orientation=-1)
+        f, g = random_invariant(rng, max_deg=4), random_invariant(rng, max_deg=4)
+        df = exterior_derivative(TorusForm.function(3, f))
+        sig = integrate_over_cycle(g * df, cycle)
+        assert sigma_cocycle(cycle, f, g) == sig
+        assert rho_cochain(cycle, g) == -integrate_over_cycle(g * theta, cycle)
+        lam = integrate_over_cycle(contract(contact_field(g), contract(contact_field(f), mu)),
+                                   cycle)
+        drho = integrate_over_cycle(contact_bracket(f, g) * theta, cycle)
+        assert contact_pullback_residual(cycle, f, g) == lam - sig - Fraction(1, 2) * drho
+        if axis == 2:
+            lams.append(lam)
+    # contact fields of functions of z have no d/dz part, so lambda
+    # vanishes on the x- and y-circles
+    assert not any(lam.is_zero() for lam in lams)
+
+
+def test_shared_contact_geometry_survives_verify_suites(capsys):
+    # the preset's forms and fields are built once and shared; a whole
+    # verify run must leave them equal to fresh builds
+    assert main(["verify", "--suite", "all", "--trials", "2", "--seed", "5",
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    cz, sz, zero = TrigPoly.cos_axis(3, 2), TrigPoly.sin_axis(3, 2), TrigPoly.zero(3)
+    assert contact_form() is contact_form()
+    assert contact_form() == TorusForm(3, 1, {(0,): cz, (1,): sz})
+    assert contact_differential() == TorusForm(3, 2, {(0, 2): sz, (1, 2): -cz})
+    assert contact_volume() == TorusForm.basis(3, (0, 1, 2), Fraction(-1, 2))
+    assert reeb_field() == TorusVectorField(3, [cz, sz, zero])
+    assert transverse_field() == TorusVectorField(3, [-sz, cz, zero])
+    t2 = TorusForm.basis(2, (0, 1))
+    assert liouville_power(t2) is liouville_power(t2, 1)
+    assert liouville_power(t2) == t2
+    assert liouville_power(t2, 0) == TorusForm.function(2, 1)
 
 
 def test_pullback_residual_antisymmetric_input():

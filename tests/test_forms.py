@@ -14,7 +14,9 @@ from preqlat.toruscalc import (
     TrigPoly,
     contract,
     exterior_derivative,
+    integrate_contraction,
     integrate_over_cycle,
+    integrate_product,
     lie_derivative,
     poincare_dual_form,
     vf_bracket,
@@ -209,6 +211,98 @@ def test_stokes_on_cycles():
         offsets = {a: rng.randrange(4) for a in range(dim) if a not in axes}
         cycle = CoordinateCycle(dim, axes, offsets)
         assert integrate_over_cycle(df, cycle).is_zero()
+
+
+def test_cycle_offsets_must_be_integers():
+    # 0.5 quarter turns (pi/4) cannot restrict exactly, and no offset is coerced
+    for bad in (0.5, "3", Fraction(1), 1.0):
+        with pytest.raises(ValueError, match="quarter turns must be integers"):
+            CoordinateCycle.circle(2, 0, offsets={1: bad})
+    assert CoordinateCycle.circle(2, 0, offsets={1: -3}).offsets == {1: 1}
+
+
+# -- integrals read off mode pairs ------------------------------------------------
+
+def _complex_poly(rng, dim, n_modes=4, max_deg=2):
+    """A polynomial with arbitrary (not conjugate-symmetric) modes."""
+    modes = {}
+    for _ in range(n_modes):
+        k = tuple(rng.randint(-max_deg, max_deg) for _ in range(dim))
+        modes[k] = (rng.randint(-5, 5), rng.randint(-5, 5))
+    return TrigPoly(dim, modes, rng.randint(1, 6))
+
+
+def _random_cycle(rng, dim, k, orientation):
+    axes = tuple(rng.sample(range(dim), k))
+    offsets = {a: rng.randint(1, 3) for a in range(dim) if a not in axes}
+    return CoordinateCycle(dim, axes, offsets, orientation)
+
+
+def test_slice_pairing_matches_slice_mean_of_product():
+    rng = random.Random(41)
+    for dim in (2, 3, 4):
+        for _ in range(12):
+            f, g = _complex_poly(rng, dim), _complex_poly(rng, dim)
+            axes = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim))))
+            quarters = {a: rng.randint(1, 3) for a in range(dim)}
+            assert f.slice_pairing(g, axes, quarters) == (f * g).slice_mean(axes, quarters)
+            assert g.slice_pairing(f, axes, quarters) == (f * g).slice_mean(axes, quarters)
+    # no mode pair survives: cos x * cos 2x has mean zero
+    f, g = TrigPoly.cos_axis(2, 0), TrigPoly.cos_axis(2, 0, 2)
+    assert f.slice_pairing(g, (0, 1), {}) == (Fraction(0), Fraction(0))
+    with pytest.raises(ValueError, match="quarter turns must be integers"):
+        f.slice_pairing(g, (0,), {1: 0.5})
+
+
+def test_integral_helpers_match_formed_products():
+    rng = random.Random(42)
+    for dim in (2, 3, 4):
+        for orientation in (1, -1):
+            for _ in range(6):
+                k = rng.randint(0, dim - 1)
+                cycle = _random_cycle(rng, dim, k, orientation)
+                f = random_real_trigpoly(rng, dim)
+                y = random_field(rng, dim)
+                y = TorusVectorField(dim, y.components, rng.randint(-2, 2))
+                form = random_form(rng, dim, k, n_terms=3).scale_pi(rng.randint(-2, 2))
+                assert integrate_product(f, form, cycle) == integrate_over_cycle(f * form, cycle)
+                form1 = random_form(rng, dim, k + 1, n_terms=3).scale_pi(rng.randint(-2, 2))
+                assert integrate_contraction(y, form1, cycle) == integrate_over_cycle(
+                    contract(y, form1), cycle)
+    # a pair with no surviving mode integrates to zero on both sides
+    full = CoordinateCycle.full(2)
+    f = TrigPoly.cos_axis(2, 0)
+    form = TorusForm.basis(2, (0, 1), TrigPoly.cos_axis(2, 0, 2))
+    assert integrate_product(f, form, full).is_zero()
+    assert integrate_over_cycle(f * form, full).is_zero()
+    y = TorusVectorField.coordinate(2, 1, TrigPoly.sin_axis(2, 1))
+    form1 = TorusForm.basis(3, (0, 2), TrigPoly.cos_axis(3, 1, 3))
+    circle = CoordinateCycle.circle(3, 0, offsets={1: 1, 2: 2})
+    y3 = TorusVectorField.coordinate(3, 2, TrigPoly.sin_axis(3, 1))
+    assert integrate_contraction(y3, form1, circle).is_zero()
+    assert integrate_over_cycle(contract(y3, form1), circle).is_zero()
+    assert integrate_contraction(y, TorusForm.zero(2, 2), CoordinateCycle.circle(2, 0)).is_zero()
+
+
+def test_integral_helpers_reject_non_real_integrands():
+    # i*cos x pairs to a non-real integral, on both paths, with one message
+    f = TrigPoly(2, {(1, 0): (0, 1), (-1, 0): (0, 1)}, 2)
+    form = TorusForm.basis(2, (0, 1), TrigPoly.cos_axis(2, 0))
+    full = CoordinateCycle.full(2)
+    for integral in (lambda: integrate_product(f, form, full),
+                     lambda: integrate_over_cycle(f * form, full)):
+        with pytest.raises(ValueError, match="integral of a non-real form"):
+            integral()
+    y = TorusVectorField.coordinate(2, 1, f)
+    circle = CoordinateCycle.circle(2, 0, offsets={1: 1})
+    for integral in (lambda: integrate_contraction(y, form, circle),
+                     lambda: integrate_over_cycle(contract(y, form), circle)):
+        with pytest.raises(ValueError, match="integral of a non-real form"):
+            integral()
+    with pytest.raises(ValueError, match="degree mismatch"):
+        integrate_product(f, form, circle)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        integrate_contraction(y, form, full)
 
 
 # -- (2*pi) bookkeeping ----------------------------------------------------------
