@@ -7,3 +7,8 @@ the lattice construction.
 """
 
 __version__ = "0.1.0"
+
+# the seeded identity suites of ``preqlat.verify``, in run order; defined
+# here so that the command-line parser can list them without importing
+# the torus calculus
+SUITE_NAMES = ("calculus", "cocycles", "jacobi", "pullback", "flux", "shifts", "duality")

@@ -125,8 +125,11 @@ def contact_field(f: TrigPoly) -> TorusVectorField:
 
 def contact_bracket(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """{f, g} = d(theta)(zeta_f, zeta_g) on invariant Hamiltonians."""
-    zf = contact_field(f)
-    zg = contact_field(g)
+    return _field_bracket(contact_field(f), contact_field(g))
+
+
+def _field_bracket(zf: TorusVectorField, zg: TorusVectorField) -> TrigPoly:
+    """d(theta)(zeta_f, zeta_g), from contact fields already built."""
     return contract(zg, contract(zf, contact_differential())).as_function()
 
 
@@ -157,14 +160,12 @@ def contact_pullback_residual(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly) 
     with lambda the cycle cocycle of the (unnormalized) contact volume
     mu = (1/2) theta ^ d(theta); identically zero on invariant inputs.
     """
-    if not (is_reeb_invariant(f) and is_reeb_invariant(g)):
-        raise ValueError("not Reeb-invariant")
-    zf = contact_field(f)
+    zf = contact_field(f)           # each raises "not Reeb-invariant"
     zg = contact_field(g)
     lam = integrate_contraction(zg, contract(zf, contact_volume()), cycle)
     sig = sigma_cocycle(cycle, f, g)
     # (d rho)(f, g) = -rho({f, g}) for a 1-cochain rho
-    drho = -rho_cochain(cycle, contact_bracket(f, g))
+    drho = -rho_cochain(cycle, _field_bracket(zf, zg))
     return lam - sig - Fraction(1, 2) * drho
 
 

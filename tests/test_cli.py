@@ -734,3 +734,128 @@ def test_verify_lattice_workload_digest_pinned(tmp_path, capsys):
         report.pop("timestamp")
         digest.update(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_VERIFY_LATTICE_SHA256
+
+
+# -- torus m >= 10, size caps, per-subcommand imports ------------------------------
+
+def test_torus_m10_default_omega(capsys):
+    """The standard form of T^10 is built as a cochain: its spec, which
+    would name axis 10 as "e910", is only echoed, never parsed."""
+    from math import comb
+
+    report, code = run_argv(["cohomology", "--preset", "torus", "--m", "10"])
+    assert code == 0
+    assert [frag["betti"] for frag in report["cohomology"]] == [comb(10, k) for k in range(11)]
+    report, code = run_argv(["lattice", "--preset", "torus", "--m", "10"])
+    assert code == 0
+    assert report["lattice"]["rank"] == 0 and report["volume"] == "1"
+    assert report["job"]["params"]["omega"] == "e12+e34+e56+e78+e910"
+    # an --omega the user writes is still parsed, under both commands
+    for command in ("cohomology", "lattice"):
+        assert main([command, "--preset", "torus", "--m", "10", "--omega", "e12+e910"]) == 2
+        assert "single-digit axes" in capsys.readouterr().err
+
+
+def _first_over(size, cap):
+    n = 1
+    while size(n) <= cap:
+        n += 1
+    return n
+
+
+def test_size_caps_reject_before_any_work(tmp_path, capsys, monkeypatch):
+    """Each cap is met at the first size over it, computed here from the
+    cap alone, with exit 2 before a ring is built or a suite started."""
+    from math import comb
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a job over the cap was started")
+
+    for name in ("nilmanifold_ring", "torus_ring", "surface_ring"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+    dim = _first_over(lambda n: max(comb(n, k) * comb(n, k + 1) for k in range(n)),
+                      cli.MAX_DENSE_CELLS)
+    assert dim == 12 and cli.MAX_DIM == 11
+    for command in ("cohomology", "lattice"):
+        assert main([command, "--preset", "torus", "--m", str(dim)]) == 2
+        assert f"{cli.MAX_DENSE_CELLS} cells" in capsys.readouterr().err
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": dim, "basis": [f"e{i}" for i in range(dim)]}))
+    assert main(["cohomology", "--input", str(path)]) == 2
+    assert f"{cli.MAX_DENSE_CELLS} cells" in capsys.readouterr().err
+
+    genus = _first_over(lambda g: comb(2 * g, 2), cli.MAX_DENSE_CELLS)
+    for command in ("cohomology", "lattice"):
+        assert main([command, "--preset", "surface", "--g", str(genus)]) == 2
+        assert str(cli.MAX_DENSE_CELLS) in capsys.readouterr().err
+
+    # rejected while parsing, so no suite starts
+    trials = cli.MAX_TRIALS + 1
+    with pytest.raises(InputError, match=str(cli.MAX_TRIALS)):
+        parse_job(["verify", "--suite", "jacobi", "--trials", str(trials)])
+    desc = tmp_path / "suite.json"
+    desc.write_text(json.dumps({"suites": ["jacobi"], "trials": trials}))
+    with pytest.raises(InputError, match=str(cli.MAX_TRIALS)):
+        parse_job(["verify", "--input", str(desc)])
+
+
+def test_sizes_at_the_caps_parse():
+    from math import comb
+
+    assert parse_job(["cohomology", "--preset", "torus", "--m", "10"]).params["m"] == 10
+    genus = _first_over(lambda g: comb(2 * g, 2), cli.MAX_DENSE_CELLS) - 1
+    assert parse_job(["lattice", "--preset", "surface", "--g", str(genus)]).params["g"] == genus
+    job = parse_job(["verify", "--trials", str(cli.MAX_TRIALS)])
+    assert job.trials == cli.MAX_TRIALS
+
+
+def _modules_after(code):
+    """preqlat modules loaded by ``code`` in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (code + "\nimport sys\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('preqlat'))))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def _job(argv):
+    return f"import os, preqlat.cli as c; assert c.main({argv!r} + ['--output', os.devnull]) == 0"
+
+
+def test_cohomology_process_imports_only_the_cohomology_path():
+    heavy = {"preqlat.verify", "preqlat.prequant", "preqlat.exact", "preqlat.toruscalc"}
+    loaded = _modules_after("import preqlat.cli")
+    assert loaded == {"preqlat", "preqlat.cli", "preqlat.cealg", "preqlat.cohomring",
+                      "preqlat.intlinalg", "preqlat.combinat"}
+    loaded = _modules_after(_job(["cohomology", "--preset", "thurston"]))
+    assert not loaded & heavy
+    assert not any(m.startswith("preqlat.toruscalc") for m in loaded)
+    loaded = _modules_after(_job(["lattice", "--preset", "thurston", "--r", "2"]))
+    assert {"preqlat.prequant", "preqlat.exact"} <= loaded
+    assert "preqlat.verify" not in loaded
+    assert not any(m.startswith("preqlat.toruscalc") for m in loaded)
+
+
+def test_suite_names_defined_once():
+    import os
+    import preqlat
+    from preqlat import verify
+
+    src = os.path.dirname(preqlat.__file__)
+    defs = []
+    for folder, _, files in os.walk(src):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as fh:
+                    defs += [name for line in fh if re.match(r"\s*SUITE_NAMES\s*=", line)]
+    assert defs == ["__init__.py"]
+    assert verify.SUITE_NAMES is cli.SUITE_NAMES is preqlat.SUITE_NAMES
+    assert tuple(verify._RUNNERS) == preqlat.SUITE_NAMES

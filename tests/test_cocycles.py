@@ -435,3 +435,56 @@ def test_cycle_form_duality_on_commuting_pairs(axis):
         g = zero_mean_poly_in_axis(rng, 2, axis) + random_fraction(rng)
         assert poisson_bracket(f, g, T2).is_zero()
         assert singular_cocycle(cycle, f, g, T2) == roger_cocycle(alpha, f, g, T2)
+
+
+# -- witnesses of the verify suites -----------------------------------------------
+
+def test_passing_suites_format_no_witness(monkeypatch):
+    from preqlat import verify
+
+    calls = []
+    for name in ("poly_repr", "field_repr", "form_repr"):
+        orig = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda x, orig=orig, name=name: calls.append(name) or orig(x))
+    results = verify.run_suites("all", 2, 3)
+    assert all(r.ok for r in results) and len(results) == len(verify.SUITE_NAMES)
+    assert calls == []
+
+
+def test_failing_trials_keep_their_own_witness(monkeypatch):
+    """A witness is formatted after the check, from the inputs of the
+    trial that failed, in the same format as before."""
+    from preqlat import verify
+
+    # jacobi: {f, g} := f makes the cyclic sum f + g + h
+    monkeypatch.setattr(verify, "poisson_bracket", lambda f, g, omega: f)
+    res = verify.run_jacobi(3, verify.suite_rng(5, "jacobi"))
+    rng = verify.suite_rng(5, "jacobi")
+    expected = []
+    for i in range(3):
+        f, g, h = (verify._rand_poly(rng, 2, max_deg=2, n_modes=2) for _ in range(3))
+        expected.append({"trial": i, "f": verify.poly_repr(f), "g": verify.poly_repr(g),
+                         "h": verify.poly_repr(h)})
+    assert res.passed == 0 and res.failures == expected
+
+    # cocycles: six kinds per trial, each failing with its own residual
+    seen = []
+
+    def residual(kind, params, *args):
+        seen.append((kind, args))
+        return ExactScalar(Fraction(len(seen)), 0)
+
+    monkeypatch.setattr(verify, "cocycle_residual", residual)
+    res = verify.run_cocycles(2, verify.suite_rng(5, "cocycles"))
+    assert res.failures == [
+        {
+            "trial": n // 6,
+            "kind": kind,
+            "inputs": [verify.field_repr(a) if isinstance(a, TorusVectorField)
+                       else verify.poly_repr(a) for a in args],
+            "residual": str(ExactScalar(Fraction(n + 1), 0)),
+        }
+        for n, (kind, args) in enumerate(seen)
+    ]
+    assert len(seen) == 12
