@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from math import comb
 
 import pytest
 
@@ -741,8 +742,6 @@ def test_verify_lattice_workload_digest_pinned(tmp_path, capsys):
 def test_torus_m10_default_omega(capsys):
     """The standard form of T^10 is built as a cochain: its spec, which
     would name axis 10 as "e910", is only echoed, never parsed."""
-    from math import comb
-
     report, code = run_argv(["cohomology", "--preset", "torus", "--m", "10"])
     assert code == 0
     assert [frag["betti"] for frag in report["cohomology"]] == [comb(10, k) for k in range(11)]
@@ -766,8 +765,6 @@ def _first_over(size, cap):
 def test_size_caps_reject_before_any_work(tmp_path, capsys, monkeypatch):
     """Each cap is met at the first size over it, computed here from the
     cap alone, with exit 2 before a ring is built or a suite started."""
-    from math import comb
-
     def forbidden(*args, **kwargs):
         raise AssertionError("a job over the cap was started")
 
@@ -801,8 +798,6 @@ def test_size_caps_reject_before_any_work(tmp_path, capsys, monkeypatch):
 
 
 def test_sizes_at_the_caps_parse():
-    from math import comb
-
     assert parse_job(["cohomology", "--preset", "torus", "--m", "10"]).params["m"] == 10
     genus = _first_over(lambda g: comb(2 * g, 2), cli.MAX_DENSE_CELLS) - 1
     assert parse_job(["lattice", "--preset", "surface", "--g", str(genus)]).params["g"] == genus
