@@ -122,7 +122,7 @@ def _preset_flags(p):
     p.add_argument("--b", type=str, help="second symplectic coefficient")
     p.add_argument("--c", type=int, help="torsion label of the Euler class")
     p.add_argument("--m", type=int, help="torus dimension")
-    p.add_argument("--omega", type=str, help="torus symplectic class, e.g. e12+e34")
+    p.add_argument("--omega", type=str, help="torus symplectic class, e.g. e12+e34 or e9,10")
     p.add_argument("--g", type=int, help="surface genus")
     p.add_argument("--vol", type=str, help="surface volume (positive integer)")
 
@@ -259,8 +259,8 @@ def _collect_preset_params(ns):
 
 
 def _default_omega(m):
-    """The echoed spec of the standard form on T^m."""
-    return "+".join(f"e{2 * i + 1}{2 * i + 2}" for i in range(m // 2))
+    """The standard form on T^m as a spec --omega reads back (e9,10 at m = 10)."""
+    return "+".join(f"e{i}{i + 1}" if i < 9 else f"e{i},{i + 1}" for i in range(1, m, 2))
 
 
 def _standard_omega(m) -> Cochain:
@@ -269,7 +269,7 @@ def _standard_omega(m) -> Cochain:
 
 
 def parse_omega_spec(spec, m) -> Cochain:
-    """Parse strings like ``e12+e34`` or ``2e12-e34`` (single-digit axes)."""
+    """Parse strings like ``e12+e34``, ``2e12-e34`` or ``e1,2-1/2e9,10``."""
     coeffs = {}
     text = spec.replace(" ", "")
     if not text:
@@ -282,11 +282,13 @@ def parse_omega_spec(spec, m) -> Cochain:
             raise InputError(f"malformed omega term {term!r}")
         coef_txt, _, idx_txt = body.partition("e")
         coef = sign * (_parse_rational(coef_txt, "omega") if coef_txt else Fraction(1))
-        if len(idx_txt) != 2 or not idx_txt.isdigit():
+        axes = re.fullmatch(r"([0-9])([0-9])|([0-9]{1,2}),([0-9]{1,2})", idx_txt)
+        if axes is None:
             raise InputError(
-                f"omega term {term!r} must name two single-digit axes, e.g. e12"
+                f"omega term {term!r} must name two single-digit axes, e.g. e12, "
+                "or two axes split by a comma, e.g. e9,10"
             )
-        i, j = int(idx_txt[0]) - 1, int(idx_txt[1]) - 1
+        i, j = (int(x) - 1 for x in axes.groups() if x is not None)
         if not (0 <= i < j < m):
             raise InputError(f"omega term {term!r} out of range for m={m}")
         coeffs[(i, j)] = coeffs.get((i, j), Fraction(0)) + coef

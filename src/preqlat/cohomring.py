@@ -476,6 +476,7 @@ def surface_ring(genus) -> CohomologyRing:
         names = tuple(f"a{i+1}" for i in range(g)) + tuple(f"b{i+1}" for i in range(g))
         dim, pairs = 2 * g, [(i, g + i) for i in range(g)]
     b1 = 2 * g
+    paired = set(pairs)
     degrees = [
         DegreeData(0, dim, 1, [], [[((), 1)]], lambda: [[1]]),
         DegreeData(1, dim, b1, [], [[((i,), 1)] for i in range(b1)],
@@ -483,7 +484,7 @@ def surface_ring(genus) -> CohomologyRing:
         # the symplectic contraction: only the coefficients on the paired
         # tuples (a_i, b_i) survive, and they all agree in H^2
         DegreeData(2, dim, 1, [], [[(pairs[0], 1)]],
-                   lambda: [[int(t in pairs) for t in degree_tuples(dim, 2)]]),
+                   lambda: [[int(t in paired) for t in degree_tuples(dim, 2)]]),
     ]
     degrees += [DegreeData(k, dim, 0, [], [], list) for k in range(3, dim + 1)]
     groups = GradedCohomology(dim, names, degrees)

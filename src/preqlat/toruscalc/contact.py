@@ -10,7 +10,8 @@ cycle cocycle on invariant functions.
 
 The preset's fixed forms and fields (theta, d(theta), mu, the Reeb and
 transverse fields) are built on first use and then shared by every call,
-so callers must not change them.  The cycle integrals are read off mode
+so callers must not change them.  A strict contact field takes one
+``product_sum`` per component.  The cycle integrals are read off mode
 pairs without forming the integrand.
 """
 
@@ -31,7 +32,7 @@ from .forms import (
     lie_derivative,
     wedge,
 )
-from .trig import TrigPoly
+from .trig import TrigPoly, product_sum
 
 DIM = 3
 X_AXIS, Y_AXIS, Z_AXIS = 0, 1, 2
@@ -111,15 +112,11 @@ def contact_field(f: TrigPoly) -> TorusVectorField:
     """
     if not is_reeb_invariant(f):
         raise ValueError("not Reeb-invariant")
-    e = reeb_field()
-    v = transverse_field()
-    fz = f.diff(Z_AXIS)
-    vf = v.apply(f)
-    comps = [
-        f * e.components[0] + fz * v.components[0],
-        f * e.components[1] + fz * v.components[1],
-        -vf,
-    ]
+    e = reeb_field().components
+    v = transverse_field().components
+    comps = [product_sum(DIM, ((e[j], f, None, 1), (v[j], f, Z_AXIS, 1)))
+             for j in (X_AXIS, Y_AXIS)]
+    comps.append(product_sum(DIM, ((c, f, axis, -1) for axis, c in enumerate(v))))
     return TorusVectorField(DIM, comps)
 
 

@@ -5,6 +5,9 @@ carries an integer power of (2*pi), so normalized objects like the unit
 volume form dx_1^...^dx_m/(2*pi)^m stay exact.  Addition requires equal
 powers; products add them.  Integrals land in ExactScalar; an integral
 of f * form or of i_Y form is read off mode pairs, never formed.
+
+X(f), [X, Y], d, i_X and the wedge build each output coefficient with one
+``product_sum`` over its terms, so no partial result is a polynomial.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 from ..combinat import merge_tuples, remove_index, sort_sign
 from ..exact import ExactScalar
-from .trig import TrigPoly
+from .trig import TrigPoly, product_sum
 
 
 class TorusForm:
@@ -220,49 +223,33 @@ class TorusVectorField:
         """Directional derivative X(f); requires a (2*pi)-free field."""
         if self.pi_power != 0:
             raise ValueError("field carries a (2*pi) power; scale it away first")
-        out = TrigPoly.zero(self.dim)
-        for axis, comp in enumerate(self.components):
-            if not comp.is_zero():
-                df = f.diff(axis)
-                if not df.is_zero():
-                    out = out + comp * df
-        return out
+        return product_sum(self.dim, ((c, f, axis, 1) for axis, c in enumerate(self.components)))
 
 
 def vf_bracket(x: TorusVectorField, y: TorusVectorField) -> TorusVectorField:
-    """Lie bracket [X, Y] of vector fields."""
+    """Lie bracket [X, Y]^k = X(Y^k) - Y(X^k)."""
     if x.dim != y.dim:
         raise ValueError("fields live on different tori")
     dim = x.dim
-    comps = []
-    for k in range(dim):
-        acc = TrigPoly.zero(dim)
-        for j in range(dim):
-            if not x.components[j].is_zero():
-                dy = y.components[k].diff(j)
-                if not dy.is_zero():
-                    acc = acc + x.components[j] * dy
-            if not y.components[j].is_zero():
-                dx = x.components[k].diff(j)
-                if not dx.is_zero():
-                    acc = acc - y.components[j] * dx
-        comps.append(acc)
+    comps = [
+        product_sum(dim, [(x.components[j], y.components[k], j, 1) for j in range(dim)]
+                    + [(y.components[j], x.components[k], j, -1) for j in range(dim)])
+        for k in range(dim)
+    ]
     return TorusVectorField(dim, comps, x.pi_power + y.pi_power)
 
 
 def exterior_derivative(f: TorusForm) -> TorusForm:
-    out = {}
+    """d f: the coefficient at each index is a product_sum of signed
+    derivatives of f's coefficients (times the constant 1)."""
+    one = TrigPoly.const(f.dim, 1)
+    terms = {}
     for idx, poly in f.coeffs.items():
         for axis in range(f.dim):
-            if axis in idx:
-                continue
-            dp = poly.diff(axis)
-            if dp.is_zero():
-                continue
-            new_idx, sign = merge_tuples((axis,), idx)
-            prev = out.get(new_idx, TrigPoly.zero(f.dim))
-            out[new_idx] = prev + (dp if sign > 0 else -dp)
-    return TorusForm(f.dim, f.degree + 1, out, f.pi_power)
+            if axis not in idx:
+                new_idx, sign = merge_tuples((axis,), idx)
+                terms.setdefault(new_idx, []).append((one, poly, axis, sign))
+    return _form_of_terms(f.dim, f.degree + 1, terms, f.pi_power)
 
 
 def wedge(f: TorusForm, g: TorusForm) -> TorusForm:
@@ -271,19 +258,14 @@ def wedge(f: TorusForm, g: TorusForm) -> TorusForm:
     degree = f.degree + g.degree
     if degree > f.dim:
         return TorusForm.zero(f.dim, degree)
-    out = {}
+    terms = {}
     for ia, pa in f.coeffs.items():
         for ib, pb in g.coeffs.items():
             merged = merge_tuples(ia, ib)
-            if merged is None:
-                continue
-            idx, sign = merged
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            prev = out.get(idx)
-            out[idx] = term if prev is None else prev + term
-    return TorusForm(f.dim, degree, out, f.pi_power + g.pi_power)
+            if merged is not None:
+                idx, sign = merged
+                terms.setdefault(idx, []).append((pa, pb, None, sign))
+    return _form_of_terms(f.dim, degree, terms, f.pi_power + g.pi_power)
 
 
 def contract(x: TorusVectorField, f: TorusForm) -> TorusForm:
@@ -292,19 +274,22 @@ def contract(x: TorusVectorField, f: TorusForm) -> TorusForm:
         raise ValueError("field and form live on different tori")
     if f.degree == 0:
         return TorusForm.zero(f.dim, 0)
-    out = {}
+    terms = {}
     for idx, poly in f.coeffs.items():
         for axis in idx:
             comp = x.components[axis]
-            if comp.is_zero():
-                continue
-            rest, sign = remove_index(axis, idx)
-            term = comp * poly
-            if sign < 0:
-                term = -term
-            prev = out.get(rest)
-            out[rest] = term if prev is None else prev + term
-    return TorusForm(f.dim, f.degree - 1, out, f.pi_power + x.pi_power)
+            if not comp.is_zero():
+                rest, sign = remove_index(axis, idx)
+                terms.setdefault(rest, []).append((comp, poly, None, sign))
+    return _form_of_terms(f.dim, f.degree - 1, terms, f.pi_power + x.pi_power)
+
+
+def _form_of_terms(dim, degree, terms, pi_power):
+    """The form whose coefficient at each index is the product_sum of the
+    terms gathered there."""
+    return TorusForm(
+        dim, degree, {idx: product_sum(dim, ts) for idx, ts in terms.items()}, pi_power
+    )
 
 
 def lie_derivative(x: TorusVectorField, f: TorusForm) -> TorusForm:

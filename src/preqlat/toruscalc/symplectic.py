@@ -4,10 +4,11 @@ The preset symplectic structures are sums of scaled coordinate planes,
 omega = sum c_i dx_{2i-1} ^ dx_{2i}; Hamiltonian fields are produced by
 inverting the constant coefficient matrix, so every identity downstream
 (bracket values, cocycle evaluations) is exact.  Each distinct form is
-factored once: its Hamiltonian operator (the scaled inverse) and its
-Liouville powers are built on first use and shared by every later call
-with an equal form.  The cocycles are integrals of f * form, read off
-mode pairs without forming the product.
+factored once: its Hamiltonian operator (the scaled inverse, as constant
+polynomials) and its Liouville powers are built on first use and shared
+by every later call with an equal form.  X_f takes one ``product_sum``
+per component and {f, g} = omega(X_f, X_g) = X_f(g) one more.  The
+cocycles are integrals of f * form, read off mode pairs unformed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .forms import (
     integrate_product,
     wedge,
 )
-from .trig import TrigPoly
+from .trig import TrigPoly, product_sum
 
 
 def standard_symplectic(n, scales=None) -> TorusForm:
@@ -66,10 +67,11 @@ def _coefficient_matrix(omega: TorusForm):
 
 @lru_cache(maxsize=64)
 def _hamiltonian_operator(omega: TorusForm):
-    """Per row j of X_f, the (k, c) with X_f^j = sum c * df/dx_k: the
-    nonzero entries of the inverse coefficient matrix, one factorization
-    per distinct form.  An invalid or degenerate form raises on every
-    call, since exceptions are not cached."""
+    """Per row j of X_f, the (c, k) with X_f^j = sum c * df/dx_k: the
+    nonzero entries of the inverse coefficient matrix as constant
+    polynomials, one factorization per distinct form.  An invalid or
+    degenerate form raises on every call, since exceptions are not
+    cached."""
     mat = _coefficient_matrix(omega)
     dim = omega.dim
     # scale * mat is integral, and mat^{-1} = scale * (scale * mat)^{-1}
@@ -79,29 +81,19 @@ def _hamiltonian_operator(omega: TorusForm):
         inv = rational_solver(cols, dim)
     except ValueError:
         raise ValueError("degenerate symplectic form") from None
-    return tuple(tuple((k, scale * x) for k, x in enumerate(row) if x) for row in inv)
+    return tuple(tuple((TrigPoly.const(dim, scale * x), k) for k, x in enumerate(row) if x)
+                 for row in inv)
 
 
 def hamiltonian_field(f: TrigPoly, omega: TorusForm) -> TorusVectorField:
     """The field X_f with i_{X_f} omega = -df, via the constant inverse."""
-    op = _hamiltonian_operator(omega)
-    dim = omega.dim
-    grads = [f.diff(k) for k in range(dim)]
-    comps = []
-    for row in op:
-        acc = TrigPoly.zero(dim)
-        for k, c in row:
-            if not grads[k].is_zero():
-                acc = acc + grads[k] * c
-        comps.append(acc)
-    return TorusVectorField(dim, comps)
+    dim, op = omega.dim, _hamiltonian_operator(omega)
+    return TorusVectorField(dim, [product_sum(dim, ((c, f, k, 1) for c, k in row)) for row in op])
 
 
 def poisson_bracket(f: TrigPoly, g: TrigPoly, omega: TorusForm) -> TrigPoly:
-    """{f, g} = omega(X_f, X_g)."""
-    xf = hamiltonian_field(f, omega)
-    xg = hamiltonian_field(g, omega)
-    return contract(xg, contract(xf, omega)).as_function()
+    """{f, g} = omega(X_f, X_g) = dg(X_f) = X_f(g), since i_{X_g} omega = -dg."""
+    return hamiltonian_field(f, omega).apply(g)
 
 
 def ks_cocycle(f, g, omega, point):

@@ -12,6 +12,9 @@ Storage: ``modes`` maps each wave vector k to a pair of ints (a, b) and
 itself and every numerator, so equal polynomials have equal fields (the
 zero polynomial has den 1).  Exact values leave this module as (re, im)
 pairs of Fractions; no other module reads the numerators or den.
+
+``product_sum`` is the one convolution loop: it sums sign * p * d_axis(q)
+over its terms into one polynomial; ``p * q`` is its one-term case.
 """
 
 from __future__ import annotations
@@ -102,16 +105,6 @@ class TrigPoly:
     def is_constant(self):
         return all(not any(k) for k in self.modes)
 
-    def is_real(self):
-        return all(
-            self.modes.get(tuple(-x for x in k)) == (a, -b)
-            for k, (a, b) in self.modes.items()
-        )
-
-    def max_degree(self):
-        """Largest |k_j| over the support."""
-        return max((abs(x) for k in self.modes for x in k), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
@@ -162,17 +155,7 @@ class TrigPoly:
             )
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        self._check(other)
-        modes = {}
-        others = list(other.modes.items())
-        for k1, (a1, b1) in self.modes.items():
-            for k2, (a2, b2) in others:
-                k = tuple(map(add, k1, k2))
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-                prev = modes.get(k)
-                modes[k] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-        return TrigPoly(self.dim, modes, self.den * other.den)
+        return product_sum(self.dim, ((self, other, None, 1),))
 
     __rmul__ = __mul__
 
@@ -265,3 +248,39 @@ class TrigPoly:
         if len(quarters) != self.dim:
             raise ValueError("point has wrong dimension")
         return self.slice_mean((), dict(enumerate(quarters)))
+
+
+def product_sum(dim, terms) -> TrigPoly:
+    """sum of sign * p * d_axis(q) over the (p, q, axis, sign) terms, built
+    as one TrigPoly; axis None means the plain product p * q.
+
+    Every mode pair of every term lands in one dict of numerators over the
+    lcm of the terms' denominators: d_axis turns the numerator (a, b) of
+    mode k into (-b * k_axis, a * k_axis) and drops the modes with
+    k_axis = 0.  This is the calculus' only convolution loop.
+    """
+    terms = tuple(terms)
+    for p, q, _, _ in terms:
+        if p.dim != dim or q.dim != dim:
+            raise ValueError("polynomials live on different tori")
+    den = lcm(*(p.den * q.den for p, q, _, _ in terms))
+    modes = {}
+    for p, q, axis, sign in terms:
+        if not p.modes:
+            continue
+        if axis is None:
+            right = list(q.modes.items())
+        else:
+            right = [(k, (-b * k[axis], a * k[axis])) for k, (a, b) in q.modes.items() if k[axis]]
+        if not right:
+            continue
+        s = sign * (den // (p.den * q.den))
+        for k1, (a1, b1) in p.modes.items():
+            a1, b1 = a1 * s, b1 * s
+            for k2, (a2, b2) in right:
+                k = tuple(map(add, k1, k2))
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                prev = modes.get(k)
+                modes[k] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return TrigPoly(dim, modes, den)

@@ -59,7 +59,7 @@ def exact_field_from_potential(alpha: TorusForm, nu: TorusForm | None = None) ->
         complement = tuple(a for a in range(m) if a != j)
         beta = da.coefficient(complement)
         sign = -1 if j % 2 else 1
-        comps.append(beta * Fraction(sign, 1) * (Fraction(1) / scale))
+        comps.append(beta * (Fraction(sign) / scale))
     return TorusVectorField(m, comps, alpha.pi_power - nu.pi_power)
 
 

@@ -109,9 +109,13 @@ def test_parse_omega_spec():
     assert c.coeffs == {(0, 1): 2, (2, 3): -1}
     c = parse_omega_spec("1/2e12", 2)
     assert c.coeffs == {(0, 1): Fraction(1, 2)}
+    c = parse_omega_spec("e1,2-3e9,10", 10)
+    assert c.coeffs == {(0, 1): 1, (8, 9): -3}
 
 
-@pytest.mark.parametrize("spec", ["", "e1", "e13+x", "e21", "e15"])
+@pytest.mark.parametrize(
+    "spec", ["", "e1", "e13+x", "e21", "e15", "e²1", "e1,", "e1,2,3", "e1,100"]
+)
 def test_bad_omega_specs(spec):
     with pytest.raises(InputError):
         parse_omega_spec(spec, 4)
@@ -740,19 +744,34 @@ def test_verify_lattice_workload_digest_pinned(tmp_path, capsys):
 # -- torus m >= 10, size caps, per-subcommand imports ------------------------------
 
 def test_torus_m10_default_omega(capsys):
-    """The standard form of T^10 is built as a cochain: its spec, which
-    would name axis 10 as "e910", is only echoed, never parsed."""
+    """The standard form of T^10 is built as a cochain and echoed in the
+    comma syntax once an axis has two digits ("e9,10", not "e910")."""
     report, code = run_argv(["cohomology", "--preset", "torus", "--m", "10"])
     assert code == 0
     assert [frag["betti"] for frag in report["cohomology"]] == [comb(10, k) for k in range(11)]
     report, code = run_argv(["lattice", "--preset", "torus", "--m", "10"])
     assert code == 0
     assert report["lattice"]["rank"] == 0 and report["volume"] == "1"
-    assert report["job"]["params"]["omega"] == "e12+e34+e56+e78+e910"
+    assert report["job"]["params"]["omega"] == "e12+e34+e56+e78+e9,10"
     # an --omega the user writes is still parsed, under both commands
     for command in ("cohomology", "lattice"):
         assert main([command, "--preset", "torus", "--m", "10", "--omega", "e12+e910"]) == 2
         assert "single-digit axes" in capsys.readouterr().err
+
+
+def test_torus_m10_replays_from_its_echo():
+    """A torus job without --omega echoes its default form as a spec that
+    --omega reads back: the replay gives the same report, lattice
+    included."""
+    report, code = run_argv(["lattice", "--preset", "torus", "--m", "10"])
+    assert code == 0
+    echo = report["job"]["params"]["omega"]
+    assert parse_omega_spec(echo, 10).coeffs == {(i, i + 1): 1 for i in range(0, 10, 2)}
+    replay, code = run_argv(["lattice", "--preset", "torus", "--m", "10", "--omega", echo])
+    assert code == 0
+    report.pop("timestamp")
+    replay.pop("timestamp")
+    assert replay == report
 
 
 def _first_over(size, cap):

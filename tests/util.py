@@ -1,7 +1,8 @@
 """Shared generators, float evaluation, the float-grid quadrature oracle,
-the full-scan Smith normal form oracle, the dense column Hermite normal
-form oracle, the eager reduction-row oracle, the Bareiss determinant, the
-rational rank and the Fraction validation oracle.
+the loop-form torus calculus oracles, the full-scan Smith normal form
+oracle, the dense column Hermite normal form oracle, the eager
+reduction-row oracle, the Bareiss determinant, the rational rank and the
+Fraction validation oracle.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -17,7 +18,9 @@ from fractions import Fraction
 from preqlat.cealg import LieAlgebraPresentation, ValidationReport
 from preqlat.exact import ExactScalar
 from preqlat.intlinalg import echelon_coords, identity, mat_mul, mat_vec
+from preqlat.combinat import merge_tuples, remove_index
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
+from preqlat.toruscalc.contact import reeb_field, transverse_field
 
 
 def random_fraction(rng, num=5, den=3):
@@ -95,11 +98,21 @@ def eval_float(poly: TrigPoly, point) -> complex:
     return total
 
 
+def is_real(poly: TrigPoly) -> bool:
+    """coeff(-k) == conj(coeff(k)) for every mode k."""
+    return all(
+        poly.modes.get(tuple(-x for x in k)) == (a, -b) for k, (a, b) in poly.modes.items()
+    )
+
+
+def max_degree(poly: TrigPoly) -> int:
+    """Largest |k_j| over the support."""
+    return max((abs(x) for k in poly.modes for x in k), default=0)
+
+
 def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> float:
     """Trapezoidal integral over the cycle; exact for degree < n_grid."""
-    max_deg = max(
-        (poly.max_degree() for poly in form.coeffs.values()), default=0
-    )
+    max_deg = max((max_degree(poly) for poly in form.coeffs.values()), default=0)
     n = n_grid or max(2 * max_deg + 2, 4)
     axes = sorted(cycle.axes)
     if form.degree != len(axes):
@@ -129,6 +142,137 @@ def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> f
     rec(0)
     cell = (2 * math.pi / n) ** len(axes)
     return sign * total * cell * (2 * math.pi) ** form.pi_power
+
+
+# Reference torus calculus: the loop forms, which build one intermediate
+# polynomial per product and per partial sum, on a pairwise convolution of
+# their own.  The library builds each result with one trig.product_sum
+# call and must agree with these exactly, errors included.
+def oracle_mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
+    """f * g by the pairwise convolution loop."""
+    if f.dim != g.dim:
+        raise ValueError("polynomials live on different tori")
+    modes = {}
+    for k1, (a1, b1) in f.modes.items():
+        for k2, (a2, b2) in g.modes.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            re, im = modes.get(k, (0, 0))
+            modes[k] = (re + a1 * a2 - b1 * b2, im + a1 * b2 + b1 * a2)
+    return TrigPoly(f.dim, modes, f.den * g.den)
+
+
+def oracle_apply(x: TorusVectorField, f: TrigPoly) -> TrigPoly:
+    """X(f) = sum_j X^j df/dx_j, one product and one sum at a time."""
+    if x.pi_power != 0:
+        raise ValueError("field carries a (2*pi) power; scale it away first")
+    out = TrigPoly.zero(x.dim)
+    for axis, comp in enumerate(x.components):
+        if not comp.is_zero():
+            df = f.diff(axis)
+            if not df.is_zero():
+                out = out + oracle_mul(comp, df)
+    return out
+
+
+def oracle_vf_bracket(x: TorusVectorField, y: TorusVectorField) -> TorusVectorField:
+    """[X, Y]^k = sum_j X^j d_j Y^k - Y^j d_j X^k."""
+    if x.dim != y.dim:
+        raise ValueError("fields live on different tori")
+    dim = x.dim
+    comps = []
+    for k in range(dim):
+        acc = TrigPoly.zero(dim)
+        for j in range(dim):
+            acc = acc + oracle_mul(x.components[j], y.components[k].diff(j))
+            acc = acc - oracle_mul(y.components[j], x.components[k].diff(j))
+        comps.append(acc)
+    return TorusVectorField(dim, comps, x.pi_power + y.pi_power)
+
+
+def oracle_contract(x: TorusVectorField, f: TorusForm) -> TorusForm:
+    """i_X f, term by term."""
+    if x.dim != f.dim:
+        raise ValueError("field and form live on different tori")
+    if f.degree == 0:
+        return TorusForm.zero(f.dim, 0)
+    out = {}
+    for idx, poly in f.coeffs.items():
+        for axis in idx:
+            rest, sign = remove_index(axis, idx)
+            term = oracle_mul(x.components[axis], poly)
+            out[rest] = out.get(rest, TrigPoly.zero(f.dim)) + (term if sign > 0 else -term)
+    return TorusForm(f.dim, f.degree - 1, out, f.pi_power + x.pi_power)
+
+
+def oracle_wedge(f: TorusForm, g: TorusForm) -> TorusForm:
+    """f ^ g, term by term."""
+    if f.dim != g.dim:
+        raise ValueError("forms live on different tori")
+    degree = f.degree + g.degree
+    if degree > f.dim:
+        return TorusForm.zero(f.dim, degree)
+    out = {}
+    for ia, pa in f.coeffs.items():
+        for ib, pb in g.coeffs.items():
+            merged = merge_tuples(ia, ib)
+            if merged is not None:
+                idx, sign = merged
+                term = oracle_mul(pa, pb)
+                out[idx] = out.get(idx, TrigPoly.zero(f.dim)) + (term if sign > 0 else -term)
+    return TorusForm(f.dim, degree, out, f.pi_power + g.pi_power)
+
+
+def fraction_inverse(mat):
+    """Inverse of a square Fraction matrix by Gauss-Jordan elimination."""
+    n = len(mat)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(mat)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        head = [x / rows[c][c] for x in rows[c]]
+        rows = [head if r == c else [x - row[c] * y for x, y in zip(row, head)]
+                for r, row in enumerate(rows)]
+    return [row[n:] for row in rows]
+
+
+def oracle_hamiltonian_field(f: TrigPoly, omega: TorusForm) -> TorusVectorField:
+    """X_f = W^{-1} grad f for the antisymmetric coefficient matrix W of a
+    constant omega, so that i_{X_f} omega = -df; W inverted with
+    Fractions."""
+    dim = omega.dim
+    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    for (a, b), poly in omega.coeffs.items():
+        mat[a][b] = poly.mean()[0]
+        mat[b][a] = -mat[a][b]
+    grads = [f.diff(k) for k in range(dim)]
+    comps = []
+    for row in fraction_inverse(mat):
+        acc = TrigPoly.zero(dim)
+        for k, c in enumerate(row):
+            if c and not grads[k].is_zero():
+                acc = acc + grads[k] * c
+        comps.append(acc)
+    return TorusVectorField(dim, comps)
+
+
+def oracle_poisson_bracket(f: TrigPoly, g: TrigPoly, omega: TorusForm) -> TrigPoly:
+    """{f, g} = omega(X_f, X_g), through two contractions into omega."""
+    xf = oracle_hamiltonian_field(f, omega)
+    xg = oracle_hamiltonian_field(g, omega)
+    return oracle_contract(xg, oracle_contract(xf, omega)).as_function()
+
+
+def oracle_contact_field(f: TrigPoly) -> TorusVectorField:
+    """zeta_f = f E + (df/dz) V - V(f) d/dz for a Reeb-invariant f on the
+    contact 3-torus."""
+    e, v = reeb_field(), transverse_field()
+    if not oracle_apply(e, f).is_zero():
+        raise ValueError("not Reeb-invariant")
+    fz = f.diff(2)
+    comps = [oracle_mul(f, e.components[j]) + oracle_mul(fz, v.components[j]) for j in (0, 1)]
+    comps.append(-oracle_apply(v, f))
+    return TorusVectorField(3, comps)
 
 
 def close(exact: ExactScalar, approx: float, tol=1e-9):
