@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import intlinalg as lin
-from .combinat import degree_tuples, merge_tuples, sort_sign
+from .combinat import degree_tuples, merge_tuples
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,6 @@ class LieAlgebraPresentation:
             if entry:
                 clean[(i, j)] = entry
         object.__setattr__(self, "structure", clean)
-
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a coefficient dict {k: Fraction}."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.structure.get((i, j), {}))
-        return {k: -c for k, c in self.structure.get((j, i), {}).items()}
 
 
 def heisenberg_times_line(r=1) -> LieAlgebraPresentation:
@@ -141,16 +133,6 @@ class Cochain:
     def _check_compatible(self, other):
         if self.dim != other.dim or self.degree != other.degree:
             raise ValueError("cochains live in different spaces")
-
-    def evaluate(self, indices):
-        """Value on the basis vectors e_{indices} (alternating multilinear)."""
-        if len(indices) != self.degree:
-            raise ValueError("wrong number of arguments")
-        sign = sort_sign(indices)
-        if sign == 0:
-            return Fraction(0)
-        key = tuple(sorted(indices))
-        return sign * self.coeffs.get(key, Fraction(0))
 
     def render(self, names, star="*"):
         """Human-readable form like ``2*x*^p* - h*`` given basis names."""
@@ -242,9 +224,11 @@ def complex_matrices(lie: LieAlgebraPresentation):
     """Integer matrices of the differential on each exterior degree.
 
     Returns [d_0, ..., d_{m-1}] where d_k maps degree-k coefficient
-    vectors (lexicographic increasing-tuple basis) to degree k+1.
-    Raises ValueError unless the structure constants are integers.
-    The column of a monomial is filled from the integer generator table
+    vectors (lexicographic increasing-tuple basis) to degree k+1, in the
+    sparse form the Smith normal form takes: per monomial, the (row, int)
+    pairs of its column in increasing row order, the cancelled ones left
+    out.  Raises ValueError unless the structure constants are integers.
+    The column of a monomial is summed from the integer generator table
     by the antiderivation rule of ``ce_differential``.
     """
     m = lie.dim
@@ -253,13 +237,15 @@ def complex_matrices(lie: LieAlgebraPresentation):
         raise ValueError("non-integral basis")
     mats = []
     for k in range(m):
-        src = degree_tuples(m, k)
         dst_pos = {t: i for i, t in enumerate(degree_tuples(m, k + 1))}
-        mat = [[0] * len(src) for _ in dst_pos]
-        for col, idx in enumerate(src):
+        cols = []
+        for idx in degree_tuples(m, k):
+            col = {}
             for t, x in _d_terms(gens, idx):
-                mat[dst_pos[t]][col] += x
-        mats.append(mat)
+                i = dst_pos[t]
+                col[i] = col.get(i, 0) + x
+            cols.append(sorted((i, x) for i, x in col.items() if x))
+        mats.append(cols)
     return mats
 
 

@@ -18,9 +18,10 @@ a fresh ``import preqlat.cli`` takes 0.04-0.05 s instead of 0.08-0.11 s
 (medians of 9, 2-core x86-64 host, Python 3.11).
 
 Jobs over the size limits exit 2 before anything is built: a torus or a
-presentation of dimension over 11, whose largest dense d_k would exceed
-``MAX_DENSE_CELLS`` = C(11,5)·C(11,6) cells; a surface with C(2g, 2)
-over that number; a verify job of more than ``MAX_TRIALS`` trials.
+presentation of dimension over 11, whose largest d_k would have more
+rows times columns than ``MAX_DENSE_CELLS`` = C(11,5)·C(11,6); a surface
+with C(2g, 2) over that number; a verify job of more than ``MAX_TRIALS``
+trials.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _preset_flags(p):
 
 
 MAX_DIGITS = 30     # in the numerator or the denominator of a rational input
-MAX_DENSE_CELLS = 213_444   # of the largest dense d_k: C(11,5)·C(11,6), at dim 11
+MAX_DENSE_CELLS = 213_444   # rows x columns of the largest d_k: C(11,5)·C(11,6), at dim 11
 MAX_TRIALS = 10_000         # per verify job: about 6 min at 34 ms per all-suite trial
 
 # The largest dim within MAX_DENSE_CELLS (11).  The cells of the largest

@@ -23,14 +23,13 @@ position of every basis tuple and the sparse columns of the reduction
 map; closedness and reduction then touch only the columns in the
 support, and a cup product wedges the representatives' terms directly.
 
-What stays dense is the interface to ``intlinalg``: d_k arrives as dense
-integer rows, and so does each degree's second-stage matrix (the
-coboundaries in kernel coordinates, written straight into its rows from
-the sparse columns of d_{k-1}), which the Smith form turns into sparse
-rows to eliminate; the kernel basis, the coordinate rows and the columns
-of U read off its transforms are dense vectors, as are the representative
-columns the Hermite form takes (it reduces them as sparse columns) and
-the reduction rows.
+The Smith form takes sparse columns: d_k as ``complex_matrices`` builds
+it, and each degree's second-stage matrix (the coboundaries in kernel
+coordinates), summed column by column from the sparse columns of
+d_{k-1}.  What stays dense is what comes back: the kernel basis, the
+coordinate rows and the columns of U read off the transforms; so are
+the representative columns the Hermite form takes (it reduces them as
+sparse columns) and the reduction rows.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .cealg import (
     LieAlgebraPresentation,
     abelian,
     complex_matrices,
-    heisenberg_times_line,
     render_terms,
     validate_presentation,
 )
@@ -217,60 +215,51 @@ class GradedCohomology:
 def integral_cohomology(matrices, dim, conames) -> GradedCohomology:
     """Cohomology of the complex 0 -> Z^{N_0} -> ... -> Z^{N_m} -> 0.
 
-    ``matrices[k]`` is d_k in the lexicographic increasing-tuple bases.
-    Raises ``ValueError('not a complex')`` unless d_{k+1} d_k = 0.
+    ``matrices[k]`` is d_k in the lexicographic increasing-tuple bases,
+    as the sparse columns ``complex_matrices`` returns.  Raises
+    ``ValueError('not a complex')`` unless d_{k+1} d_k = 0.
     """
     m = dim
     bases = [degree_tuples(m, k) for k in range(m + 1)]
-    # every d_k as sparse (row, entry) columns
-    cols = [_sparse_columns(mat, len(bases[k])) for k, mat in enumerate(matrices)]
     # d_{k+1} d_k = 0, one sparse column of d_k at a time
-    for k in range(len(cols) - 1):
-        for col in cols[k]:
-            if col and not _kills(cols[k + 1], col):
+    for k in range(len(matrices) - 1):
+        for col in matrices[k]:
+            if col and not _kills(matrices[k + 1], col):
                 raise ValueError("not a complex")
     degrees = []
     for k, basis in enumerate(bases):
-        d_k = matrices[k] if k < len(matrices) else []
-        prev_cols = [c for c in cols[k - 1] if c] if k >= 1 else []
-        d_cols = cols[k] if k < len(cols) else None
-        degrees.append(_degree_data(k, basis, d_k, prev_cols, d_cols, dim))
+        prev_cols = [c for c in matrices[k - 1] if c] if k >= 1 else []
+        d_cols = matrices[k] if k < len(matrices) else None
+        degrees.append(_degree_data(k, basis, prev_cols, d_cols, dim))
     return GradedCohomology(dim, conames, degrees)
 
 
-def _sparse_columns(mat, ncols):
-    cols = [[] for _ in range(ncols)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                if x.denominator != 1:
-                    raise ValueError("non-integral basis")
-                cols[j].append((i, x.numerator))
-    return cols
-
-
-def _degree_data(k, basis, d_k, prev_cols, d_cols, dim):
+def _degree_data(k, basis, prev_cols, d_cols, dim):
     n_k = len(basis)
-    kercols, coord_rows = lin.kernel_transform(d_k, ncols=n_k)
+    if d_cols is None:          # no differential: every cochain is a cocycle
+        kercols = coord_rows = lin.identity(n_k)
+    else:
+        kercols, coord_rows = lin.kernel_transform(d_cols, comb(dim, k + 1))
     s = len(kercols)
     if s == 0:
         return DegreeData(k, dim, 0, [], [], list, d_cols)
 
-    # coboundary image in kernel coordinates, one column per coboundary
-    # column, written straight into the s rows of the matrix the Smith form
-    # takes: one pass over the entries of the coordinate rows in the rows of
-    # each column's support.  The columns lie in the kernel (the complex was
-    # checked), and the coordinates are integral because the kernel lattice
-    # is saturated.
+    # coboundary image in kernel coordinates, one sparse column per
+    # coboundary column: one pass over the entries of the coordinate rows
+    # in the rows of the column's support.  The columns lie in the kernel
+    # (the complex was checked), and the coordinates are integral because
+    # the kernel lattice is saturated.
     coord_cols = [[(t, x) for t, x in enumerate(col) if x] for col in zip(*coord_rows)]
-    x_rows = [[0] * len(prev_cols) for _ in range(s)]
-    for c, col in enumerate(prev_cols):
+    x_cols = []
+    for col in prev_cols:
+        image = {}
         for i, x in col:
             for t, v in coord_cols[i]:
-                x_rows[t][c] += v * x
+                image[t] = image.get(t, 0) + v * x
+        x_cols.append(sorted((t, y) for t, y in image.items() if y))
 
     if prev_cols:
-        snf = lin.smith_normal_form(x_rows)
+        snf = lin.smith_normal_form(x_cols, s)
     else:
         # the s x 0 matrix is its own Smith form, with identity transforms
         snf = lin.SmithDecomposition([], (s, 0), 0, [], [])
@@ -374,18 +363,8 @@ class CohomologyRing:
     def representative(self, cls: CohomClass) -> Cochain:
         return self.cohomology.representative(cls)
 
-    def zero_class(self, degree):
-        if degree >= len(self.cohomology.degrees):
-            return CohomClass(degree, (), ())
-        dd = self.cohomology.data(degree)
-        return CohomClass(degree, (0,) * dd.betti, (0,) * len(dd.torsion))
-
     def unit(self) -> CohomClass:
         return CohomClass(0, (1,), ())
-
-    def orientation_class(self) -> CohomClass:
-        dd = self.cohomology.data(self.top_degree)
-        return CohomClass(self.top_degree, (1,), (0,) * len(dd.torsion))
 
     def cup(self, u: CohomClass, v: CohomClass) -> CohomClass:
         degree = u.degree + v.degree
@@ -489,18 +468,4 @@ def surface_ring(genus) -> CohomologyRing:
     degrees += [DegreeData(k, dim, 0, [], [], list) for k in range(3, dim + 1)]
     groups = GradedCohomology(dim, names, degrees)
     return CohomologyRing(groups, top_degree=2)
-
-
-def ring_from_preset(preset_id, **params) -> CohomologyRing:
-    """Presets: nilmanifold(presentation=...), thurston(r=...), torus(m=...),
-    surface(g=...)."""
-    if preset_id == "nilmanifold":
-        return nilmanifold_ring(params["presentation"])
-    if preset_id == "thurston":
-        return nilmanifold_ring(heisenberg_times_line(params.get("r", 1)))
-    if preset_id == "torus":
-        return torus_ring(params["m"])
-    if preset_id == "surface":
-        return surface_ring(params["g"])
-    raise ValueError(f"unknown preset {preset_id!r}")
 

@@ -1,14 +1,15 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are plain lists of row lists at the interface.  The Smith normal
-form eliminates on sparse rows, one ``{column: entry}`` dict per row with
-one set per column of the rows that hold an entry there, so each row or
-column operation costs the nonzero entries it touches.  It logs its row
-and column operations, and a caller replays from those logs just the rows
-or columns of the transforms it reads.  Pivots are chosen by minimal
-absolute value, first in row-major order, to keep intermediate entries
-small.  The column Hermite normal form works on sparse columns in the
-same way.  The d_4 of the dim-9 2-step presentation
+Integer matrices come in as sparse columns, (row, entry) pairs per
+column in increasing row order, next to the row count.  The Smith normal
+form fills from them sparse rows, ``{column: entry}`` dicts, and one set
+per column of the rows that hold an entry there, so each row or column
+operation costs the nonzero entries it touches.  It logs its row and
+column operations, and a caller replays from those logs just the rows
+or columns of the transforms it reads, as dense vectors.  Pivots are
+chosen by minimal absolute value, first in row-major order, to keep
+intermediate entries small.  The column Hermite normal form works on
+sparse columns in the same way.  The d_4 of the dim-9 2-step presentation
 ``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``
 is 126 x 126 with 800 nonzero entries and rank 54: eliminating it takes
 0.010 to 0.011 s, where the dense elimination took 0.028 s; reading the
@@ -151,15 +152,15 @@ def _transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def smith_normal_form(a) -> SmithDecomposition:
-    """Smith normal form of an integer matrix, with transforms.
+def smith_normal_form(cols, nrows) -> SmithDecomposition:
+    """Smith normal form, with transforms, of the nrows x len(cols)
+    integer matrix with the sparse columns ``cols``, left unchanged.
 
-    ``a`` is a list of dense rows and is left unchanged.  The elimination
-    runs on sparse rows, ``{column: entry}`` dicts of the nonzero entries,
-    next to one set per column of the rows that hold an entry there: a
-    row operation touches the source row's entries, a column operation or
-    swap the rows in the columns' sets, and the scan for an entry the
-    pivot does not divide reads nonzero entries only.
+    The elimination runs on sparse rows, ``{column: entry}`` dicts of the
+    nonzero entries, next to one set per column of the rows that hold an
+    entry there: a row operation touches the source row's entries, a
+    column operation or swap the rows in the columns' sets, and the scan
+    for an entry the pivot does not divide reads nonzero entries only.
 
     Deterministic for a fixed input: the pivot of the trailing block is
     its first entry of least nonzero |x| in row-major order, that is, in
@@ -169,14 +170,13 @@ def smith_normal_form(a) -> SmithDecomposition:
     divide, since it divides every entry.  Only D is eliminated here; the
     transforms are replayed from the operation logs when first read.
     """
-    n = len(a)
-    m = len(a[0]) if n else 0
-    rows = [{j: v for j, x in enumerate(row) if x and (v := int(x))} if any(row) else {}
-            for row in a]
-    support = [set() for _ in range(m)]
-    for i, row in enumerate(rows):
-        for j in row:
-            support[j].add(i)
+    n, m = nrows, len(cols)
+    rows = [{} for _ in range(n)]
+    support = []
+    for j, col in enumerate(cols):
+        for i, x in col:
+            rows[i][j] = x
+        support.append({i for i, _ in col})
     row_ops = []
     col_ops = []
 
@@ -312,36 +312,35 @@ def smith_normal_form(a) -> SmithDecomposition:
     return SmithDecomposition(diagonal, (n, m), rank, row_ops, col_ops)
 
 
-def kernel_transform(a, ncols=None):
-    """Kernel basis of A together with the rows that read coordinates in it.
+def kernel_transform(cols, nrows):
+    """Kernel basis of A together with the rows that read coordinates in
+    it, for A given as the Smith form takes it.
 
-    Returns ``(basis, coords)``.  With A = U D V and r = rank, ``basis``
-    is the columns r.. of V^{-1}: a saturated basis of ker(A) in Z^m.
-    Since V V^{-1} = I, the rows ``coords`` (rows r.. of V) send a kernel
-    vector to its coordinates in ``basis``.  Only those rows and columns
-    are replayed.
+    Returns ``(basis, coords)``, dense.  With A = U D V and r = rank,
+    ``basis`` is the columns r.. of V^{-1}: a saturated basis of ker(A)
+    in Z^m.  Since V V^{-1} = I, the rows ``coords`` (rows r.. of V) send
+    a kernel vector to its coordinates in ``basis``.  Only those rows and
+    columns are replayed.
     """
-    if not a:
-        eye = identity(ncols or 0)
-        return eye, eye
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(cols, nrows)
     # A (Vinv e_j) = U D e_j = 0 for j >= rank
-    idx = range(snf.rank, len(a[0]))
+    idx = range(snf.rank, len(cols))
     return snf.read("vinv", idx), snf.read("v", idx)
 
 
-def kernel_basis(a, ncols=None):
-    """Basis of the integer kernel lattice {v : A v = 0}.
+def kernel_basis(cols, nrows):
+    """Basis of the integer kernel lattice {v : A v = 0}, for A given as
+    the Smith form takes it.
 
-    The result is a list of column vectors spanning ker(A) as a saturated
-    sublattice of Z^m (every integer kernel vector is an integer
+    The result is a list of dense column vectors spanning ker(A) as a
+    saturated sublattice of Z^m (every integer kernel vector is an integer
     combination of the basis): the columns r.. of V^{-1}, the only
-    vectors replayed.
+    vectors replayed.  With no rows, that is the identity.
     """
-    if not a:
-        return identity(ncols or 0)
-    snf = smith_normal_form(a)
-    return snf.read("vinv", range(snf.rank, len(a[0])))
+    if not nrows:
+        return identity(len(cols))
+    snf = smith_normal_form(cols, nrows)
+    return snf.read("vinv", range(snf.rank, len(cols)))
 
 
 def column_style_hermite(cols, n):
@@ -441,7 +440,8 @@ def solve_in_lattice(cols, target, n):
     Returns the coefficient list, or None if target is not in the lattice.
     Rational targets are supported (rational coefficients come back).
     """
-    coords = mat_vec(rational_solver(cols, n), target)
+    coords = mat_vec(rational_solver([[(i, x) for i, x in enumerate(c) if x] for c in cols], n),
+                     target)
     if any(sum(c[i] * x for c, x in zip(cols, coords)) != target[i] for i in range(n)):
         return None         # outside the rational span
     if all(c.denominator == 1 for c in coords):
@@ -452,13 +452,13 @@ def solve_in_lattice(cols, target, n):
 
 def rational_solver(cols, n):
     """Matrix S with S @ x = coordinates of x in the independent column
-    family ``cols``, valid for any x in their rational span.
+    family ``cols`` (length n, sparse as the Smith form takes them),
+    valid for any x in their rational span.
 
     Returns a k x n matrix of Fractions.
     """
     k = len(cols)
-    a = [[cols[j][i] for j in range(k)] for i in range(n)]
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(cols, n)
     if snf.rank < k:
         raise ValueError("columns are dependent")
     # x = U D V coords  =>  coords = Vinv D^+ Uinv x, and D^+ reads only
@@ -489,7 +489,7 @@ def int_inverse(a):
 
     With A = U D V and D = I, the inverse is V^{-1} U^{-1}."""
     n = len(a)
-    snf = smith_normal_form(a)
+    snf = smith_normal_form([[(i, x) for i, x in enumerate(col) if x] for col in zip(*a)], n)
     if any(len(row) != n for row in a) or snf.rank != n or any(x != 1 for x in snf.diagonal):
         raise ValueError("matrix is not unimodular")
     return mat_mul(snf.vinv, snf.uinv)

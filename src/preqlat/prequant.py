@@ -125,15 +125,11 @@ def gysin_kernel(ring: CohomologyRing, e: EulerClass):
         images.append(ring.cup(e_cls, alpha))
     b3 = len(images[0].free)
     mods = ring.torsion(3)
-    t = len(mods)
-    rows = []
-    for j in range(b3):
-        rows.append([images[i].free[j] for i in range(b1)] + [0] * t)
-    for j in range(t):
-        row = [images[i].torsion[j] for i in range(b1)]
-        row += [mods[j] if jj == j else 0 for jj in range(t)]
-        rows.append(row)
-    ker = lin.kernel_basis(rows, ncols=b1 + t)
+    # one sparse column per alpha_i (its free, then torsion coordinates),
+    # then one per torsion modulus
+    cols = [[(j, x) for j, x in enumerate(img.free + img.torsion) if x] for img in images]
+    cols += [[(b3 + j, d)] for j, d in enumerate(mods)]
+    ker = lin.kernel_basis(cols, b3 + len(mods))
     projected = [v[:b1] for v in ker]
     return lin.column_style_hermite(projected, b1)
 

@@ -85,7 +85,8 @@ class TorusForm:
         )
 
     def coefficient(self, idx) -> TrigPoly:
-        return self.coeffs.get(tuple(idx), TrigPoly.zero(self.dim))
+        poly = self.coeffs.get(tuple(idx))
+        return TrigPoly.zero(self.dim) if poly is None else poly
 
     def as_function(self) -> TrigPoly:
         """The coefficient of a degree-zero form (pi_power must be 0)."""
@@ -110,7 +111,8 @@ class TorusForm:
             )
         coeffs = dict(self.coeffs)
         for idx, p in other.coeffs.items():
-            coeffs[idx] = coeffs.get(idx, TrigPoly.zero(self.dim)) + p
+            q = coeffs.get(idx)
+            coeffs[idx] = p if q is None else q + p
         return TorusForm(self.dim, self.degree, coeffs, self.pi_power)
 
     def __neg__(self):
@@ -170,12 +172,6 @@ class TorusVectorField:
 
     def __setattr__(self, *args):
         raise AttributeError("TorusVectorField is immutable")
-
-    @staticmethod
-    def coordinate(dim, axis, poly=1):
-        comps = [TrigPoly.zero(dim)] * dim
-        comps[axis] = poly if isinstance(poly, TrigPoly) else TrigPoly.const(dim, poly)
-        return TorusVectorField(dim, comps)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)

@@ -76,7 +76,7 @@ def _hamiltonian_operator(omega: TorusForm):
     dim = omega.dim
     # scale * mat is integral, and mat^{-1} = scale * (scale * mat)^{-1}
     scale = lcm(*(x.denominator for row in mat for x in row))
-    cols = [[int(scale * mat[i][j]) for i in range(dim)] for j in range(dim)]
+    cols = [[(i, int(scale * mat[i][j])) for i in range(dim) if mat[i][j]] for j in range(dim)]
     try:
         inv = rational_solver(cols, dim)
     except ValueError:

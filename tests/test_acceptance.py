@@ -20,7 +20,6 @@ from preqlat.prequant import (
 )
 from preqlat.toruscalc import (
     CoordinateCycle,
-    TorusVectorField,
     TrigPoly,
     contact_flux,
     contact_flux_via_field,
@@ -35,7 +34,7 @@ from preqlat.verify import (
     suite_rng,
 )
 
-from util import random_invariant
+from util import coordinate_field, random_invariant
 
 
 def report(num, desc, ok):
@@ -173,9 +172,9 @@ def test_criterion_7_contact_example():
         if not fl[(1, 2)].is_zero():
             span.add("dy^dz")
     ok = ok and span == {"dx^dz", "dy^dz"}
-    ok = ok and not strict_contact_residual(TorusVectorField.coordinate(3, 2)).is_zero()
-    ok = ok and strict_contact_residual(TorusVectorField.coordinate(3, 0)).is_zero()
-    ok = ok and strict_contact_residual(TorusVectorField.coordinate(3, 1)).is_zero()
+    ok = ok and not strict_contact_residual(coordinate_field(3, 2)).is_zero()
+    ok = ok and strict_contact_residual(coordinate_field(3, 0)).is_zero()
+    ok = ok and strict_contact_residual(coordinate_field(3, 1)).is_zero()
     report(7, "flux image exactly 2-dimensional in {dy^dz, dx^dz} with zero "
               "dx^dy part; d/dz is not strict contact; field and function "
               "flux classes agree on 50+ invariant inputs", ok)

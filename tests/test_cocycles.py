@@ -38,6 +38,7 @@ from preqlat.toruscalc import (
 )
 
 from util import (
+    coordinate_field,
     random_closed_oneform,
     random_field,
     random_form,
@@ -290,7 +291,7 @@ def test_exact_field_random_potentials():
 
 
 def test_flux_of_coordinate_field():
-    flux = infinitesimal_flux(TorusVectorField.coordinate(3, 0))
+    flux = infinitesimal_flux(coordinate_field(3, 0))
     assert flux[(1, 2)] == ExactScalar(Fraction(1), -3)
     assert flux[(0, 1)].is_zero() and flux[(0, 2)].is_zero()
 

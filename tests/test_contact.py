@@ -35,7 +35,7 @@ from preqlat.toruscalc import (
 )
 from preqlat.toruscalc.contact import contact_differential
 
-from util import random_invariant
+from util import coordinate_field, random_invariant
 
 
 def test_contact_volume_value():
@@ -109,9 +109,9 @@ def test_bracket_law_matches_directional_derivative():
 
 
 def test_strict_contact_residuals():
-    assert strict_contact_residual(TorusVectorField.coordinate(3, 0)).is_zero()
-    assert strict_contact_residual(TorusVectorField.coordinate(3, 1)).is_zero()
-    res = strict_contact_residual(TorusVectorField.coordinate(3, 2))
+    assert strict_contact_residual(coordinate_field(3, 0)).is_zero()
+    assert strict_contact_residual(coordinate_field(3, 1)).is_zero()
+    res = strict_contact_residual(coordinate_field(3, 2))
     expected = TorusForm(
         3, 1, {(0,): -TrigPoly.sin_axis(3, 2), (1,): TrigPoly.cos_axis(3, 2)}
     )

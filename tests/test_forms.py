@@ -23,7 +23,14 @@ from preqlat.toruscalc import (
     wedge,
 )
 
-from util import close, quadrature_oracle, random_field, random_form, random_real_trigpoly
+from util import (
+    close,
+    coordinate_field,
+    quadrature_oracle,
+    random_field,
+    random_form,
+    random_real_trigpoly,
+)
 
 
 def test_exterior_derivative_coordinate_example():
@@ -275,10 +282,10 @@ def test_integral_helpers_match_formed_products():
     form = TorusForm.basis(2, (0, 1), TrigPoly.cos_axis(2, 0, 2))
     assert integrate_product(f, form, full).is_zero()
     assert integrate_over_cycle(f * form, full).is_zero()
-    y = TorusVectorField.coordinate(2, 1, TrigPoly.sin_axis(2, 1))
+    y = coordinate_field(2, 1, TrigPoly.sin_axis(2, 1))
     form1 = TorusForm.basis(3, (0, 2), TrigPoly.cos_axis(3, 1, 3))
     circle = CoordinateCycle.circle(3, 0, offsets={1: 1, 2: 2})
-    y3 = TorusVectorField.coordinate(3, 2, TrigPoly.sin_axis(3, 1))
+    y3 = coordinate_field(3, 2, TrigPoly.sin_axis(3, 1))
     assert integrate_contraction(y3, form1, circle).is_zero()
     assert integrate_over_cycle(contract(y3, form1), circle).is_zero()
     assert integrate_contraction(y, TorusForm.zero(2, 2), CoordinateCycle.circle(2, 0)).is_zero()
@@ -293,7 +300,7 @@ def test_integral_helpers_reject_non_real_integrands():
                      lambda: integrate_over_cycle(f * form, full)):
         with pytest.raises(ValueError, match="integral of a non-real form"):
             integral()
-    y = TorusVectorField.coordinate(2, 1, f)
+    y = coordinate_field(2, 1, f)
     circle = CoordinateCycle.circle(2, 0, offsets={1: 1})
     for integral in (lambda: integrate_contraction(y, form, circle),
                      lambda: integrate_over_cycle(contract(y, form), circle)):
@@ -319,7 +326,7 @@ def test_pi_power_multiplicative():
     a = TorusForm.basis(3, (0,), pi_power=-1)
     b = TorusForm.basis(3, (1, 2), pi_power=2)
     assert wedge(a, b).pi_power == 1
-    x = TorusVectorField.coordinate(3, 0)
+    x = coordinate_field(3, 0)
     assert contract(x, a).pi_power == -1
     scaled = a * ExactScalar(Fraction(3), 4)
     assert scaled.pi_power == 3

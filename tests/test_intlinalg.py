@@ -1,22 +1,30 @@
 """Smith/Hermite machinery against brute-force lattice oracles."""
 
+import importlib.util
+import os
 import random
 import signal
+import tempfile
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
 import pytest
 
+from preqlat import cli
 from preqlat import intlinalg as lin
-from preqlat.cealg import complex_matrices
-from preqlat.cohomring import nilmanifold_ring
+from preqlat.cohomring import nilmanifold_ring, torus_ring
 
 from util import (
     dense_column_style_hermite,
+    dense_complex,
+    dense_matrix,
     det,
     full_scan_smith_normal_form,
     rational_rank,
+    ring_from_preset,
+    smith,
+    sparse_columns,
     two_step_presentation,
 )
 
@@ -33,7 +41,7 @@ def minor_gcd(a, k):
 
 
 def check_decomposition(a):
-    snf = lin.smith_normal_form(a)
+    snf = smith(a)
     n, m = len(a), len(a[0])
     assert lin.mat_mul(lin.mat_mul(snf.u, snf.d), snf.v) == [list(r) for r in a]
     assert abs(det(snf.u)) == 1
@@ -97,8 +105,8 @@ def test_smith_larger_random_roundtrip():
 
 def test_smith_deterministic():
     a = [[3, 1, -2], [0, 5, 4], [7, -1, 0]]
-    s1 = lin.smith_normal_form(a)
-    s2 = lin.smith_normal_form([row[:] for row in a])
+    s1 = smith(a)
+    s2 = smith([row[:] for row in a])
     assert s1.d == s2.d and s1.u == s2.u and s1.v == s2.v
 
 
@@ -128,7 +136,7 @@ def snf_reference_inputs():
     for _ in range(20):
         n, m = rng.randint(2, 6), rng.randint(2, 6)
         mats.append([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
-    mats.extend(d for d in complex_matrices(two_step_presentation("7-2", 7, 2, 3, 0.5)) if d)
+    mats.extend(dense_complex(two_step_presentation("7-2", 7, 2, 3, 0.5)))
     return mats
 
 
@@ -146,7 +154,7 @@ def test_smith_matches_full_scan_reference():
     previous = signal.signal(signal.SIGALRM, _stuck)
     signal.alarm(10)
     try:
-        pairs = [(lin.smith_normal_form(a), full_scan_smith_normal_form(a)) for a in mats]
+        pairs = [(smith(a), full_scan_smith_normal_form(a)) for a in mats]
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -182,18 +190,15 @@ def _tie_inputs():
     return mats
 
 
-def _recorded_ring_inputs():
-    """The Smith form inputs (every d_k, then each degree's second-stage
-    matrix of coboundaries in kernel coordinates) and the Hermite inputs
-    (lower central series and free representatives) of one seeded dim-8
-    half-density two-step presentation with torsion."""
-    lie = two_step_presentation("8-2", 8, 2, 2, 0.5)
+def _recorded_inputs(build):
+    """The Smith form inputs, as dense rows, and the Hermite inputs of one
+    ``build()``, with what it returns."""
     snf_in, hnf_in = [], []
-    smith, hermite = lin.smith_normal_form, lin.column_style_hermite
+    snf, hermite = lin.smith_normal_form, lin.column_style_hermite
 
-    def record_smith(a):
-        snf_in.append([list(row) for row in a])
-        return smith(a)
+    def record_smith(cols, nrows):
+        snf_in.append(dense_matrix(cols, nrows))
+        return snf(cols, nrows)
 
     def record_hermite(cols, n):
         hnf_in.append(([list(c) for c in cols], n))
@@ -201,20 +206,64 @@ def _recorded_ring_inputs():
 
     lin.smith_normal_form, lin.column_style_hermite = record_smith, record_hermite
     try:
-        ring = nilmanifold_ring(lie)
+        built = build()
     finally:
-        lin.smith_normal_form, lin.column_style_hermite = smith, hermite
+        lin.smith_normal_form, lin.column_style_hermite = snf, hermite
+    return built, snf_in, hnf_in
+
+
+def _recorded_ring_inputs():
+    """The Smith form inputs (every d_k, then each degree's second-stage
+    matrix of coboundaries in kernel coordinates) and the Hermite inputs
+    (lower central series and free representatives) of one seeded dim-8
+    half-density two-step presentation with torsion."""
+    lie = two_step_presentation("8-2", 8, 2, 2, 0.5)
+    ring, snf_in, hnf_in = _recorded_inputs(lambda: nilmanifold_ring(lie))
     return lie, ring, snf_in, hnf_in
+
+
+def _benchmark_presentation_inputs():
+    """Every Smith form input of the ring builds of the 33 seed-1 jobs of
+    the benchmark's cohomology workload (32 seeded presentations of dims
+    6 to 8 and the torus T^8): each d_k and each coboundary-coordinate
+    matrix, as dense rows."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "jobs.py")
+    spec = importlib.util.spec_from_file_location("preqlat_bench_jobs", path)
+    jobs_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs_module)
+    with tempfile.TemporaryDirectory() as workdir:
+        argvs = [job["argv"] for job in jobs_module.make_jobs("cohomology", 1, workdir)]
+        lies = [cli.load_presentation(argv[-1]) for argv in argvs if argv[1] == "--input"]
+    assert len(argvs) == 33 and len(lies) == 32
+    _, snf_in, _ = _recorded_inputs(lambda: [nilmanifold_ring(lie) for lie in lies]
+                                    + [torus_ring(8)])
+    return lies, snf_in
 
 
 def test_smith_op_log_matches_full_scan_on_ties_and_complexes():
     """The sparse elimination logs the full scan's operations, in order,
     and returns its D, rank and transforms: on inputs whose least entries
     tie within and across rows, and on every Smith input of a dim-8 ring
-    build, each d_k and each second-stage matrix.  Under an alarm, as a
-    wrong pivot can loop."""
+    build, each d_k and each second-stage matrix.  On every Smith input
+    of the benchmark's seed-1 cohomology presentations, read off their
+    sparse columns, it returns the full scan's diagonal and op logs.
+    Under an alarm, as a wrong pivot can loop."""
+    lies, bench_inputs = _benchmark_presentation_inputs()
+    mats_k = [d for lie in lies for d in dense_complex(lie)]
+    assert len(bench_inputs) > len(mats_k) and all(d in bench_inputs for d in mats_k)
+    previous = signal.signal(signal.SIGALRM, _stuck)
+    signal.alarm(20)
+    try:
+        pairs = [(a, smith(a), full_scan_smith_normal_form(a)) for a in bench_inputs]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for a, got, want in pairs:
+        assert got.diagonal == [want.d[i][i] for i in range(min(len(a), len(a[0])))], a
+        assert got.row_ops == want.row_ops and got.col_ops == want.col_ops, a
     lie, ring, recorded, _ = _recorded_ring_inputs()
-    mats_k = [d for d in complex_matrices(lie) if d]
+    mats_k = dense_complex(lie)
     assert all(d in recorded for d in mats_k)
     second = [a for a in recorded if a not in mats_k]
     assert len(second) >= 4 and any(ring.torsion(k) for k in range(lie.dim + 1))
@@ -230,7 +279,7 @@ def test_smith_op_log_matches_full_scan_on_ties_and_complexes():
     previous = signal.signal(signal.SIGALRM, _stuck)
     signal.alarm(20)
     try:
-        pairs = [(a, lin.smith_normal_form(a), full_scan_smith_normal_form(a))
+        pairs = [(a, smith(a), full_scan_smith_normal_form(a))
                  for a in ties + mats_k + second]
     finally:
         signal.alarm(0)
@@ -252,8 +301,8 @@ def test_smith_transforms_read_in_any_order():
         original = [row[:] for row in a]
         want = full_scan_smith_normal_form(a)
         for name in names:
-            assert getattr(lin.smith_normal_form(a), name) == getattr(want, name), name
-        snf = lin.smith_normal_form(a)
+            assert getattr(smith(a), name) == getattr(want, name), name
+        snf = smith(a)
         got = {name: getattr(snf, name) for name in reversed(names)}
         assert got == {name: getattr(want, name) for name in names}
         n, m = len(a), len(a[0])
@@ -286,7 +335,7 @@ def test_selected_reads_match_full_transforms():
     rng = random.Random(31415)
     for a in _selected_read_inputs():
         want = full_scan_smith_normal_form(a)
-        snf = lin.smith_normal_form(a)
+        snf = smith(a)
         n, m = len(a), len(a[0])
         for whole in (False, True):
             if whole:
@@ -307,7 +356,7 @@ def test_kernel_basis_annihilates_and_saturates():
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
         a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        ker = lin.kernel_basis(a, ncols=m)
+        ker = lin.kernel_basis(sparse_columns(a), n)
         for v in ker:
             assert all(sum(row[j] * v[j] for j in range(m)) == 0 for row in a)
         # saturation: a random integer vector in the rational kernel must
@@ -323,7 +372,6 @@ def test_kernel_basis_replays_only_its_columns(monkeypatch):
     """kernel_basis reads the columns rank.. of V^{-1} and no row of V, and
     equals those columns of the full-scan oracle's V^{-1}; so does the
     Gysin kernel, one kernel_basis call per Euler candidate."""
-    from preqlat.cohomring import ring_from_preset
     from preqlat.prequant import EulerClass, gysin_kernel
 
     reads = []
@@ -340,7 +388,8 @@ def test_kernel_basis_replays_only_its_columns(monkeypatch):
         n, m = rng.randint(1, 5), rng.randint(1, 6)
         a = [[rng.choice((0, 0, 1, -1, 2, 3, -4)) for _ in range(m)] for _ in range(n)]
         want = full_scan_smith_normal_form(a)
-        assert lin.kernel_basis(a, ncols=m) == [list(c) for c in zip(*want.vinv)][want.rank:]
+        want_basis = [list(c) for c in zip(*want.vinv)][want.rank:]
+        assert lin.kernel_basis(sparse_columns(a), n) == want_basis
     assert reads == ["vinv"] * 30
     reads.clear()
     free = (1,) + (0,) * (ring.betti(2) - 1)
@@ -352,8 +401,8 @@ def test_kernel_basis_replays_only_its_columns(monkeypatch):
 
 
 def test_kernel_of_zero_rows():
-    ker = lin.kernel_basis([], ncols=3)
-    assert len(ker) == 3
+    ker = lin.kernel_basis([[], [], []], 0)
+    assert ker == lin.identity(3)
 
 
 def test_kernel_transform_reads_coordinates():
@@ -364,7 +413,7 @@ def test_kernel_transform_reads_coordinates():
         n = rng.randint(1, 4)
         m = rng.randint(1, 6)
         a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        ker, coords = lin.kernel_transform(a, ncols=m)
+        ker, coords = lin.kernel_transform(sparse_columns(a), n)
         assert len(coords) == len(ker) == m - rational_rank(a)
         assert all(len(row) == m for row in coords)
         assert not any(x for k in ker for x in lin.mat_vec(a, k))
@@ -472,9 +521,9 @@ def test_rational_solver_reproduces_coordinates():
         while True:
             cols = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
             mat = [[cols[j][i] for j in range(k)] for i in range(n)]
-            if lin.smith_normal_form(mat).rank == k:
+            if smith(mat).rank == k:
                 break
-        solver = lin.rational_solver(cols, n)
+        solver = lin.rational_solver(sparse_columns(mat), n)
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
         vec = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)]
         got = [sum(row[i] * vec[i] for i in range(n)) for row in solver]

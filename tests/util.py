@@ -1,8 +1,9 @@
 """Shared generators, float evaluation, the float-grid quadrature oracle,
-the loop-form torus calculus oracles, the full-scan Smith normal form
-oracle, the dense column Hermite normal form oracle, the eager
-reduction-row oracle, the Bareiss determinant, the rational rank and the
-Fraction validation oracle.
+the loop-form torus calculus oracles, the dense and sparse matrix forms,
+the full-scan Smith normal form oracle, the dense column Hermite normal
+form oracle, the eager reduction-row oracle, the Bareiss determinant, the
+rational rank, the Fraction validation oracle, and the test-only
+conveniences on presentations, cochains and rings.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -15,10 +16,16 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from preqlat.cealg import LieAlgebraPresentation, ValidationReport
+from preqlat.cealg import (
+    LieAlgebraPresentation,
+    ValidationReport,
+    complex_matrices,
+    heisenberg_times_line,
+)
+from preqlat.cohomring import CohomClass, nilmanifold_ring, surface_ring, torus_ring
 from preqlat.exact import ExactScalar
-from preqlat.intlinalg import echelon_coords, identity, mat_mul, mat_vec
-from preqlat.combinat import merge_tuples, remove_index
+from preqlat.intlinalg import echelon_coords, identity, mat_mul, mat_vec, smith_normal_form
+from preqlat.combinat import merge_tuples, remove_index, sort_sign
 from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
 from preqlat.toruscalc.contact import reeb_field, transverse_field
 
@@ -117,8 +124,6 @@ def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> f
     axes = sorted(cycle.axes)
     if form.degree != len(axes):
         raise ValueError("degree mismatch")
-    from preqlat.combinat import sort_sign
-
     sign = sort_sign(cycle.axes) * cycle.orientation
     poly = form.coeffs.get(tuple(axes))
     if poly is None:
@@ -297,6 +302,36 @@ def two_step_presentation(seed, dim, centre, bound, density=1.0):
     return LieAlgebraPresentation(
         dim=dim, basis_names=tuple(f"e{i+1}" for i in range(dim)), structure=structure
     )
+
+
+# The library passes every integer matrix as sparse columns, (row, int)
+# pairs per column in increasing row order, with its row count beside it.
+# The oracles below work on dense row lists; these convert between the two.
+def sparse_columns(dense):
+    """The sparse columns of a matrix given as dense rows."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*dense)]
+
+
+def dense_matrix(cols, nrows):
+    """The dense rows of the nrows x len(cols) matrix with these sparse
+    columns."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            rows[i][j] = x
+    return rows
+
+
+def dense_complex(lie):
+    """d_0, ..., d_{m-1} of ``complex_matrices`` as dense rows; d_k has
+    C(m, k+1) rows."""
+    return [dense_matrix(d, math.comb(lie.dim, k + 1))
+            for k, d in enumerate(complex_matrices(lie))]
+
+
+def smith(a):
+    """``intlinalg.smith_normal_form`` of a matrix given as dense rows."""
+    return smith_normal_form(sparse_columns(a), len(a))
 
 
 # Reference Smith normal form: every pivot search walks the whole trailing
@@ -584,9 +619,9 @@ def fraction_validate_presentation(lie: LieAlgebraPresentation) -> ValidationRep
             for k in range(j + 1, m):
                 acc = [Fraction(0)] * m
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = lie.bracket_basis(a, b)
+                    inner = bracket_basis(lie, a, b)
                     for t, coef in inner.items():
-                        for s, coef2 in lie.bracket_basis(t, c).items():
+                        for s, coef2 in bracket_basis(lie, t, c).items():
                             acc[s] += coef * coef2
                 if any(acc):
                     jacobi_ok = False
@@ -652,3 +687,59 @@ def _fraction_bracket(lie, x, y):
             for k, c in comps.items():
                 out[k] += coef * c
     return out
+
+
+# Conveniences that only tests use, kept out of the library.
+def bracket_basis(lie, i, j):
+    """[e_i, e_j] of a presentation as a coefficient dict {k: Fraction}."""
+    if i == j:
+        return {}
+    if i < j:
+        return dict(lie.structure.get((i, j), {}))
+    return {k: -c for k, c in lie.structure.get((j, i), {}).items()}
+
+
+def evaluate(c, indices):
+    """Value of the cochain c on the basis vectors e_{indices}
+    (alternating multilinear)."""
+    if len(indices) != c.degree:
+        raise ValueError("wrong number of arguments")
+    sign = sort_sign(indices)
+    if sign == 0:
+        return Fraction(0)
+    return sign * c.coeffs.get(tuple(sorted(indices)), Fraction(0))
+
+
+def zero_class(ring, degree):
+    """The zero class of a degree of a ring (empty above its top)."""
+    if degree >= len(ring.cohomology.degrees):
+        return CohomClass(degree, (), ())
+    dd = ring.cohomology.data(degree)
+    return CohomClass(degree, (0,) * dd.betti, (0,) * len(dd.torsion))
+
+
+def orientation_class(ring):
+    """The generator of the free part of a ring's top degree."""
+    dd = ring.cohomology.data(ring.top_degree)
+    return CohomClass(ring.top_degree, (1,), (0,) * len(dd.torsion))
+
+
+def coordinate_field(dim, axis, poly=1):
+    """The field poly * d/dx_axis on the dim-torus."""
+    comps = [TrigPoly.zero(dim)] * dim
+    comps[axis] = poly if isinstance(poly, TrigPoly) else TrigPoly.const(dim, poly)
+    return TorusVectorField(dim, comps)
+
+
+def ring_from_preset(preset_id, **params):
+    """Presets: nilmanifold(presentation=...), thurston(r=...), torus(m=...),
+    surface(g=...)."""
+    if preset_id == "nilmanifold":
+        return nilmanifold_ring(params["presentation"])
+    if preset_id == "thurston":
+        return nilmanifold_ring(heisenberg_times_line(params.get("r", 1)))
+    if preset_id == "torus":
+        return torus_ring(params["m"])
+    if preset_id == "surface":
+        return surface_ring(params["g"])
+    raise ValueError(f"unknown preset {preset_id!r}")
