@@ -17,7 +17,6 @@ Hermite bases, reaches zero) exactly on the scaled constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -25,32 +24,34 @@ from . import intlinalg as lin
 from .combinat import degree_tuples, merge_tuples
 
 
-@dataclass(frozen=True)
 class LieAlgebraPresentation:
-    """Structure constants of a Lie algebra on an ordered basis.
+    """Structure constants of a Lie algebra on an ordered basis; immutable.
 
     ``structure`` maps (i, j) with i < j to {k: c} for the bracket
     [e_i, e_j] = sum c * e_k.  Indices are 0-based.
     """
 
-    dim: int
-    basis_names: tuple
-    structure: dict = field(default_factory=dict)
+    __slots__ = ("dim", "basis_names", "structure")
 
-    def __post_init__(self):
-        if len(self.basis_names) != self.dim:
+    def __init__(self, dim, basis_names, structure=None):
+        if len(basis_names) != dim:
             raise ValueError("basis_names length must equal dim")
         clean = {}
-        for (i, j), comps in self.structure.items():
-            if not (0 <= i < j < self.dim):
+        for (i, j), comps in (structure or {}).items():
+            if not (0 <= i < j < dim):
                 raise ValueError(f"bracket indices ({i},{j}) must satisfy 0 <= i < j < dim")
             entry = {k: Fraction(c) for k, c in comps.items() if Fraction(c) != 0}
             for k in entry:
-                if not 0 <= k < self.dim:
+                if not 0 <= k < dim:
                     raise ValueError(f"bracket target index {k} out of range")
             if entry:
                 clean[(i, j)] = entry
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "structure", clean)
+
+    def __setattr__(self, *args):
+        raise AttributeError("LieAlgebraPresentation is immutable")
 
 
 def heisenberg_times_line(r=1) -> LieAlgebraPresentation:
@@ -74,32 +75,43 @@ def abelian(m, names=None) -> LieAlgebraPresentation:
     return LieAlgebraPresentation(dim=m, basis_names=tuple(names), structure={})
 
 
-@dataclass(frozen=True)
 class Cochain:
-    """Element of the exterior algebra on the dual basis.
+    """Element of the exterior algebra on the dual basis; immutable.
 
     ``coeffs`` maps strictly increasing index tuples of length ``degree``
     to nonzero rationals; a missing tuple means coefficient zero.
     """
 
-    dim: int
-    degree: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("dim", "degree", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, dim, degree, coeffs=None):
         clean = {}
-        for idx, c in self.coeffs.items():
+        for idx, c in (coeffs or {}).items():
             idx = tuple(idx)
-            if len(idx) != self.degree:
-                raise ValueError(f"index tuple {idx} has wrong length for degree {self.degree}")
+            if len(idx) != degree:
+                raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
             if list(idx) != sorted(set(idx)):
                 raise ValueError(f"index tuple {idx} must be strictly increasing")
-            if any(not 0 <= i < self.dim for i in idx):
-                raise ValueError(f"index {idx} out of range for dim {self.dim}")
+            if any(not 0 <= i < dim for i in idx):
+                raise ValueError(f"index {idx} out of range for dim {dim}")
             c = Fraction(c)
             if c:
                 clean[idx] = c
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Cochain is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Cochain):
+            return NotImplemented
+        return (self.dim == other.dim and self.degree == other.degree
+                and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return f"Cochain(dim={self.dim!r}, degree={self.degree!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def zero(dim, degree):
@@ -229,35 +241,66 @@ def complex_matrices(lie: LieAlgebraPresentation):
     pairs of its column in increasing row order, the cancelled ones left
     out.  Raises ValueError unless the structure constants are integers.
     The column of a monomial is summed from the integer generator table
-    by the antiderivation rule of ``ce_differential``.
+    by the antiderivation rule of ``ce_differential``, on monomials held
+    as bitmasks: the term c e_i^e_j of d e_g, at position pos of I, lands
+    on rest | e_i | e_j (rest = I minus g) with sign (-1)^(pos + number
+    of entries of rest below i + number below j), the merge's shuffle
+    sign.
     """
     m = lie.dim
     scale, gens = _integer_generators(lie)
     if scale != 1:
         raise ValueError("non-integral basis")
+    # per generator: (pair mask, mask below i, mask below j, c)
+    table = [[((1 << i) | (1 << j), (1 << i) - 1, (1 << j) - 1, c) for (i, j), c in terms]
+             for terms in gens]
     mats = []
+    src = [((), 0)]
     for k in range(m):
-        dst_pos = {t: i for i, t in enumerate(degree_tuples(m, k + 1))}
+        dst = [(t, sum(1 << i for i in t)) for t in degree_tuples(m, k + 1)]
+        row_of = {mask: r for r, (_, mask) in enumerate(dst)}
         cols = []
-        for idx in degree_tuples(m, k):
+        for idx, mask in src:
             col = {}
-            for t, x in _d_terms(gens, idx):
-                i = dst_pos[t]
-                col[i] = col.get(i, 0) + x
-            cols.append(sorted((i, x) for i, x in col.items() if x))
+            for pos, g in enumerate(idx):
+                rest = mask ^ (1 << g)
+                for pair, below_i, below_j, c in table[g]:
+                    if not rest & pair:
+                        r = row_of[rest | pair]
+                        if (pos + (rest & below_i).bit_count() + (rest & below_j).bit_count()) & 1:
+                            c = -c
+                        col[r] = col.get(r, 0) + c
+            cols.append(sorted((r, x) for r, x in col.items() if x))
         mats.append(cols)
+        src = dst
     return mats
 
 
-@dataclass
 class ValidationReport:
     """Outcome of the Jacobi and nilpotency checks on a presentation."""
 
-    jacobi_ok: bool
-    jacobi_witness: tuple | None
-    nilpotent: bool
-    nilpotency_class: int | None
-    stable_ideal_dim: int
+    __slots__ = ("jacobi_ok", "jacobi_witness", "nilpotent", "nilpotency_class",
+                 "stable_ideal_dim")
+
+    def __init__(self, jacobi_ok, jacobi_witness, nilpotent, nilpotency_class,
+                 stable_ideal_dim):
+        self.jacobi_ok = jacobi_ok
+        self.jacobi_witness = jacobi_witness      # tuple, or None
+        self.nilpotent = nilpotent
+        self.nilpotency_class = nilpotency_class  # int, or None
+        self.stable_ideal_dim = stable_ideal_dim
+
+    def _fields(self):
+        return (self.jacobi_ok, self.jacobi_witness, self.nilpotent, self.nilpotency_class,
+                self.stable_ideal_dim)
+
+    def __eq__(self, other):
+        if not isinstance(other, ValidationReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "ValidationReport(%r, %r, %r, %r, %r)" % self._fields()
 
     @property
     def ok(self):

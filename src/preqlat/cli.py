@@ -13,13 +13,15 @@ Each process imports only the layers its subcommand runs.  Importing
 this module loads argument parsing and the cohomology path (``cealg``,
 ``cohomring``, ``intlinalg``, ``combinat``); ``lattice`` and ``examples``
 import ``prequant`` and ``exact`` when they run, and ``verify`` imports
-``preqlat.verify`` with the torus calculus.  Without a bytecode cache,
-a fresh ``import preqlat.cli`` takes 0.04-0.05 s instead of 0.08-0.11 s
-(medians of 9, 2-core x86-64 host, Python 3.11).
+``preqlat.verify`` with the torus calculus.  No module of the package
+imports ``dataclasses`` or ``datetime`` (which would load ``inspect``,
+``ast`` and ``dis``), so a fresh ``import preqlat.cli`` takes 8-13 ms
+with a bytecode cache and 30-44 ms without one (medians of 9 fresh
+interpreters, 2-core x86-64 host, Python 3.11).
 
 Jobs over the size limits exit 2 before anything is built: a torus or a
-presentation of dimension over 11, whose largest d_k would have more
-rows times columns than ``MAX_DENSE_CELLS`` = C(11,5)·C(11,6); a surface
+presentation of dimension over 10, whose largest d_k would have more
+rows times columns than ``MAX_DENSE_CELLS`` = C(10,4)·C(10,5); a surface
 with C(2g, 2) over that number; a verify job of more than ``MAX_TRIALS``
 trials.
 """
@@ -31,8 +33,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from math import comb, gcd
 
@@ -45,19 +46,24 @@ class InputError(ValueError):
     """Malformed job input; maps to exit code 2."""
 
 
-@dataclass
 class JobDescriptor:
-    command: str
-    preset: str | None = None
-    params: dict = field(default_factory=dict)
-    input_path: str | None = None
-    level: int = 1
-    output_path: str | None = None
-    format: str = "text"
-    seed: int = 42
-    suites: list = field(default_factory=lambda: ["all"])
-    trials: int = 100
-    omega: Cochain | None = None    # a torus job's --omega, parsed
+    """A job with its defaults; ``parse_job`` sets what its command reads."""
+
+    __slots__ = ("command", "preset", "params", "input_path", "level", "output_path",
+                 "format", "seed", "suites", "trials", "omega")
+
+    def __init__(self, command):
+        self.command = command
+        self.preset = None
+        self.params = {}
+        self.input_path = None
+        self.level = 1
+        self.output_path = None
+        self.format = "text"
+        self.seed = 42
+        self.suites = ["all"]
+        self.trials = 100
+        self.omega = None               # a torus job's --omega, a parsed Cochain
 
     def echo(self):
         out = {"command": self.command, "format": self.format}
@@ -129,12 +135,13 @@ def _preset_flags(p):
 
 
 MAX_DIGITS = 30     # in the numerator or the denominator of a rational input
-MAX_DENSE_CELLS = 213_444   # rows x columns of the largest d_k: C(11,5)·C(11,6), at dim 11
+MAX_DENSE_CELLS = 52_920    # rows x columns of the largest d_k: C(10,4)·C(10,5), at dim 10
 MAX_TRIALS = 10_000         # per verify job: about 6 min at 34 ms per all-suite trial
 
-# The largest dim within MAX_DENSE_CELLS (11).  The cells of the largest
-# d_k, max_k C(n, k)·C(n, k+1) at k = (n - 1) // 2, grow with n, so jobs
-# compare dims, and a huge dim costs no huge binomial.
+# The largest dim within MAX_DENSE_CELLS (10: a dim-11 complex does not
+# finish in minutes).  The cells of the largest d_k, max_k C(n, k)·C(n, k+1)
+# at k = (n - 1) // 2, grow with n, so jobs compare dims, and a huge dim
+# costs no huge binomial.
 MAX_DIM = max(n for n in range(1, 64)
               if comb(n, (n - 1) // 2) * comb(n, (n + 1) // 2) <= MAX_DENSE_CELLS)
 
@@ -162,7 +169,7 @@ def _parse_rational(text, name):
 def parse_job(argv) -> JobDescriptor:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    job = JobDescriptor(command=ns.command)
+    job = JobDescriptor(ns.command)
     job.format = getattr(ns, "format", "text")
     job.output_path = getattr(ns, "output_path", None)
 
@@ -351,12 +358,21 @@ def _ring_for_job(job) -> tuple[CohomologyRing, Cochain | None]:
     raise InputError(f"unknown preset {job.preset!r}")
 
 
+def utc_timestamp():
+    """The current UTC time in the ISO-8601 form of
+    ``datetime.now(timezone.utc).isoformat()``: microseconds only when
+    nonzero, then ``+00:00``."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
+
+
 def run(job: JobDescriptor):
     """Execute a parsed job; returns (report dict, exit code)."""
     report = {
         "tool": {"name": "preqlat", "version": __version__},
         "job": job.echo(),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": utc_timestamp(),
     }
     if job.command == "cohomology":
         ring, _ = _ring_for_job(job)

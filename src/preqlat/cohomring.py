@@ -34,8 +34,6 @@ sparse columns) and the reduction rows.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -51,23 +49,40 @@ from .cealg import (
 from .combinat import degree_tuples, merge_tuples
 
 
-@dataclass(frozen=True)
 class CohomClass:
-    """Coordinates of a cohomology class: free part and torsion part.
+    """Coordinates of a cohomology class: free part and torsion part, as
+    tuples; immutable.
 
     Torsion coordinates are reduced into [0, d_i) for the invariant
     factors d_i of the degree.
     """
 
-    degree: int
-    free: tuple
-    torsion: tuple
+    __slots__ = ("degree", "free", "torsion")
+
+    def __init__(self, degree, free, torsion):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __setattr__(self, *args):
+        raise AttributeError("CohomClass is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, CohomClass):
+            return NotImplemented
+        return (self.degree == other.degree and self.free == other.free
+                and self.torsion == other.torsion)
+
+    def __hash__(self):
+        return hash((self.degree, self.free, self.torsion))
+
+    def __repr__(self):
+        return f"CohomClass({self.degree!r}, {self.free!r}, {self.torsion!r})"
 
     def is_zero(self):
         return all(x == 0 for x in self.free) and all(x == 0 for x in self.torsion)
 
 
-@dataclass
 class DegreeData:
     """One degree of the cohomology, held once in integers: one
     representative and one reduction row per class, the free classes
@@ -79,13 +94,14 @@ class DegreeData:
     above degree 2) never lists its basis: every cochain there is closed
     and reduces to the empty class."""
 
-    degree: int
-    dim: int                         # number of degree-one generators
-    betti: int
-    torsion: list                    # invariant factors > 1
-    reps: list                       # [(index tuple, int)] per class
-    make_reduce_rows: Callable[[], list]  # builds reduce_rows, once, on first read
-    d_cols: list | None = None       # [(row, entry)] per column of d_k; None: no differential
+    def __init__(self, degree, dim, betti, torsion, reps, make_reduce_rows, d_cols=None):
+        self.degree = degree
+        self.dim = dim                  # number of degree-one generators
+        self.betti = betti
+        self.torsion = torsion          # list of invariant factors > 1
+        self.reps = reps                # [(index tuple, int)] per class
+        self.make_reduce_rows = make_reduce_rows  # builds reduce_rows, once, on first read
+        self.d_cols = d_cols            # [(row, entry)] per column of d_k; None: no differential
 
     @cached_property
     def reduce_rows(self):

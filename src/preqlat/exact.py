@@ -8,21 +8,32 @@ instead of float comparisons.  The zero scalar is canonically (0, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class ExactScalar:
-    """An exact value ``q * (2*pi)**pi_power``."""
+    """An exact value ``q * (2*pi)**pi_power``; immutable."""
 
-    q: Fraction
-    pi_power: int = 0
+    __slots__ = ("q", "pi_power")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q == 0:
-            object.__setattr__(self, "pi_power", 0)
+    def __init__(self, q, pi_power=0):
+        q = Fraction(q)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "pi_power", pi_power if q else 0)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ExactScalar is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
+        return self.q == other.q and self.pi_power == other.pi_power
+
+    def __hash__(self):
+        return hash((self.q, self.pi_power))
+
+    def __repr__(self):
+        return f"ExactScalar(q={self.q!r}, pi_power={self.pi_power!r})"
 
     @staticmethod
     def zero() -> "ExactScalar":

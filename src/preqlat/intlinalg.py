@@ -20,7 +20,6 @@ takes 0.008 to 0.009 s, and all four whole transforms 0.041 to 0.048 s
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress
@@ -53,7 +52,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-@dataclass
 class SmithDecomposition:
     """A = U @ D @ V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
@@ -67,11 +65,12 @@ class SmithDecomposition:
     then kept.  ``rank`` is the number of nonzero diagonal entries.
     """
 
-    diagonal: list
-    shape: tuple
-    rank: int
-    row_ops: list
-    col_ops: list
+    def __init__(self, diagonal, shape, rank, row_ops, col_ops):
+        self.diagonal = diagonal
+        self.shape = shape
+        self.rank = rank
+        self.row_ops = row_ops
+        self.col_ops = col_ops
 
     @cached_property
     def d(self):

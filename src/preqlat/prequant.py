@@ -11,7 +11,6 @@ of degree-one directions whose cocycles integrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
@@ -30,43 +29,70 @@ def _integral(coords, what):
     return tuple(int(x) for x in coords)
 
 
-@dataclass(frozen=True)
 class SymplecticClass:
     """Free H^2 coordinates, as ints, of an integral symplectic class on a
     2n-dimensional preset."""
 
-    free: tuple
-    n: int
+    __slots__ = ("free", "n")
+
+    def __init__(self, free, n):
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, *args):
+        raise AttributeError("SymplecticClass is immutable")
 
 
-@dataclass(frozen=True)
 class EulerClass:
     """H^2 coordinates of a bundle's Euler class: the symplectic free
     part, as ints, plus a choice of torsion part."""
 
-    free: tuple
-    torsion: tuple
+    __slots__ = ("free", "torsion")
+
+    def __init__(self, free, torsion):
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __setattr__(self, *args):
+        raise AttributeError("EulerClass is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, EulerClass):
+            return NotImplemented
+        return self.free == other.free and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free, self.torsion))
+
+    def __repr__(self):
+        return f"EulerClass({self.free!r}, {self.torsion!r})"
 
     def as_class(self) -> CohomClass:
         return CohomClass(2, self.free, self.torsion)
 
 
-@dataclass(frozen=True)
 class IntegrableLattice:
     """Lattice of integrable degree-one directions at a given level.
 
     ``generators`` are integer vectors in H^1 coordinates (a basis in
     column Hermite normal form); the lattice consists of the prefactor
-    times their span.  The prefactor is exact, with the 1/(2*pi) kept
-    symbolic; ``volume`` is the Liouville volume it was computed from.
+    times their span.  The prefactor is an exact ``ExactScalar``, with
+    the 1/(2*pi) kept symbolic; ``volume`` is the Liouville volume (a
+    ``Fraction``) it was computed from; ``euler`` is the ``EulerClass``.
     """
 
-    generators: tuple
-    prefactor: ExactScalar
-    level: int
-    euler: EulerClass
-    n: int
-    volume: Fraction
+    __slots__ = ("generators", "prefactor", "level", "euler", "n", "volume")
+
+    def __init__(self, generators, prefactor, level, euler, n, volume):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "volume", volume)
+
+    def __setattr__(self, *args):
+        raise AttributeError("IntegrableLattice is immutable")
 
     @property
     def rank(self):

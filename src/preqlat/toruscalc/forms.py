@@ -12,7 +12,6 @@ X(f), [X, Y], d, i_X and the wedge build each output coefficient with one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..combinat import merge_tuples, remove_index, sort_sign
@@ -296,9 +295,8 @@ def lie_derivative(x: TorusVectorField, f: TorusForm) -> TorusForm:
     return first + exterior_derivative(contract(x, f))
 
 
-@dataclass(frozen=True)
 class CoordinateCycle:
-    """An oriented coordinate subtorus.
+    """An oriented coordinate subtorus; immutable.
 
     ``axes`` lists the coordinates of the cycle in integration order;
     remaining coordinates are frozen at ``offsets[axis] * pi/2`` (quarter
@@ -306,30 +304,32 @@ class CoordinateCycle:
     ``orientation`` flips the sign.
     """
 
-    dim: int
-    axes: tuple
-    offsets: dict = field(default_factory=dict)
-    orientation: int = 1
+    __slots__ = ("dim", "axes", "offsets", "orientation")
 
-    def __post_init__(self):
-        axes = tuple(self.axes)
+    def __init__(self, dim, axes, offsets=None, orientation=1):
+        axes = tuple(axes)
         if len(set(axes)) != len(axes):
             raise ValueError("cycle axes must be distinct")
-        if any(not 0 <= a < self.dim for a in axes):
+        if any(not 0 <= a < dim for a in axes):
             raise ValueError("cycle axis out of range")
         offs = {}
-        for a, q in self.offsets.items():
+        for a, q in (offsets or {}).items():
             if a in axes:
                 raise ValueError(f"axis {a} is integrated over; it cannot carry an offset")
-            if not 0 <= a < self.dim:
+            if not 0 <= a < dim:
                 raise ValueError("offset axis out of range")
             if not isinstance(q, int):
                 raise ValueError("quarter turns must be integers")
             offs[a] = q % 4
-        if self.orientation not in (1, -1):
+        if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "offsets", offs)
+        object.__setattr__(self, "orientation", orientation)
+
+    def __setattr__(self, *args):
+        raise AttributeError("CoordinateCycle is immutable")
 
     @staticmethod
     def full(dim):
@@ -337,7 +337,7 @@ class CoordinateCycle:
 
     @staticmethod
     def circle(dim, axis, offsets=None, orientation=1):
-        return CoordinateCycle(dim, (axis,), offsets or {}, orientation)
+        return CoordinateCycle(dim, (axis,), offsets, orientation)
 
 
 def integrate_over_cycle(f: TorusForm, cycle: CoordinateCycle) -> ExactScalar:

@@ -10,7 +10,6 @@ a tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import SUITE_NAMES
@@ -41,12 +40,14 @@ from .toruscalc import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    trials: int
-    passed: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("name", "trials", "passed", "failures")
+
+    def __init__(self, name, trials):
+        self.name = name
+        self.trials = trials
+        self.passed = 0
+        self.failures = []
 
     @property
     def ok(self):

@@ -792,9 +792,10 @@ def test_size_caps_reject_before_any_work(tmp_path, capsys, monkeypatch):
 
     dim = _first_over(lambda n: max(comb(n, k) * comb(n, k + 1) for k in range(n)),
                       cli.MAX_DENSE_CELLS)
-    assert dim == 12 and cli.MAX_DIM == 11
+    assert dim == 11 and cli.MAX_DIM == 10
+    # a torus needs an even m, so its first size over the cap is dim + 1
     for command in ("cohomology", "lattice"):
-        assert main([command, "--preset", "torus", "--m", str(dim)]) == 2
+        assert main([command, "--preset", "torus", "--m", str(dim + 1)]) == 2
         assert f"{cli.MAX_DENSE_CELLS} cells" in capsys.readouterr().err
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dim": dim, "basis": [f"e{i}" for i in range(dim)]}))
@@ -824,17 +825,23 @@ def test_sizes_at_the_caps_parse():
     assert job.trials == cli.MAX_TRIALS
 
 
-def _modules_after(code):
-    """preqlat modules loaded by ``code`` in a fresh interpreter."""
+# standard modules that cost start-up time and that the library never needs
+SLOW_STDLIB = {"dataclasses", "inspect", "datetime"}
+
+
+def _modules_after(code, *flags):
+    """preqlat modules, and those of SLOW_STDLIB, loaded by ``code`` in a
+    fresh interpreter started with ``flags``."""
     import os
     import subprocess
     import sys
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = (code + "\nimport sys\n"
-              "print(' '.join(sorted(m for m in sys.modules if m.startswith('preqlat'))))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('preqlat')"
+              f" or m in {sorted(SLOW_STDLIB)!r})))")
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -856,6 +863,45 @@ def test_cohomology_process_imports_only_the_cohomology_path():
     assert {"preqlat.prequant", "preqlat.exact"} <= loaded
     assert "preqlat.verify" not in loaded
     assert not any(m.startswith("preqlat.toruscalc") for m in loaded)
+
+
+def test_start_up_needs_no_dataclasses_or_datetime():
+    """No module of the library imports ``dataclasses`` or ``datetime``,
+    and the CLI with the lattice and verify layers loads neither, nor
+    ``inspect``, in an interpreter without ``site`` (which could load
+    them first)."""
+    import ast
+    import os
+    import preqlat
+
+    found = []
+    for folder, _, files in os.walk(os.path.dirname(preqlat.__file__)):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        mods = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) and not node.level:
+                        mods = [node.module]
+                    else:
+                        continue
+                    found += [(name, m) for m in mods
+                              if m.split(".")[0] in ("dataclasses", "datetime")]
+    assert found == []
+    loaded = _modules_after("import preqlat.cli, preqlat.prequant, preqlat.verify", "-S")
+    assert "preqlat.verify" in loaded and not loaded & SLOW_STDLIB
+
+
+def test_timestamp_is_the_isoformat_of_utc_now(monkeypatch):
+    from datetime import datetime, timedelta, timezone
+
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    for ns in (1_760_000_000_123_456_789, 1_760_000_000_000_000_999, 0):
+        monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+        expect = (epoch + timedelta(microseconds=ns // 1000)).isoformat()
+        assert cli.utc_timestamp() == expect
 
 
 def test_suite_names_defined_once():

@@ -2,8 +2,8 @@
 the loop-form torus calculus oracles, the dense and sparse matrix forms,
 the full-scan Smith normal form oracle, the dense column Hermite normal
 form oracle, the eager reduction-row oracle, the Bareiss determinant, the
-rational rank, the Fraction validation oracle, and the test-only
-conveniences on presentations, cochains and rings.
+Pfaffian, the rational rank, the Fraction validation oracle, and the
+test-only conveniences on presentations, cochains and rings.
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -579,6 +579,19 @@ def det(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def pfaffian(coeffs, m):
+    """Pfaffian of the antisymmetric m x m matrix with entries
+    coeffs[(i, j)], i < j, by expansion along the first row; it is the
+    volume of sum c_ij dx_i^dx_j on T^m in units of (2*pi)^m."""
+    def pf(idx):
+        if not idx:
+            return 1
+        first, rest = idx[0], idx[1:]
+        return sum((-1) ** pos * coeffs.get((first, j), 0) * pf(rest[:pos] + rest[pos + 1:])
+                   for pos, j in enumerate(rest))
+    return pf(tuple(range(m)))
 
 
 def rational_rank(mat):
