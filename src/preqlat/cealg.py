@@ -146,16 +146,17 @@ class Cochain:
         if self.dim != other.dim or self.degree != other.degree:
             raise ValueError("cochains live in different spaces")
 
-    def render(self, names, star="*"):
-        """Human-readable form like ``2*x*^p* - h*`` given basis names."""
-        return render_terms(sorted(self.coeffs.items()), names, star)
+    def render(self, names):
+        """Human-readable form like ``2*x*^p* - h*`` given the names of
+        the degree-one cochains (here ``x*``, ``p*``, ``h*``)."""
+        return render_terms(sorted(self.coeffs.items()), names)
 
 
-def render_terms(terms, names, star="*"):
+def render_terms(terms, names):
     """``2*x*^p* - h*`` from (index tuple, int or Fraction) terms, in order."""
     parts = []
     for idx, c in terms:
-        mono = "^".join(f"{names[i]}{star}" for i in idx) if idx else "1"
+        mono = "^".join(names[i] for i in idx) if idx else "1"
         if c == 1:
             parts.append(mono)
         elif c == -1:

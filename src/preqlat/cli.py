@@ -207,9 +207,9 @@ def parse_job(argv) -> JobDescriptor:
 
 def _load_suite_descriptor(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # bad JSON, not UTF-8, too deep
         raise InputError(f"cannot read suite descriptor: {exc}")
     if not isinstance(data, dict):
         raise InputError("suite descriptor must be a JSON object")
@@ -307,9 +307,9 @@ def load_presentation(path) -> LieAlgebraPresentation:
     """Read the JSON presentation schema, with int dim, i, j and no repeats:
     {"dim": m, "basis": [...], "brackets": [{"i":1,"j":2,"c":{"3":"r"}}]}."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # bad JSON, not UTF-8, too deep
         raise InputError(f"cannot read presentation: {exc}")
     try:
         dim, brackets = data["dim"], data.get("brackets", [])
@@ -324,6 +324,8 @@ def load_presentation(path) -> LieAlgebraPresentation:
             i, j = entry["i"] - 1, entry["j"] - 1
             if (i, j) in structure:
                 raise InputError(f"malformed presentation: repeated bracket ({i + 1}, {j + 1})")
+            if not isinstance(entry["c"], dict):
+                raise InputError("malformed presentation: a bracket's \"c\" must be a JSON object")
             comps = {}
             for k, val in entry["c"].items():
                 comps[int(k) - 1] = _parse_rational(str(val), "bracket coefficient")
@@ -353,7 +355,7 @@ def _ring_for_job(job) -> tuple[CohomologyRing, Cochain | None]:
         return ring, _standard_omega(p["m"]) if job.omega is None else job.omega
     if job.preset == "surface":
         ring = surface_ring(p["g"])
-        rep = ring.cohomology.data(2).free_reps[0]
+        rep = ring.data(2).free_reps[0]
         return ring, p["vol"] * rep
     raise InputError(f"unknown preset {job.preset!r}")
 
@@ -439,7 +441,7 @@ def reference_examples():
 
     for g, vol in [(0, 1), (1, 1), (2, 3), (3, 2)]:
         ring = surface_ring(g)
-        omega = symplectic_from_cochain(ring, vol * ring.cohomology.data(2).free_reps[0])
+        omega = symplectic_from_cochain(ring, vol * ring.data(2).free_reps[0])
         lat = integrable_lattice(ring, euler_candidates(ring, omega)[0])
         check(
             f"surface g={g} vol={vol}",

@@ -340,24 +340,23 @@ def _unit_echelon(cols):
     return True
 
 
-class CohomologyRing:
+class CohomologyRing(GradedCohomology):
     """Graded cohomology with cup products and an orientation.
 
     ``cup`` wedges chosen representatives and reduces; for table-driven
     presets (surfaces) the custom reduction encodes the ring structure.
     """
 
-    def __init__(self, cohomology: GradedCohomology, top_degree, lie=None):
-        self.cohomology = cohomology
+    def __init__(self, groups: GradedCohomology, top_degree, lie=None):
+        super().__init__(groups.dim, groups.conames, groups.degrees)
         self.top_degree = top_degree
         self.lie = lie
         self._orient()
 
     def _orient(self):
-        top = self.cohomology.data(self.top_degree)
-        if top.betti != 1:
+        if self.data(self.top_degree).betti != 1:
             raise ValueError("top cohomology is not of rank one; no orientation")
-        dim = self.cohomology.dim
+        dim = self.dim
         if dim != self.top_degree:
             # formal presets: keep the installed generator
             return
@@ -367,30 +366,16 @@ class CohomologyRing:
 
     # -- class-level operations -------------------------------------------
 
-    def betti(self, k):
-        return self.cohomology.betti(k)
-
-    def torsion(self, k):
-        return self.cohomology.torsion(k)
-
-    def reduce(self, c: Cochain) -> CohomClass:
-        return self.cohomology.reduce(c)
-
-    def representative(self, cls: CohomClass) -> Cochain:
-        return self.cohomology.representative(cls)
-
     def unit(self) -> CohomClass:
         return CohomClass(0, (1,), ())
 
     def cup(self, u: CohomClass, v: CohomClass) -> CohomClass:
         degree = u.degree + v.degree
-        if degree > self.cohomology.dim or u.degree > self.cohomology.dim \
-                or v.degree > self.cohomology.dim:
+        if degree > self.dim:
             return CohomClass(degree, (), ())
-        groups = self.cohomology
-        a = groups.data(u.degree).terms(u)
-        b = groups.data(v.degree).terms(v)
-        target = groups.data(degree)
+        a = self.data(u.degree).terms(u)
+        b = self.data(v.degree).terms(v)
+        target = self.data(degree)
         if not target.betti and not target.torsion:
             # the wedge of two cocycles is closed, so it lands in a zero group
             return CohomClass(degree, (), ())
@@ -413,12 +398,12 @@ class CohomologyRing:
         return t.free[0]
 
     def report_fragment(self, k) -> dict:
-        dd = self.cohomology.data(k)
+        dd = self.data(k)
         return {
             "degree": k,
             "betti": dd.betti,
             "torsion": list(dd.torsion),
-            "generators": [render_terms(t, self.cohomology.conames, star="") for t in dd.reps],
+            "generators": [render_terms(t, self.conames) for t in dd.reps],
         }
 
 

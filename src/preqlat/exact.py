@@ -7,7 +7,6 @@ instead of float comparisons.  The zero scalar is canonically (0, 0).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -84,9 +83,6 @@ class ExactScalar:
         if self.q == 0:
             return self
         return ExactScalar(self.q, self.pi_power + d)
-
-    def __float__(self) -> float:
-        return float(self.q) * (2.0 * math.pi) ** self.pi_power
 
     def __str__(self) -> str:
         if self.q == 0:

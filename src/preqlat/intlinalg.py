@@ -87,16 +87,9 @@ class SmithDecomposition:
     # (src, dst, q), so the column log multiplied out gives V^{-T}, and
     # with each op as its E^{-T} it gives V.
     def read(self, name, idx):
-        """Rows idx of ``uinv`` or ``v``, or columns idx of ``u`` or ``vinv``
-        as lists; sliced from the whole transform once that has been read."""
-        whole = vars(self).get(name)
-        if whole is not None:
-            vectors = whole if name in ("uinv", "v") else _transpose(whole)
-            return [list(vectors[i]) for i in idx]
+        """Rows idx of ``uinv`` or ``v``, or columns idx of ``u`` or ``vinv``,
+        as lists, replayed from the log (an empty log gives the identity)."""
         ops, n = (self.row_ops, self.shape[0]) if name[0] == "u" else (self.col_ops, self.shape[1])
-        if not ops:         # an empty log, as for a zero matrix, is the identity
-            eye = identity(n)
-            return [eye[i] for i in idx]
         return _transpose(_replay(ops, n, idx, name in ("u", "v")))
 
     # the replay holds its vectors as columns, so U and V^{-1} come out whole

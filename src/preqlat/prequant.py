@@ -179,7 +179,7 @@ def generator_display(ring: CohomologyRing, coords) -> str:
     """Render an H^1 coordinate vector through the degree-one
     representatives, e.g. ``3*x*``."""
     cls = CohomClass(1, tuple(coords), (0,) * len(ring.torsion(1)))
-    return ring.representative(cls).render(ring.cohomology.conames, star="")
+    return ring.representative(cls).render(ring.conames)
 
 
 def lattice_report(lattice: IntegrableLattice, ring: CohomologyRing) -> dict:
@@ -187,8 +187,8 @@ def lattice_report(lattice: IntegrableLattice, ring: CohomologyRing) -> dict:
     kernel for every Euler candidate over the same symplectic class (the
     lattice's own candidate reuses its generators)."""
     basis_names = [
-        rep.render(ring.cohomology.conames, star="")
-        for rep in ring.cohomology.data(1).free_reps
+        rep.render(ring.conames)
+        for rep in ring.data(1).free_reps
     ]
     candidates = []
     for cand in euler_candidates(ring, SymplecticClass(lattice.euler.free, lattice.n)):

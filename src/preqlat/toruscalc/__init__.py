@@ -1,102 +1,3 @@
 """Exact trigonometric-polynomial calculus on tori: Cartan operations,
 symplectic and contact presets, and the degree-two cocycles evaluated on
 them."""
-
-from .contact import (
-    contact_bracket,
-    contact_field,
-    contact_flux,
-    contact_flux_via_field,
-    contact_form,
-    contact_pullback_residual,
-    contact_volume,
-    invariant_function,
-    is_reeb_invariant,
-    reeb_field,
-    rho_cochain,
-    sigma_cocycle,
-    strict_contact_residual,
-    transverse_field,
-)
-from .forms import (
-    CoordinateCycle,
-    TorusForm,
-    TorusVectorField,
-    contract,
-    exterior_derivative,
-    integrate_contraction,
-    integrate_over_cycle,
-    integrate_product,
-    lie_derivative,
-    poincare_dual_form,
-    vf_bracket,
-    wedge,
-)
-from .residuals import KINDS, cocycle_residual
-from .symplectic import (
-    hamiltonian_field,
-    kappa_rho,
-    ks_cocycle,
-    liouville_power,
-    mean_against_volume,
-    poisson_bracket,
-    roger_cocycle,
-    singular_cocycle,
-    standard_symplectic,
-)
-from .trig import TrigPoly
-from .volume import (
-    exact_field_from_potential,
-    infinitesimal_flux,
-    is_exact_field,
-    lichnerowicz_eta,
-    lichnerowicz_singular,
-    unit_volume_form,
-)
-
-__all__ = [
-    "CoordinateCycle",
-    "KINDS",
-    "TorusForm",
-    "TorusVectorField",
-    "TrigPoly",
-    "contact_bracket",
-    "contact_field",
-    "contact_flux",
-    "contact_flux_via_field",
-    "contact_form",
-    "contact_pullback_residual",
-    "contact_volume",
-    "contract",
-    "cocycle_residual",
-    "exact_field_from_potential",
-    "exterior_derivative",
-    "hamiltonian_field",
-    "infinitesimal_flux",
-    "integrate_contraction",
-    "integrate_over_cycle",
-    "integrate_product",
-    "invariant_function",
-    "is_exact_field",
-    "is_reeb_invariant",
-    "kappa_rho",
-    "ks_cocycle",
-    "lichnerowicz_eta",
-    "lichnerowicz_singular",
-    "lie_derivative",
-    "liouville_power",
-    "mean_against_volume",
-    "poincare_dual_form",
-    "poisson_bracket",
-    "reeb_field",
-    "rho_cochain",
-    "roger_cocycle",
-    "sigma_cocycle",
-    "singular_cocycle",
-    "standard_symplectic",
-    "strict_contact_residual",
-    "transverse_field",
-    "unit_volume_form",
-    "vf_bracket",
-    "wedge",
-]

@@ -29,7 +29,6 @@ from .forms import (
     exterior_derivative,
     integrate_contraction,
     integrate_product,
-    lie_derivative,
     wedge,
 )
 from .trig import TrigPoly, product_sum
@@ -81,27 +80,10 @@ def transverse_field() -> TorusVectorField:
     )
 
 
-def reeb_derivative(f: TrigPoly) -> TrigPoly:
-    return reeb_field().apply(f)
-
-
 def is_reeb_invariant(f: TrigPoly) -> bool:
     """Exact check of L_E f = 0.  Within trigonometric polynomials this
     forces f to depend on z only."""
-    return reeb_derivative(f).is_zero()
-
-
-def invariant_function(coeffs) -> TrigPoly:
-    """Build f(z) = c_0 + sum_j (a_j cos jz + b_j sin jz) from
-    coeffs = (c_0, [(a_1, b_1), (a_2, b_2), ...])."""
-    c0, harmonics = coeffs
-    f = TrigPoly.const(DIM, c0)
-    for j, (a, b) in enumerate(harmonics, start=1):
-        if a:
-            f = f + TrigPoly.cos_axis(DIM, Z_AXIS, j, a)
-        if b:
-            f = f + TrigPoly.sin_axis(DIM, Z_AXIS, j, b)
-    return f
+    return reeb_field().apply(f).is_zero()
 
 
 def contact_field(f: TrigPoly) -> TorusVectorField:
@@ -128,11 +110,6 @@ def contact_bracket(f: TrigPoly, g: TrigPoly) -> TrigPoly:
 def _field_bracket(zf: TorusVectorField, zg: TorusVectorField) -> TrigPoly:
     """d(theta)(zeta_f, zeta_g), from contact fields already built."""
     return contract(zg, contract(zf, contact_differential())).as_function()
-
-
-def strict_contact_residual(x: TorusVectorField) -> TorusForm:
-    """L_X theta; zero exactly when X preserves the contact form."""
-    return lie_derivative(x, contact_form())
 
 
 def sigma_cocycle(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly) -> ExactScalar:

@@ -131,12 +131,7 @@ class TorusForm:
                 {i: p * other.q for i, p in self.coeffs.items()},
                 self.pi_power + other.pi_power,
             )
-        if isinstance(other, (int, Fraction)):
-            return TorusForm(
-                self.dim, self.degree,
-                {i: p * other for i, p in self.coeffs.items()}, self.pi_power,
-            )
-        if isinstance(other, TrigPoly):
+        if isinstance(other, (int, Fraction, TrigPoly)):
             return TorusForm(
                 self.dim, self.degree,
                 {i: p * other for i, p in self.coeffs.items()}, self.pi_power,

@@ -20,8 +20,6 @@ from .forms import vf_bracket
 from .symplectic import ks_cocycle, poisson_bracket, roger_cocycle, singular_cocycle
 from .volume import lichnerowicz_eta, lichnerowicz_singular
 
-KINDS = ("roger", "singular", "ks", "sigma_q", "lichnerowicz_q", "lichnerowicz_eta")
-
 
 def cocycle_residual(kind, params, a, b, c) -> ExactScalar:
     """(d psi)(a, b, c) for the requested cocycle kind.

@@ -25,7 +25,6 @@ from .forms import (
     TorusVectorField,
     contract,
     exterior_derivative,
-    integrate_over_cycle,
     integrate_product,
     wedge,
 )
@@ -145,21 +144,3 @@ def singular_cocycle(cycle: CoordinateCycle, f: TrigPoly, g: TrigPoly,
         raise ValueError("cycle dimension must be 2n-1")
     df = exterior_derivative(TorusForm.function(dim, f))
     return integrate_product(g, wedge(df, liouville_power(omega, n - 1)), cycle)
-
-
-def mean_against_volume(f: TrigPoly, omega: TorusForm) -> Fraction:
-    """(1/vol) integral of f omega^n/n!; the constants-part projection."""
-    dim = omega.dim
-    voln = liouville_power(omega, dim // 2)
-    full = CoordinateCycle.full(dim)
-    vol = integrate_over_cycle(voln, full)
-    num = integrate_product(f, voln, full)
-    return (num / vol).q
-
-
-def kappa_rho(f: TrigPoly, omega: TorusForm):
-    """Split a Hamiltonian into its mean and its mean-free part.
-
-    Returns (rho(f), kappa(X_f)) = (mean, f - mean)."""
-    rho = mean_against_volume(f, omega)
-    return rho, f - rho

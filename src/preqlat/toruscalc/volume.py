@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..combinat import degree_tuples
 from ..exact import ExactScalar
 from .forms import (
     CoordinateCycle,
@@ -61,27 +60,6 @@ def exact_field_from_potential(alpha: TorusForm, nu: TorusForm | None = None) ->
         sign = -1 if j % 2 else 1
         comps.append(beta * (Fraction(sign) / scale))
     return TorusVectorField(m, comps, alpha.pi_power - nu.pi_power)
-
-
-def infinitesimal_flux(x: TorusVectorField, nu: TorusForm | None = None):
-    """Coordinates of the class of i_X nu in the coordinate basis of
-    degree m-1: the constant mode of each coefficient, as exact scalars.
-    Zero exactly when the field has a potential."""
-    m = x.dim
-    if nu is None:
-        nu = unit_volume_form(m)
-    form = contract(x, nu)
-    out = {}
-    for idx in degree_tuples(m, m - 1):
-        re, im = form.coefficient(idx).mean()
-        if im:
-            raise ValueError("flux of a non-real field")
-        out[idx] = ExactScalar(re, form.pi_power if re else 0)
-    return out
-
-
-def is_exact_field(x: TorusVectorField, nu: TorusForm | None = None) -> bool:
-    return all(v.is_zero() for v in infinitesimal_flux(x, nu).values())
 
 
 def lichnerowicz_singular(cycle: CoordinateCycle, x: TorusVectorField,

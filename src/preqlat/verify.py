@@ -15,28 +15,34 @@ from fractions import Fraction
 from . import SUITE_NAMES
 from .cealg import Cochain, LieAlgebraPresentation, ce_differential
 from .combinat import degree_tuples
-from .toruscalc import (
-    CoordinateCycle,
-    TorusForm,
-    TorusVectorField,
-    TrigPoly,
-    cocycle_residual,
+from .toruscalc.contact import (
     contact_bracket,
     contact_flux,
     contact_flux_via_field,
     contact_pullback_residual,
-    exact_field_from_potential,
+)
+from .toruscalc.forms import (
+    CoordinateCycle,
+    TorusForm,
+    TorusVectorField,
     exterior_derivative,
-    lichnerowicz_eta,
-    lichnerowicz_singular,
     lie_derivative,
     poincare_dual_form,
+    vf_bracket,
+)
+from .toruscalc.residuals import cocycle_residual
+from .toruscalc.symplectic import (
     poisson_bracket,
     roger_cocycle,
     singular_cocycle,
     standard_symplectic,
+)
+from .toruscalc.trig import TrigPoly
+from .toruscalc.volume import (
+    exact_field_from_potential,
+    lichnerowicz_eta,
+    lichnerowicz_singular,
     unit_volume_form,
-    vf_bracket,
 )
 
 

@@ -18,14 +18,13 @@ from preqlat.prequant import (
     integrable_lattice,
     symplectic_from_cochain,
 )
-from preqlat.toruscalc import (
-    CoordinateCycle,
-    TrigPoly,
+from preqlat.toruscalc.contact import (
     contact_flux,
     contact_flux_via_field,
     contact_pullback_residual,
-    strict_contact_residual,
 )
+from preqlat.toruscalc.forms import CoordinateCycle
+from preqlat.toruscalc.trig import TrigPoly
 from preqlat.verify import (
     run_cocycles,
     run_duality,
@@ -34,7 +33,7 @@ from preqlat.verify import (
     suite_rng,
 )
 
-from util import coordinate_field, random_invariant
+from util import coordinate_field, random_invariant, strict_contact_residual
 
 
 def report(num, desc, ok):
@@ -102,7 +101,7 @@ def test_criterion_3_surface_lattices():
         ring = surface_ring(g)
         for vol in (1, 2, 5):
             omega = symplectic_from_cochain(
-                ring, vol * ring.cohomology.data(2).free_reps[0]
+                ring, vol * ring.data(2).free_reps[0]
             )
             cand = euler_candidates(ring, omega)[0]
             for k in (1, 2):

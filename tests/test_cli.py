@@ -646,10 +646,12 @@ HEIS3 = {"dim": 3, "basis": ["x", "y", "z"], "brackets": [{"i": 1, "j": 2, "c": 
         ({"brackets": [{"i": "1", "j": 2, "c": {"3": "1"}}]}, "must be JSON integers"),
         ({"brackets": [{"i": 1, "j": True, "c": {"3": "1"}}]}, "must be JSON integers"),
         ({"brackets": [{"i": 1, "j": 2.0, "c": {"3": "1"}}]}, "must be JSON integers"),
+        ({"brackets": [{"i": 1, "j": 2, "c": [3]}]}, '"c" must be a JSON object'),
+        ({"brackets": [{"i": 1, "j": 2, "c": None}]}, '"c" must be a JSON object'),
     ],
     ids=["exponent", "huge-exponent", "long-coefficient", "repeated-bracket",
          "repeated-name", "dim-string", "dim-bool", "dim-float", "index-string",
-         "index-bool", "index-float"],
+         "index-bool", "index-float", "coefficients-list", "coefficients-null"],
 )
 def test_presentation_input_strict(change, msg, tmp_path, capsys):
     path = _write_presentation(tmp_path, {**HEIS3, **change})
@@ -686,6 +688,27 @@ def test_suite_descriptor_needs_json_integers(descriptor, key, tmp_path, capsys)
     path.write_text(json.dumps({"suites": ["jacobi"], "trials": 1, "seed": 1}))
     job = parse_job(["verify", "--input", str(path)])
     assert (job.trials, job.seed) == (1, 1)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["cohomology", "--input"], "presentation"),
+    (["verify", "--input"], "suite descriptor"),
+], ids=["presentation", "suite-descriptor"])
+@pytest.mark.parametrize("content, msg", [
+    (b'{"dim": 3, "basis": ["x\xff", "y", "z"], "suites": ["jacobi"]}',
+     "'utf-8' codec can't decode"),
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_input_file(argv, what, content, msg, tmp_path, capsys):
+    """An input file that is not UTF-8, or JSON nested deeper than the
+    parser recurses, exits 2 with one error line, not with a
+    UnicodeDecodeError or RecursionError traceback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what}: {msg}")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 # -- byte identity of the cohomology workload ------------------------------------------

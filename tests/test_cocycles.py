@@ -8,37 +8,41 @@ from fractions import Fraction
 import pytest
 
 from preqlat.exact import ExactScalar
-from preqlat.toruscalc import (
+from preqlat.toruscalc.forms import (
     CoordinateCycle,
     TorusForm,
     TorusVectorField,
-    TrigPoly,
-    cocycle_residual,
     contract,
-    exact_field_from_potential,
     exterior_derivative,
-    hamiltonian_field,
-    infinitesimal_flux,
     integrate_over_cycle,
-    is_exact_field,
-    kappa_rho,
-    ks_cocycle,
-    lichnerowicz_eta,
-    lichnerowicz_singular,
-    liouville_power,
-    mean_against_volume,
     poincare_dual_form,
+    vf_bracket,
+    wedge,
+)
+from preqlat.toruscalc.residuals import cocycle_residual
+from preqlat.toruscalc.symplectic import (
+    hamiltonian_field,
+    ks_cocycle,
+    liouville_power,
     poisson_bracket,
     roger_cocycle,
     singular_cocycle,
     standard_symplectic,
+)
+from preqlat.toruscalc.trig import TrigPoly
+from preqlat.toruscalc.volume import (
+    exact_field_from_potential,
+    lichnerowicz_eta,
+    lichnerowicz_singular,
     unit_volume_form,
-    vf_bracket,
-    wedge,
 )
 
 from util import (
     coordinate_field,
+    infinitesimal_flux,
+    is_exact_field,
+    kappa_rho,
+    mean_against_volume,
     random_closed_oneform,
     random_field,
     random_form,

@@ -50,7 +50,7 @@ def torsion_rings():
     rings = [nilmanifold_ring(two_step_presentation("6-1", 6, 3, 3)),
              nilmanifold_ring(two_step_presentation("7-2", 7, 2, 3, 0.5))]
     for ring in rings:
-        assert any(ring.torsion(k) for k in range(ring.cohomology.dim + 1))
+        assert any(ring.torsion(k) for k in range(ring.dim + 1))
     return rings
 
 
@@ -85,13 +85,13 @@ def test_heisenberg_level_one_torsion_free():
 
 def test_heisenberg_degree_one_representatives():
     ring = heis_ring(3)
-    reps = ring.cohomology.data(1).free_reps
+    reps = ring.data(1).free_reps
     assert [rep.coeffs for rep in reps] == [{(0,): 1}, {(1,): 1}, {(2,): 1}]  # x*, p*, z*
 
 
 def test_heisenberg_degree_two_structure():
     ring = heis_ring(4)
-    dd = ring.cohomology.data(2)
+    dd = ring.data(2)
     free_tuples = sorted(t for rep in dd.free_reps for t in rep.coeffs)
     assert free_tuples == [(0, 2), (0, 3), (1, 2), (1, 3)]  # x^z, x^h, p^z, p^h
     assert [rep.coeffs for rep in dd.torsion_reps] == [{(0, 1): 1}]  # x^p
@@ -99,7 +99,7 @@ def test_heisenberg_degree_two_structure():
 
 def test_heisenberg_torsion_generator_in_degree_three():
     ring = heis_ring(5)
-    dd = ring.cohomology.data(3)
+    dd = ring.data(3)
     assert [rep.coeffs for rep in dd.torsion_reps] == [{(0, 1, 2): 1}]  # x^p^z
 
 
@@ -159,8 +159,8 @@ def test_not_a_complex_error():
 
 def test_reduce_of_representative_is_unit_vector():
     for ring in (heis_ring(2), heis_ring(3), torus_ring(3), surface_ring(2), *torsion_rings()):
-        for k in range(ring.cohomology.dim + 1):
-            dd = ring.cohomology.data(k)
+        for k in range(ring.dim + 1):
+            dd = ring.data(k)
             for i, rep in enumerate(dd.free_reps):
                 cls = ring.reduce(rep)
                 assert cls.free == tuple(1 if j == i else 0 for j in range(dd.betti))
@@ -182,7 +182,7 @@ def test_reduce_kills_random_coboundaries():
                 dc = ce_differential(c, lie)
                 assert ring.reduce(dc).is_zero()
     for ring in torsion_rings():
-        m = ring.cohomology.dim
+        m = ring.dim
         for k in range(m):
             for _ in range(5):
                 dc = ce_differential(random_cochain(rng, m, k), ring.lie)
@@ -224,7 +224,7 @@ def test_torus4_top_cup():
 def test_cup_graded_commutative_on_presets():
     rng = random.Random(8)
     for ring in (heis_ring(2), torus_ring(4)):
-        m = ring.cohomology.dim
+        m = ring.dim
         for _ in range(10):
             ka = rng.randint(1, 2)
             kb = rng.randint(1, 2)
@@ -242,7 +242,7 @@ def test_cup_graded_commutative_on_presets():
 
 def _random_closed(rng, ring, degree):
     """Random closed cochain: a lift of a random class plus a coboundary."""
-    dd = ring.cohomology.data(degree)
+    dd = ring.data(degree)
     cls = CohomClass(
         degree,
         tuple(rng.randint(-3, 3) for _ in range(dd.betti)),
@@ -250,7 +250,7 @@ def _random_closed(rng, ring, degree):
     )
     c = ring.representative(cls)
     if ring.lie is not None and degree >= 1:
-        c = c + ce_differential(random_cochain(rng, ring.cohomology.dim, degree - 1), ring.lie)
+        c = c + ce_differential(random_cochain(rng, ring.dim, degree - 1), ring.lie)
     return c
 
 
@@ -322,8 +322,8 @@ def test_free_pairing_unimodular(ring_factory):
         assert bk == bl
         if bk == 0:
             continue
-        dd_k = ring.cohomology.data(k)
-        dd_l = ring.cohomology.data(top - k)
+        dd_k = ring.data(k)
+        dd_l = ring.data(top - k)
         mat = [
             [ring.fundamental_pairing(ring.reduce(wedge(u, v))) for v in dd_l.free_reps]
             for u in dd_k.free_reps
@@ -351,7 +351,7 @@ def test_surface_genus2_ring():
     ring = surface_ring(2)
     assert ring.betti(0) == 1 and ring.betti(1) == 4 and ring.betti(2) == 1
     assert ring.betti(3) == 0
-    dd = ring.cohomology.data(1)
+    dd = ring.data(1)
     a = [ring.reduce(dd.free_reps[i]) for i in range(2)]
     b = [ring.reduce(dd.free_reps[2 + i]) for i in range(2)]
     for i in range(2):
@@ -404,9 +404,9 @@ def test_deterministic_construction():
     r1 = heis_ring(6)
     r2 = heis_ring(6)
     for k in range(5):
-        assert [c.coeffs for c in r1.cohomology.data(k).free_reps] == \
-               [c.coeffs for c in r2.cohomology.data(k).free_reps]
-        assert r1.cohomology.data(k).reduce_rows == r2.cohomology.data(k).reduce_rows
+        assert [c.coeffs for c in r1.data(k).free_reps] == \
+               [c.coeffs for c in r2.data(k).free_reps]
+        assert r1.data(k).reduce_rows == r2.data(k).reduce_rows
 
 
 def rank_mod_p(mat, p):
@@ -492,7 +492,7 @@ def dense_reduce(ring, mats, c):
     ``c`` over the whole basis, times every row of d_k, then times every
     reduction row.  ``mats`` are the ring's differentials (None for a
     formal preset)."""
-    dd = ring.cohomology.data(c.degree)
+    dd = ring.data(c.degree)
     pos = {t: i for i, t in enumerate(dd.basis)}
     vec = [Fraction(0)] * len(dd.basis)
     for idx, coef in c.coeffs.items():
@@ -518,8 +518,8 @@ def dense_reduce(ring, mats, c):
 
 def dense_representative(ring, cls):
     """Representative of a class as a chain of Cochain sums."""
-    dd = ring.cohomology.data(cls.degree)
-    out = Cochain.zero(ring.cohomology.dim, cls.degree)
+    dd = ring.data(cls.degree)
+    out = Cochain.zero(ring.dim, cls.degree)
     for coef, rep in zip(cls.free + cls.torsion, dd.free_reps + dd.torsion_reps):
         out = out + coef * rep
     return out
@@ -556,19 +556,18 @@ def test_degree_data_holds_plain_ints(name):
     (a1^b1 on a surface) with coefficient 1, which orients the ring as
     it stands."""
     ring = INTEGER_FORM_RINGS[name]()
-    groups = ring.cohomology
-    for dd in groups.degrees:
+    for dd in ring.degrees:
         assert len(dd.reps) == len(dd.reduce_rows) == dd.betti + len(dd.torsion)
         assert all(type(x) is int for terms in dd.reps for _, x in terms)
         assert all(type(x) is int for row in dd.reduce_rows for x in row)
-    dim, top = groups.dim, ring.top_degree
+    dim, top = ring.dim, ring.top_degree
     mono = tuple(range(dim)) if dim == top else (0, dim // 2)
-    assert groups.data(top).reps == [[(mono, 1)]]
+    assert ring.data(top).reps == [[(mono, 1)]]
     assert ring.fundamental_pairing(ring.representative(orientation_class(ring))) == 1
 
 
 def _random_class(rng, ring, degree):
-    dd = ring.cohomology.data(degree)
+    dd = ring.data(degree)
     return CohomClass(degree, tuple(rng.randint(-3, 3) for _ in range(dd.betti)),
                       tuple(rng.randint(0, d - 1) for d in dd.torsion))
 
@@ -576,7 +575,7 @@ def _random_class(rng, ring, degree):
 @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
 def test_sparse_reduce_matches_dense_reference(name):
     ring = ORACLE_RINGS[name]()
-    m = ring.cohomology.dim
+    m = ring.dim
     mats = dense_complex(ring.lie) if ring.lie is not None else None
     rng = random.Random(f"dense-oracle:{name}")
     rejected = 0
@@ -605,7 +604,7 @@ def test_sparse_reduce_matches_dense_reference(name):
             closed = ring.representative(_random_class(rng, ring, k))
             for bad in (Cochain.basis(m, idx), closed + Cochain.basis(m, idx),
                         Fraction(1, 2) * Cochain.basis(m, idx)):
-                assert not ring.cohomology.is_closed(bad)
+                assert not ring.is_closed(bad)
                 for reduce in (ring.reduce, lambda c: dense_reduce(ring, mats, c)):
                     with pytest.raises(ValueError, match="not a cocycle"):
                         reduce(bad)
@@ -617,7 +616,7 @@ def test_sparse_reduce_matches_dense_reference(name):
 @pytest.mark.parametrize("index", [0, 1], ids=["torsion6", "torsion7"])
 def test_sparse_cup_matches_dense_reference(index):
     ring = torsion_rings()[index]
-    m = ring.cohomology.dim
+    m = ring.dim
     mats = dense_complex(ring.lie)
     rng = random.Random(f"dense-cup:{m}")
     for a in range(m + 1):
@@ -643,21 +642,20 @@ def test_lazy_reduce_rows_match_eager_formula(name):
     the eager engine formed with each degree; a surface keeps its
     installed tables."""
     ring = LAZY_ORACLE_RINGS[name]()
-    groups = ring.cohomology
-    dim = groups.dim
+    dim = ring.dim
     if ring.lie is None:
-        g = groups.betti(1) // 2
-        assert groups.data(0).reduce_rows == [[1]]
-        assert groups.data(1).reduce_rows == [[int(i == j) for j in range(dim)]
-                                              for i in range(2 * g)]
+        g = ring.betti(1) // 2
+        assert ring.data(0).reduce_rows == [[1]]
+        assert ring.data(1).reduce_rows == [[int(i == j) for j in range(dim)]
+                                            for i in range(2 * g)]
         pairs = [(i, g + i) for i in range(g)] or [(0, 1)]
-        assert groups.data(2).reduce_rows == [[int(t in pairs)
-                                               for t in degree_tuples(dim, 2)]]
-        assert all(groups.data(k).reduce_rows == [] for k in range(3, dim + 1))
+        assert ring.data(2).reduce_rows == [[int(t in pairs)
+                                             for t in degree_tuples(dim, 2)]]
+        assert all(ring.data(k).reduce_rows == [] for k in range(3, dim + 1))
         return
     mats = dense_complex(ring.lie)
     for k in reversed(range(dim + 1)):
-        assert groups.data(k).reduce_rows == eager_reduce_rows(mats, k), k
+        assert ring.data(k).reduce_rows == eager_reduce_rows(mats, k), k
 
 
 def test_cohomology_job_builds_only_top_reduce_rows(monkeypatch, tmp_path):
@@ -685,7 +683,7 @@ def test_cohomology_job_builds_only_top_reduce_rows(monkeypatch, tmp_path):
     for argv in (["--preset", "thurston", "--r", "6"], ["--input", str(path)]):
         report, code = cli.run(cli.parse_job(["cohomology", *argv]))
         assert code == 0 and report["cohomology"]
-    assert [ring.cohomology.dim for ring in rings] == [4, 7]
+    assert [ring.dim for ring in rings] == [4, 7]
     for ring in rings:
-        built = ["reduce_rows" in vars(dd) for dd in ring.cohomology.degrees]
+        built = ["reduce_rows" in vars(dd) for dd in ring.degrees]
         assert built == [False] * ring.top_degree + [True]

@@ -8,34 +8,34 @@ import pytest
 
 from preqlat.cli import main
 from preqlat.exact import ExactScalar
-from preqlat.toruscalc import (
-    CoordinateCycle,
-    TorusForm,
-    TorusVectorField,
-    TrigPoly,
-    cocycle_residual,
+from preqlat.toruscalc.contact import (
     contact_bracket,
+    contact_differential,
     contact_field,
     contact_flux,
     contact_flux_via_field,
     contact_form,
     contact_pullback_residual,
     contact_volume,
-    contract,
-    exterior_derivative,
-    integrate_over_cycle,
-    invariant_function,
     is_reeb_invariant,
-    liouville_power,
     reeb_field,
     rho_cochain,
     sigma_cocycle,
-    strict_contact_residual,
     transverse_field,
 )
-from preqlat.toruscalc.contact import contact_differential
+from preqlat.toruscalc.forms import (
+    CoordinateCycle,
+    TorusForm,
+    TorusVectorField,
+    contract,
+    exterior_derivative,
+    integrate_over_cycle,
+)
+from preqlat.toruscalc.residuals import cocycle_residual
+from preqlat.toruscalc.symplectic import liouville_power
+from preqlat.toruscalc.trig import TrigPoly
 
-from util import coordinate_field, random_invariant
+from util import coordinate_field, invariant_function, random_invariant, strict_contact_residual
 
 
 def test_contact_volume_value():
@@ -139,7 +139,7 @@ def test_pullback_residual_zero_on_z_circle_example():
     # both sides equal pi here
     mu = contact_volume()
     lam = contract(contact_field(g), contract(contact_field(f), mu))
-    from preqlat.toruscalc import integrate_over_cycle
+    from preqlat.toruscalc.forms import integrate_over_cycle
 
     assert integrate_over_cycle(lam, zc) == ExactScalar(Fraction(1, 2), 1)
     assert contact_pullback_residual(zc, f, g).is_zero()

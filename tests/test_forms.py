@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from preqlat.exact import ExactScalar
-from preqlat.toruscalc import (
+from preqlat.toruscalc.forms import (
     CoordinateCycle,
     TorusForm,
     TorusVectorField,
-    TrigPoly,
     contract,
     exterior_derivative,
     integrate_contraction,
@@ -22,6 +21,7 @@ from preqlat.toruscalc import (
     vf_bracket,
     wedge,
 )
+from preqlat.toruscalc.trig import TrigPoly
 
 from util import (
     close,

@@ -27,14 +27,9 @@ from preqlat.prequant import (
     liouville_volume,
     symplectic_from_cochain,
 )
-from preqlat.toruscalc import (
-    CoordinateCycle,
-    TorusForm,
-    TrigPoly,
-    integrate_over_cycle,
-    liouville_power,
-    wedge,
-)
+from preqlat.toruscalc.forms import CoordinateCycle, TorusForm, integrate_over_cycle, wedge
+from preqlat.toruscalc.symplectic import liouville_power
+from preqlat.toruscalc.trig import TrigPoly
 
 from util import dense_complex, pfaffian, rational_rank, sparse_columns
 
@@ -56,7 +51,7 @@ def torus_setup(m, pairs=None):
 
 def surface_setup(g, vol):
     ring = surface_ring(g)
-    rep = ring.cohomology.data(2).free_reps[0]
+    rep = ring.data(2).free_reps[0]
     return ring, symplectic_from_cochain(ring, vol * rep)
 
 
@@ -344,7 +339,7 @@ def test_bundle_betti_matches_gysin_kernel(setup):
         cases = [seeded_torus_setup(setup[1])]
     checked = 0
     for ring, omega in cases:
-        m = ring.cohomology.dim
+        m = ring.dim
         for e in euler_candidates(ring, omega):
             rep = ring.representative(e.as_class())
             lie_e = bundle_presentation(ring.lie, rep)

@@ -20,19 +20,10 @@ from fractions import Fraction
 
 import pytest
 
-from preqlat.toruscalc import (
-    TorusForm,
-    TorusVectorField,
-    TrigPoly,
-    contact_field,
-    contract,
-    hamiltonian_field,
-    poisson_bracket,
-    standard_symplectic,
-    vf_bracket,
-    wedge,
-)
-from preqlat.toruscalc.trig import product_sum
+from preqlat.toruscalc.contact import contact_field
+from preqlat.toruscalc.forms import TorusForm, TorusVectorField, contract, vf_bracket, wedge
+from preqlat.toruscalc.symplectic import hamiltonian_field, poisson_bracket, standard_symplectic
+from preqlat.toruscalc.trig import TrigPoly, product_sum
 
 from util import (
     oracle_apply,

@@ -2,12 +2,11 @@
 
 A public name is a module-level function, class or constant of
 ``src/preqlat/``, or a method or property of a public class, whose name
-does not start with an underscore.  It is reached when it is used (as a
-name, an attribute or an import) in ``cli.py``, in the README's library
-example, in the module-level code of a library module (so a package
-``__init__`` that re-exports it counts), or in the body of a function or
-class that is itself reached; the dunder methods of a reached class run
-implicitly.  Names match by their last component, so two functions of
+does not start with an underscore.  It is reached when it is read (as a
+name or an attribute; importing or assigning it is not a read) in
+``cli.py``, in the README's library example, in the module-level code of
+a library module, or in the body of a function or class that is itself
+reached; the dunder methods of a reached class run implicitly.  Names match by their last component, so two functions of
 one name reach each other's callers: the guard errs towards passing.
 A name that no such path reaches is dead or test-only code and must go,
 to ``tests/util.py`` if tests need it, unless it is listed below with
@@ -34,16 +33,16 @@ EXCEPTIONS = {
 
 
 def _uses(nodes):
-    """Names, attributes and imported names used in the given nodes."""
+    """Names and attributes read in the given nodes.  An import or an
+    assignment target is not a read, so a re-export or a constant that
+    nothing reads reaches nothing."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                 out.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                out.add(sub.name.rsplit(".", 1)[-1])
     return out
 
 
@@ -113,13 +112,17 @@ def test_every_public_name_is_reached():
 
 
 def test_guard_sees_a_test_only_name():
-    """A public function that only a test would call is caught, and one
+    """A public function that only a test would call is caught, even
+    when a package re-exports it, and so is a constant nothing reads; one
     called from a reached function is not."""
     modules = _modules()
     modules["extra"] = ast.parse(
         "def only_tests():\n    return 1\n\n"
-        "def helper():\n    return 2\n")
+        "def helper():\n    return 2\n\n"
+        "UNREAD = (1, 2)\n")
+    modules["extra_package"] = ast.parse("from .extra import only_tests\n")
     modules["cli"].body.append(ast.parse("def entry():\n    return helper()\n").body[0])
     public, reached = _public_and_reached(modules)
-    assert "only_tests" not in reached
+    assert "only_tests" not in reached and "UNREAD" not in reached
+    assert public["extra.UNREAD"] == "UNREAD"
     assert "helper" in reached and "entry" in reached

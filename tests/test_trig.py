@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preqlat.toruscalc import TrigPoly
+from preqlat.toruscalc.trig import TrigPoly
 from preqlat.verify import poly_repr
 
 from util import eval_float, is_real, random_real_trigpoly

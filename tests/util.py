@@ -3,7 +3,8 @@ the loop-form torus calculus oracles, the dense and sparse matrix forms,
 the full-scan Smith normal form oracle, the dense column Hermite normal
 form oracle, the eager reduction-row oracle, the Bareiss determinant, the
 Pfaffian, the rational rank, the Fraction validation oracle, and the
-test-only conveniences on presentations, cochains and rings.
+test-only conveniences on presentations, cochains, rings and the torus
+calculus (mean and flux projections, invariant contact Hamiltonians).
 
 Uniform-grid trapezoidal sums on the periodic torus integrate any
 trigonometric polynomial of per-axis degree < N exactly, so they give an
@@ -25,9 +26,21 @@ from preqlat.cealg import (
 from preqlat.cohomring import CohomClass, nilmanifold_ring, surface_ring, torus_ring
 from preqlat.exact import ExactScalar
 from preqlat.intlinalg import echelon_coords, identity, mat_mul, mat_vec, smith_normal_form
-from preqlat.combinat import merge_tuples, remove_index, sort_sign
-from preqlat.toruscalc import CoordinateCycle, TorusForm, TorusVectorField, TrigPoly
-from preqlat.toruscalc.contact import reeb_field, transverse_field
+from preqlat.combinat import degree_tuples, merge_tuples, remove_index, sort_sign
+from preqlat.toruscalc.contact import DIM, Z_AXIS, contact_form, reeb_field, transverse_field
+from preqlat.toruscalc.forms import (
+    CoordinateCycle,
+    TorusForm,
+    TorusVectorField,
+    contract,
+    exterior_derivative,
+    integrate_over_cycle,
+    integrate_product,
+    lie_derivative,
+)
+from preqlat.toruscalc.symplectic import liouville_power
+from preqlat.toruscalc.trig import TrigPoly
+from preqlat.toruscalc.volume import exact_field_from_potential, unit_volume_form
 
 
 def random_fraction(rng, num=5, den=3):
@@ -46,8 +59,6 @@ def random_real_trigpoly(rng, dim, max_deg=2, n_modes=3, allow_const=True):
 
 
 def random_form(rng, dim, degree, max_deg=2, n_terms=2):
-    from preqlat.combinat import degree_tuples
-
     coeffs = {}
     tuples = degree_tuples(dim, degree)
     for idx in rng.sample(tuples, min(n_terms, len(tuples))):
@@ -74,8 +85,6 @@ def random_invariant(rng, max_deg=6, zero_mean=False):
 
 def random_closed_oneform(rng, dim, omega=None):
     """Constant 1-form plus an exact piece: always closed."""
-    from preqlat.toruscalc import exterior_derivative
-
     coeffs = {
         (i,): TrigPoly.const(dim, random_fraction(rng)) for i in range(dim)
     }
@@ -88,8 +97,6 @@ def random_closed_oneform(rng, dim, omega=None):
 
 def random_exact_field(rng, dim, max_deg=1):
     """Field with a potential: build one from a random (m-2)-form."""
-    from preqlat.toruscalc import exact_field_from_potential
-
     alpha = random_form(rng, dim, dim - 2, max_deg=max_deg, n_terms=2)
     return exact_field_from_potential(alpha)
 
@@ -281,7 +288,9 @@ def oracle_contact_field(f: TrigPoly) -> TorusVectorField:
 
 
 def close(exact: ExactScalar, approx: float, tol=1e-9):
-    return math.isclose(float(exact), approx, rel_tol=tol, abs_tol=tol)
+    """Whether q * (2*pi)**d is within tol of a float."""
+    value = float(exact.q) * (2.0 * math.pi) ** exact.pi_power
+    return math.isclose(value, approx, rel_tol=tol, abs_tol=tol)
 
 
 def two_step_presentation(seed, dim, centre, bound, density=1.0):
@@ -725,15 +734,15 @@ def evaluate(c, indices):
 
 def zero_class(ring, degree):
     """The zero class of a degree of a ring (empty above its top)."""
-    if degree >= len(ring.cohomology.degrees):
+    if degree >= len(ring.degrees):
         return CohomClass(degree, (), ())
-    dd = ring.cohomology.data(degree)
+    dd = ring.data(degree)
     return CohomClass(degree, (0,) * dd.betti, (0,) * len(dd.torsion))
 
 
 def orientation_class(ring):
     """The generator of the free part of a ring's top degree."""
-    dd = ring.cohomology.data(ring.top_degree)
+    dd = ring.data(ring.top_degree)
     return CohomClass(ring.top_degree, (1,), (0,) * len(dd.torsion))
 
 
@@ -756,3 +765,60 @@ def ring_from_preset(preset_id, **params):
     if preset_id == "surface":
         return surface_ring(params["g"])
     raise ValueError(f"unknown preset {preset_id!r}")
+
+
+def mean_against_volume(f: TrigPoly, omega: TorusForm) -> Fraction:
+    """(1/vol) integral of f omega^n/n!; the constants-part projection."""
+    dim = omega.dim
+    voln = liouville_power(omega, dim // 2)
+    full = CoordinateCycle.full(dim)
+    vol = integrate_over_cycle(voln, full)
+    num = integrate_product(f, voln, full)
+    return (num / vol).q
+
+
+def kappa_rho(f: TrigPoly, omega: TorusForm):
+    """Split a Hamiltonian into its mean and its mean-free part.
+
+    Returns (rho(f), kappa(X_f)) = (mean, f - mean)."""
+    rho = mean_against_volume(f, omega)
+    return rho, f - rho
+
+
+def invariant_function(coeffs) -> TrigPoly:
+    """Build the Reeb-invariant f(z) = c_0 + sum_j (a_j cos jz + b_j sin jz)
+    on the contact 3-torus from coeffs = (c_0, [(a_1, b_1), (a_2, b_2), ...])."""
+    c0, harmonics = coeffs
+    f = TrigPoly.const(DIM, c0)
+    for j, (a, b) in enumerate(harmonics, start=1):
+        if a:
+            f = f + TrigPoly.cos_axis(DIM, Z_AXIS, j, a)
+        if b:
+            f = f + TrigPoly.sin_axis(DIM, Z_AXIS, j, b)
+    return f
+
+
+def strict_contact_residual(x: TorusVectorField) -> TorusForm:
+    """L_X theta; zero exactly when X preserves the contact form."""
+    return lie_derivative(x, contact_form())
+
+
+def infinitesimal_flux(x: TorusVectorField, nu: TorusForm | None = None):
+    """Coordinates of the class of i_X nu in the coordinate basis of
+    degree m-1: the constant mode of each coefficient, as exact scalars.
+    Zero exactly when the field has a potential."""
+    m = x.dim
+    if nu is None:
+        nu = unit_volume_form(m)
+    form = contract(x, nu)
+    out = {}
+    for idx in degree_tuples(m, m - 1):
+        re, im = form.coefficient(idx).mean()
+        if im:
+            raise ValueError("flux of a non-real field")
+        out[idx] = ExactScalar(re, form.pi_power if re else 0)
+    return out
+
+
+def is_exact_field(x: TorusVectorField, nu: TorusForm | None = None) -> bool:
+    return all(v.is_zero() for v in infinitesimal_flux(x, nu).values())
