@@ -215,8 +215,8 @@ def _load_suite_descriptor(path):
         raise InputError("suite descriptor must be a JSON object")
     out = {}
     if "suites" in data:
-        if not isinstance(data["suites"], list):
-            raise InputError("descriptor 'suites' must be a list")
+        if not isinstance(data["suites"], list) or not data["suites"]:
+            raise InputError("descriptor 'suites' must be a non-empty list")
         out["suites"] = [str(s) for s in data["suites"]]
     for key in ("trials", "seed"):
         if key in data:
@@ -316,6 +316,8 @@ def load_presentation(path) -> LieAlgebraPresentation:
         if any(type(x) is not int for x in [dim, *(e[key] for e in brackets for key in "ij")]):
             raise InputError("malformed presentation: dim, i and j must be JSON integers")
         _check_dim(dim, "presentation")
+        if not isinstance(data["basis"], list):     # a string would spell a basis
+            raise InputError("malformed presentation: \"basis\" must be a JSON list")
         names = tuple(str(n) for n in data["basis"])
         if len(set(names)) != len(names):
             raise InputError(f"malformed presentation: repeated basis name in {list(names)}")

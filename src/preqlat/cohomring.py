@@ -11,31 +11,35 @@ installed directly, since a genus >= 2 surface is not a nilmanifold).
 Each degree is stored once, in integers: its representatives as lists of
 (index tuple, int) terms and its reduction map as integer rows, free
 classes first and torsion classes after.  The representatives are built
-with the degree, from just the columns of the Smith transform they need;
-the reduction rows only when something first reduces into the degree,
-which a ``cohomology`` job does in the top degree alone.  Class
-arithmetic works on supports, never on dense cochain vectors.  A support
-is a list of (basis position, coefficient) pairs over the nonzero
-coefficients of a cochain, with ``int`` coefficients when the cochain is
-integral and ``Fraction`` ones otherwise.  Each degree keeps the sparse
-columns of d_k from when it is built, and derives on first use the
-position of every basis tuple and the sparse columns of the reduction
-map; closedness and reduction then touch only the columns in the
-support, and a cup product wedges the representatives' terms directly.
+with the degree; the reduction rows only when something first reduces
+into the degree, which a ``cohomology`` job does in the top degree
+alone.  Class arithmetic works on supports, never on dense cochain
+vectors.  A support is a list of (basis position, coefficient) pairs
+over the nonzero coefficients of a cochain, with ``int`` coefficients
+when the cochain is integral and ``Fraction`` ones otherwise.  Each
+degree keeps the sparse columns of d_k from when it is built, and
+derives on first use the position of every basis tuple and the sparse
+columns of the reduction map; closedness and reduction then touch only
+the columns in the support, and a cup product wedges the
+representatives' terms directly.
 
 The Smith form takes sparse columns: d_k as ``complex_matrices`` builds
 it, and each degree's second-stage matrix (the coboundaries in kernel
-coordinates), summed column by column from the sparse columns of
-d_{k-1}.  What stays dense is what comes back: the kernel basis, the
-coordinate rows and the columns of U read off the transforms; so are
-the representative columns the Hermite form takes (it reduces them as
-sparse columns) and the reduction rows.
+coordinates).  No transform is formed: with SNF(d_k) = U D V of rank r,
+the coboundary coordinates are rows r.. of V b, the column log run
+forward over the sparse columns b of d_{k-1}; a representative is
+V^{-1} [0; u] for a column u of the second form's U, and a reduction row
+[0 | row] V for a row of its U^{-1}, each log replayed from just those
+vectors.  What stays dense is what comes back: the representative
+columns the Hermite form takes (it reduces them as sparse columns) and
+the reduction rows.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import comb
+from operator import mul
 
 from . import intlinalg as lin
 from .cealg import (
@@ -253,26 +257,19 @@ def integral_cohomology(matrices, dim, conames) -> GradedCohomology:
 def _degree_data(k, basis, prev_cols, d_cols, dim):
     n_k = len(basis)
     if d_cols is None:          # no differential: every cochain is a cocycle
-        kercols = coord_rows = lin.identity(n_k)
+        ker = lin.SmithDecomposition([], (0, n_k), 0, [], [])
     else:
-        kercols, coord_rows = lin.kernel_transform(d_cols, comb(dim, k + 1))
-    s = len(kercols)
+        ker = lin.smith_normal_form(d_cols, comb(dim, k + 1))
+    r = ker.rank
+    s = n_k - r
     if s == 0:
         return DegreeData(k, dim, 0, [], [], list, d_cols)
 
-    # coboundary image in kernel coordinates, one sparse column per
-    # coboundary column: one pass over the entries of the coordinate rows
-    # in the rows of the column's support.  The columns lie in the kernel
-    # (the complex was checked), and the coordinates are integral because
-    # the kernel lattice is saturated.
-    coord_cols = [[(t, x) for t, x in enumerate(col) if x] for col in zip(*coord_rows)]
-    x_cols = []
-    for col in prev_cols:
-        image = {}
-        for i, x in col:
-            for t, v in coord_cols[i]:
-                image[t] = image.get(t, 0) + v * x
-        x_cols.append(sorted((t, y) for t, y in image.items() if y))
+    # coboundary image in kernel coordinates, rows r.. of V b for the
+    # columns b of d_{k-1}: b is a cocycle (the complex was checked), so
+    # rows ..r are 0, and rows r.. are integral, as V is unimodular
+    image = lin.unpack(ker.forward(lin.pack(prev_cols, n_k), r), len(prev_cols))
+    x_cols = [[(t, x) for t, x in enumerate(col) if x] for col in image]
 
     if prev_cols:
         snf = lin.smith_normal_form(x_cols, s)
@@ -283,18 +280,12 @@ def _degree_data(k, basis, prev_cols, d_cols, dim):
     free_idx = [i for i in range(s) if diag[i] == 0]
     tors_idx = [i for i in range(s) if diag[i] > 1]
     betti = len(free_idx)
+    units = lin.pack([[(i, 1)] for i in free_idx + tors_idx], s)
+    w = betti + len(tors_idx)
 
-    # a representative is the kernel basis times a column of U; only the
-    # columns of the free and torsion classes are replayed
-    ker_terms = [[(row, x) for row, x in enumerate(kj) if x] for kj in kercols]
-    cols = []
-    for ucol in snf.read("u", free_idx + tors_idx):
-        col = [0] * n_k
-        for c, terms in zip(ucol, ker_terms):
-            if c:
-                for row, x in terms:
-                    col[row] += c * x
-        cols.append(col)
+    # a representative is V^{-1} [0; u] for the column u of the second
+    # form's U that gives its class
+    cols = lin.unpack(ker.replay("vinv", [None] * r + snf.replay("u", units)), w)
     free_cols = cols[:betti]
     # unit columns in increasing rows (every degree of a torus) are their
     # own Hermite basis, with the identity as change of basis
@@ -304,16 +295,16 @@ def _degree_data(k, basis, prev_cols, d_cols, dim):
     cols = hnf_cols + [[sign * x for x in col] for sign, col in zip(signs, cols[betti:])]
 
     def reduce_rows():
-        # the basis changes act on the rows of U^{-1}, which are only s
-        # wide; one product with the coordinate rows then gives every row
-        rows = snf.read("uinv", free_idx + tors_idx)
-        if not unit:
-            # the coordinates of the old basis in the Hermite basis are the
-            # columns of the change of basis that carries the rows over
-            t_inv = list(zip(*lin.echelon_coords(hnf_cols, free_cols)))
-            rows[:betti] = lin.mat_mul(t_inv, rows[:betti])
-        rows[betti:] = [[sign * x for x in row] for sign, row in zip(signs, rows[betti:])]
-        return lin.mat_mul(rows, coord_rows)
+        # the rows of the second form's U^{-1} that read the classes, by
+        # position, changed to the Hermite basis (the columns of the change
+        # are the old basis in it) and sign-fixed, each then [0 | row] V
+        t_inv = [] if unit else list(zip(*lin.echelon_coords(hnf_cols, free_cols)))
+        held = snf.replay("uinv", units)
+        for t, p in enumerate(held):
+            if p is not None:
+                free = [sum(map(mul, row, p)) for row in t_inv] if t_inv else p[:betti]
+                held[t] = free + [sign * x for sign, x in zip(signs, p[betti:])]
+        return lin.unpack(ker.replay("v", [None] * r + held), w)
 
     return DegreeData(
         degree=k,

@@ -5,17 +5,17 @@ column in increasing row order, next to the row count.  The Smith normal
 form fills from them sparse rows, ``{column: entry}`` dicts, and one set
 per column of the rows that hold an entry there, so each row or column
 operation costs the nonzero entries it touches.  It logs its row and
-column operations, and a caller replays from those logs just the rows
-or columns of the transforms it reads, as dense vectors.  Pivots are
-chosen by minimal absolute value, first in row-major order, to keep
-intermediate entries small.  The column Hermite normal form works on
-sparse columns in the same way.  The d_4 of the dim-9 2-step presentation
+column operations, and a caller runs those logs over the vectors it
+needs transformed, without forming a transform.  Pivots are chosen by
+minimal absolute value, first in row-major order, to keep intermediate
+entries small.  The column Hermite normal form works on sparse columns
+in the same way.  The d_4 of the dim-9 2-step presentation
 ``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``
 is 126 x 126 with 800 nonzero entries and rank 54: eliminating it takes
-0.010 to 0.011 s, where the dense elimination took 0.028 s; reading the
-72 rows of V and columns of V^{-1} that ``kernel_transform`` returns
-takes 0.008 to 0.009 s, and all four whole transforms 0.041 to 0.048 s
-(medians of 9, two runs, Python 3.11, 2-core Xeon).
+0.010 s; running its column log forward over the 64 columns of d_3
+(their kernel coordinates) takes 0.002 s, where reading the 72 rows of V
+and columns of V^{-1} took 0.008 to 0.009 s, and all four whole
+transforms take 0.045 s (medians of 9, two runs, Python 3.11, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -26,26 +26,7 @@ from itertools import compress
 
 
 def identity(n):
-    eye = [[0] * n for _ in range(n)]
-    for i in range(n):
-        eye[i][i] = 1
-    return eye
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += x * bt[j]
-    return out
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(a, v):
@@ -60,9 +41,11 @@ class SmithDecomposition:
     and ``vinv`` are the exact integer inverses of U and V.  The
     elimination logs each row operation (swap, add, negate) in
     ``row_ops`` and each column operation (swap, add) in ``col_ops``.
-    ``read`` replays a log on just the rows or columns asked for; each
-    whole transform is read the same way when first asked for, and is
-    then kept.  ``rank`` is the number of nonzero diagonal entries.
+    ``replay`` and ``forward`` run a log over given vectors, held by
+    position (see ``pack``), so a transform is applied without being
+    formed; ``read`` is ``replay`` on unit vectors.  Each whole transform
+    is read the same way when first asked for, and is then kept.
+    ``rank`` is the number of nonzero diagonal entries.
     """
 
     def __init__(self, diagonal, shape, rank, row_ops, col_ops):
@@ -81,25 +64,51 @@ class SmithDecomposition:
         return d
 
     # A row op B <- E B keeps A = U B V when U <- U E^{-1}, and a column
-    # op B <- B F when V <- F^{-1} V.  So U^{-1} = E_k ... E_1 is the row
-    # log multiplied out, and U^T the same with each E as E^{-T}.  The
+    # op B <- B F when V <- F^{-1} V.  So U^{-T} = E_1^T ... E_k^T and
+    # U = E_1^{-1} ... E_k^{-1} apply to a vector last op first.  The
     # transpose of a logged column op is the row op with the same
-    # (src, dst, q), so the column log multiplied out gives V^{-T}, and
-    # with each op as its E^{-T} it gives V.
+    # (src, dst, q), so V^{-1} and V^T apply the same way, and
+    # V = F_k^{-1} ... F_1^{-1} first op first.
+    def replay(self, name, held):
+        """U y, V^{-1} y, or y^T U^{-1} or y^T V as columns, for ``name`` "u",
+        "vinv", "uinv" or "v" and each vector y held by position in ``held``,
+        in the same form: ("add", src, dst, q) as y[src] += q y[dst], or
+        y[dst] -= q y[src] for "u" and "v"; a swap or a negation as is."""
+        ops = self.row_ops if name[0] == "u" else self.col_ops
+        inverse = name in ("u", "v")
+        return _apply(reversed(ops), held, inverse, -1 if inverse else 1)
+
+    def forward(self, held, first):
+        """Rows first.. of V y for each vector y held by position in
+        ``held``, in the same form: the column log runs first op first,
+        ("add", src, dst, q) as y[src] -= q y[dst] and a swap as is.  A
+        pass backwards over the log skips each add whose y[src] reaches no
+        row first.., as a pivot column's do once its step ends."""
+        need = [i >= first for i in range(len(held))]
+        ops = []
+        for op in reversed(self.col_ops):
+            if op[0] == "swap":
+                need[op[1]], need[op[2]] = need[op[2]], need[op[1]]
+                ops.append(op)
+            elif need[op[1]]:
+                need[op[2]] = True
+                ops.append(op)
+        return _apply(reversed(ops), held, False, -1)[first:]
+
     def read(self, name, idx):
         """Rows idx of ``uinv`` or ``v``, or columns idx of ``u`` or ``vinv``,
-        as lists, replayed from the log (an empty log gives the identity)."""
-        ops, n = (self.row_ops, self.shape[0]) if name[0] == "u" else (self.col_ops, self.shape[1])
-        return _transpose(_replay(ops, n, idx, name in ("u", "v")))
+        as lists: the unit vectors e_i, i in idx, replayed."""
+        n = self.shape[name[0] != "u"]
+        return unpack(self.replay(name, pack([[(i, 1)] for i in idx], n)), len(idx))
 
-    # the replay holds its vectors as columns, so U and V^{-1} come out whole
+    # the replay holds its vectors by position, so U and V^{-1} come out whole
     @cached_property
     def uinv(self):
         return self.read("uinv", range(self.shape[0]))
 
     @cached_property
     def u(self):
-        return _replay(self.row_ops, self.shape[0], range(self.shape[0]), True)
+        return self.replay("u", identity(self.shape[0]))
 
     @cached_property
     def v(self):
@@ -107,41 +116,53 @@ class SmithDecomposition:
 
     @cached_property
     def vinv(self):
-        return _replay(self.col_ops, self.shape[1], range(self.shape[1]), False)
+        return self.replay("vinv", identity(self.shape[1]))
 
 
-def _replay(ops, n, idx, inverse):
-    """Rows idx of E_k ... E_1 for the logged row operations (E^{-T} for E
-    under ``inverse``), as the columns of an n x len(idx) matrix.  Row i
-    is e_i^T E_k ... E_1, so the ops run last first, on all the vectors at
-    once: ("add", src, dst, q) as x[src] += q x[dst] (x[dst] -= q x[src]
-    for E^{-T}), skipped while the entry it reads is zero in every one.
-    A position that is zero in every vector is one shared tuple."""
-    w = len(idx)
-    zero = (0,) * w         # shared by every position no vector has reached
-    held = [zero] * n
-    for c, i in enumerate(idx):
-        if held[i] is zero:
-            held[i] = [0] * w
-        held[i][c] = 1
-    for op in reversed(ops):
-        kind = op[0]
-        if kind == "add":
-            _, src, dst, q = op
-            if inverse:
-                src, dst, q = dst, src, -q
-            if held[dst] is not zero:
-                held[src] = [a + q * b for a, b in zip(held[src], held[dst])]
-        elif kind == "swap":
-            _, i, j = op
-            held[i], held[j] = held[j], held[i]
-        elif held[op[1]] is not zero:           # ("neg", i)
-            held[op[1]] = [-a for a in held[op[1]]]
+def pack(cols, n):
+    """The sparse columns ``cols``, [(row, entry)] each, of length n, held
+    by position: one list per row i of the entries of every column there,
+    or None where every column is 0."""
+    w = len(cols)
+    held = [None] * n
+    for c, col in enumerate(cols):
+        for i, x in col:
+            if held[i] is None:
+                held[i] = [0] * w
+            held[i][c] = x
     return held
 
 
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
+def unpack(held, w):
+    """The w vectors held by position in ``held``, as lists."""
+    zero = (0,) * w
+    cols = [list(col) for col in zip(*[zero if x is None else x for x in held])]
+    return cols or [[] for _ in range(w)]     # no positions: w empty vectors
+
+
+def _apply(ops, held, swapped, sign):
+    """The ops, in the order given, on the vectors held by position in
+    ``held``, which is left as it was: ("add", src, dst, q) as
+    y[src] += sign q y[dst] (src and dst exchanged under ``swapped``),
+    skipped while every vector is 0 at the position it reads; a swap or a
+    negation as is."""
+    held = list(held)
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            _, src, dst, q = op
+            if swapped:
+                src, dst = dst, src
+            y = held[dst]
+            if y is not None:
+                q *= sign
+                x = held[src]
+                held[src] = [q * b for b in y] if x is None else [a + q * b for a, b in zip(x, y)]
+        elif kind == "swap":
+            held[op[1]], held[op[2]] = held[op[2]], held[op[1]]
+        elif held[op[1]] is not None:           # ("neg", i)
+            held[op[1]] = [-a for a in held[op[1]]]
+    return held
 
 
 def smith_normal_form(cols, nrows) -> SmithDecomposition:
@@ -304,22 +325,6 @@ def smith_normal_form(cols, nrows) -> SmithDecomposition:
     return SmithDecomposition(diagonal, (n, m), rank, row_ops, col_ops)
 
 
-def kernel_transform(cols, nrows):
-    """Kernel basis of A together with the rows that read coordinates in
-    it, for A given as the Smith form takes it.
-
-    Returns ``(basis, coords)``, dense.  With A = U D V and r = rank,
-    ``basis`` is the columns r.. of V^{-1}: a saturated basis of ker(A)
-    in Z^m.  Since V V^{-1} = I, the rows ``coords`` (rows r.. of V) send
-    a kernel vector to its coordinates in ``basis``.  Only those rows and
-    columns are replayed.
-    """
-    snf = smith_normal_form(cols, nrows)
-    # A (Vinv e_j) = U D e_j = 0 for j >= rank
-    idx = range(snf.rank, len(cols))
-    return snf.read("vinv", idx), snf.read("v", idx)
-
-
 def kernel_basis(cols, nrows):
     """Basis of the integer kernel lattice {v : A v = 0}, for A given as
     the Smith form takes it.
@@ -479,9 +484,10 @@ def mat_mul_frac(a, b):
 def int_inverse(a):
     """Inverse of a unimodular integer matrix, as an integer matrix.
 
-    With A = U D V and D = I, the inverse is V^{-1} U^{-1}."""
+    With A = U D V and D = I, the inverse is V^{-1} U^{-1}: the columns of
+    U^{-1}, whose rows hold them by position, replayed through V^{-1}."""
     n = len(a)
     snf = smith_normal_form([[(i, x) for i, x in enumerate(col) if x] for col in zip(*a)], n)
     if any(len(row) != n for row in a) or snf.rank != n or any(x != 1 for x in snf.diagonal):
         raise ValueError("matrix is not unimodular")
-    return mat_mul(snf.vinv, snf.uinv)
+    return snf.replay("vinv", snf.uinv)

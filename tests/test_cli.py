@@ -648,10 +648,13 @@ HEIS3 = {"dim": 3, "basis": ["x", "y", "z"], "brackets": [{"i": 1, "j": 2, "c": 
         ({"brackets": [{"i": 1, "j": 2.0, "c": {"3": "1"}}]}, "must be JSON integers"),
         ({"brackets": [{"i": 1, "j": 2, "c": [3]}]}, '"c" must be a JSON object'),
         ({"brackets": [{"i": 1, "j": 2, "c": None}]}, '"c" must be a JSON object'),
+        ({"basis": "xyz"}, '"basis" must be a JSON list'),
+        ({"basis": 3}, '"basis" must be a JSON list'),
     ],
     ids=["exponent", "huge-exponent", "long-coefficient", "repeated-bracket",
          "repeated-name", "dim-string", "dim-bool", "dim-float", "index-string",
-         "index-bool", "index-float", "coefficients-list", "coefficients-null"],
+         "index-bool", "index-float", "coefficients-list", "coefficients-null",
+         "basis-string", "basis-number"],
 )
 def test_presentation_input_strict(change, msg, tmp_path, capsys):
     path = _write_presentation(tmp_path, {**HEIS3, **change})
@@ -688,6 +691,21 @@ def test_suite_descriptor_needs_json_integers(descriptor, key, tmp_path, capsys)
     path.write_text(json.dumps({"suites": ["jacobi"], "trials": 1, "seed": 1}))
     job = parse_job(["verify", "--input", str(path)])
     assert (job.trials, job.seed) == (1, 1)
+
+
+@pytest.mark.parametrize("suites", [[], "jacobi", None], ids=["empty", "string", "null"])
+def test_suite_descriptor_needs_suites_listed(suites, tmp_path, capsys):
+    """A descriptor's "suites" must be a non-empty list: an empty one names
+    no suite, where it once ran all seven at 100 trials.  Without the key,
+    the job runs all the suites."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"suites": suites, "trials": 1}))
+    with pytest.raises(InputError, match="descriptor 'suites' must be a non-empty list"):
+        parse_job(["verify", "--input", str(path)])
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: descriptor 'suites' must be a non-empty list\n"
+    path.write_text(json.dumps({"trials": 1}))
+    assert parse_job(["verify", "--input", str(path)]).suites == ["all"]
 
 
 @pytest.mark.parametrize("argv, what", [

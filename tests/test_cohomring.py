@@ -15,6 +15,7 @@ from preqlat.cealg import (
     Cochain,
     LieAlgebraPresentation,
     ce_differential,
+    complex_matrices,
     heisenberg_times_line,
     wedge,
 )
@@ -33,6 +34,7 @@ from util import (
     eager_reduce_rows,
     orientation_class,
     rational_rank,
+    read_multiply_degree_data,
     ring_from_preset,
     sparse_columns,
     two_step_presentation,
@@ -687,3 +689,27 @@ def test_cohomology_job_builds_only_top_reduce_rows(monkeypatch, tmp_path):
     for ring in rings:
         built = ["reduce_rows" in vars(dd) for dd in ring.degrees]
         assert built == [False] * ring.top_degree + [True]
+
+
+# -- the read-and-multiply construction as oracle --------------------------------
+
+def test_degree_data_matches_read_multiply_construction():
+    """Each degree's Betti number, torsion, representatives and reduction
+    rows equal those the read-and-multiply construction of tests/util.py
+    forms from the transforms it reads, on two seeded 2-step presentations
+    per dim 3-8 (some with torsion) and the tori of dims 1-6."""
+    rings = {f"torus{m}": torus_ring(m) for m in range(1, 7)}
+    for dim in range(3, 9):
+        for i in range(2):
+            rings[f"two-step{dim}-{i}"] = nilmanifold_ring(two_step_presentation(
+                f"read-multiply:{dim}:{i}", dim, min(1 + i, dim - 2), 2 + i, 1.0 - 0.4 * i))
+    torsion = set()
+    for name, ring in rings.items():
+        mats = complex_matrices(ring.lie)
+        for k in range(ring.dim + 1):
+            dd = ring.data(k)
+            got = (dd.betti, dd.torsion, dd.reps, dd.reduce_rows)
+            assert got == read_multiply_degree_data(mats, ring.dim, k), (name, k)
+            if dd.torsion:
+                torsion.add(name)
+    assert len(torsion) >= 3, torsion

@@ -21,6 +21,7 @@ from util import (
     dense_matrix,
     det,
     full_scan_smith_normal_form,
+    mat_mul,
     rational_rank,
     ring_from_preset,
     smith,
@@ -43,11 +44,11 @@ def minor_gcd(a, k):
 def check_decomposition(a):
     snf = smith(a)
     n, m = len(a), len(a[0])
-    assert lin.mat_mul(lin.mat_mul(snf.u, snf.d), snf.v) == [list(r) for r in a]
+    assert mat_mul(mat_mul(snf.u, snf.d), snf.v) == [list(r) for r in a]
     assert abs(det(snf.u)) == 1
     assert abs(det(snf.v)) == 1
-    assert lin.mat_mul(snf.u, snf.uinv) == lin.identity(n)
-    assert lin.mat_mul(snf.v, snf.vinv) == lin.identity(m)
+    assert mat_mul(snf.u, snf.uinv) == lin.identity(n)
+    assert mat_mul(snf.v, snf.vinv) == lin.identity(m)
     diag = snf.diagonal
     for i in range(len(diag)):
         assert diag[i] >= 0
@@ -306,9 +307,9 @@ def test_smith_transforms_read_in_any_order():
         got = {name: getattr(snf, name) for name in reversed(names)}
         assert got == {name: getattr(want, name) for name in names}
         n, m = len(a), len(a[0])
-        assert lin.mat_mul(lin.mat_mul(snf.u, snf.d), snf.v) == original
-        assert lin.mat_mul(snf.u, snf.uinv) == lin.identity(n)
-        assert lin.mat_mul(snf.v, snf.vinv) == lin.identity(m)
+        assert mat_mul(mat_mul(snf.u, snf.d), snf.v) == original
+        assert mat_mul(snf.u, snf.uinv) == lin.identity(n)
+        assert mat_mul(snf.v, snf.vinv) == lin.identity(m)
         assert a == original
 
 
@@ -405,21 +406,66 @@ def test_kernel_of_zero_rows():
     assert ker == lin.identity(3)
 
 
-def test_kernel_transform_reads_coordinates():
-    """The basis spans ker(A) over Q, and the coordinate rows read the
-    coefficients of any kernel vector back off it."""
-    rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 6)
-        a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        ker, coords = lin.kernel_transform(sparse_columns(a), n)
-        assert len(coords) == len(ker) == m - rational_rank(a)
-        assert all(len(row) == m for row in coords)
+def _held(vectors, n):
+    """Dense vectors of length n held by position, as the replays take
+    them."""
+    return lin.pack([[(i, x) for i, x in enumerate(v) if x] for v in vectors], n)
+
+
+def test_replay_and_forward_apply_the_transforms():
+    """On seeded matrices of size 0-6 x 0-6 (empty logs, zero rows and zero
+    columns among them), ``forward`` gives the rows first.. of V b and
+    ``replay`` gives V^{-1} y, y^T V, y^T U^{-1} and U y, for random vectors
+    (zero ones among them) held by position: equal to the products with
+    the full-scan oracle's dense transforms, with the input held as it
+    was.  ``read`` is ``replay`` on unit vectors.  The columns rank.. of
+    V^{-1} span ker(A) over Q, and ``forward`` from rank reads the
+    coefficients of any kernel vector back off them."""
+    rng = random.Random(1729)
+    logs = zero_rows = zero_cols = 0
+    for trial in range(200):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        fill = rng.choice((0.0, 0.3, 0.7, 1.0))
+        a = [[rng.randint(-6, 6) if rng.random() < fill else 0 for _ in range(m)]
+             for _ in range(n)]
+        cols = [[(i, a[i][j]) for i in range(n) if a[i][j]] for j in range(m)]
+        snf = lin.smith_normal_form(cols, n)
+        want = full_scan_smith_normal_form(a, m)
+        assert snf.row_ops == want.row_ops and snf.col_ops == want.col_ops
+        logs += bool(snf.row_ops or snf.col_ops)
+        zero_rows += any(not any(row) for row in a)
+        zero_cols += not all(cols)
+        for size, name, full in ((m, "vinv", want.vinv), (m, "v", _transpose(want.v)),
+                                 (n, "uinv", _transpose(want.uinv)), (n, "u", want.u)):
+            w = rng.randint(0, 4)
+            ys = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(size)]
+                  for _ in range(w)]
+            held = _held(ys, size)
+            before = [None if h is None else h[:] for h in held]
+            got = lin.unpack(snf.replay(name, held), w)
+            assert got == [lin.mat_vec(full, y) for y in ys], (trial, name)
+            assert held == before
+            idx = [rng.randrange(size) for _ in range(rng.randint(0, size))]
+            units = lin.pack([[(i, 1)] for i in idx], size)
+            assert snf.read(name, idx) == lin.unpack(snf.replay(name, units), len(idx))
+        first = rng.randint(0, m)
+        bs = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(m)]
+              for _ in range(rng.randint(0, 4))]
+        held = _held(bs, m)
+        assert lin.unpack(snf.forward(held, first), len(bs)) == \
+            [lin.mat_vec(want.v, b)[first:] for b in bs], trial
+        # the kernel basis and its coordinates
+        ker = snf.read("vinv", range(snf.rank, m))
+        assert len(ker) == m - (rational_rank(a) if n else 0)
         assert not any(x for k in ker for x in lin.mat_vec(a, k))
         coeffs = [rng.randint(-3, 3) for _ in ker]
         vec = [sum(c * k[i] for c, k in zip(coeffs, ker)) for i in range(m)]
-        assert lin.mat_vec(coords, vec) == coeffs
+        assert lin.unpack(snf.forward(_held([vec], m), snf.rank), 1) == [coeffs]
+    assert 20 < logs < 180 and zero_rows > 20 and zero_cols > 20, (logs, zero_rows, zero_cols)
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def test_echelon_coords_in_hermite_basis():
@@ -533,7 +579,7 @@ def test_rational_solver_reproduces_coordinates():
 def test_int_inverse_unimodular():
     u = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
     inv = lin.int_inverse(u)
-    assert lin.mat_mul(u, inv) == lin.identity(3)
+    assert mat_mul(u, inv) == lin.identity(3)
     with pytest.raises(ValueError):
         lin.int_inverse([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
@@ -556,8 +602,8 @@ def test_int_inverse_unimodular():
                 else:
                     u[i] = [-x for x in u[i]]
             inv = lin.int_inverse(u)
-            assert lin.mat_mul(u, inv) == lin.identity(n)
-            assert lin.mat_mul(inv, u) == lin.identity(n)
+            assert mat_mul(u, inv) == lin.identity(n)
+            assert mat_mul(inv, u) == lin.identity(n)
 
 
 def test_det_bareiss():

@@ -25,7 +25,14 @@ from preqlat.cealg import (
 )
 from preqlat.cohomring import CohomClass, nilmanifold_ring, surface_ring, torus_ring
 from preqlat.exact import ExactScalar
-from preqlat.intlinalg import echelon_coords, identity, mat_mul, mat_vec, smith_normal_form
+from preqlat.intlinalg import (
+    SmithDecomposition,
+    column_style_hermite,
+    echelon_coords,
+    identity,
+    mat_vec,
+    smith_normal_form,
+)
 from preqlat.combinat import degree_tuples, merge_tuples, remove_index, sort_sign
 from preqlat.toruscalc.contact import DIM, Z_AXIS, contact_form, reeb_field, transverse_field
 from preqlat.toruscalc.forms import (
@@ -316,6 +323,22 @@ def two_step_presentation(seed, dim, centre, bound, density=1.0):
 # The library passes every integer matrix as sparse columns, (row, int)
 # pairs per column in increasing row order, with its row count beside it.
 # The oracles below work on dense row lists; these convert between the two.
+def mat_mul(a, b):
+    """The product of two integer matrices given as dense rows."""
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        ai, oi = a[i], out[i]
+        for t in range(k):
+            x = ai[t]
+            if x:
+                bt = b[t]
+                for j in range(m):
+                    oi[j] += x * bt[j]
+    return out
+
+
 def sparse_columns(dense):
     """The sparse columns of a matrix given as dense rows."""
     return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*dense)]
@@ -353,14 +376,15 @@ def smith(a):
 FullScanSmith = namedtuple("FullScanSmith", "u d v uinv vinv rank row_ops col_ops")
 
 
-def full_scan_smith_normal_form(a) -> FullScanSmith:
-    """Smith normal form of an integer matrix, with transforms.
+def full_scan_smith_normal_form(a, ncols=0) -> FullScanSmith:
+    """Smith normal form of an integer matrix, with transforms; a matrix
+    with no rows has ``ncols`` columns.
 
     Deterministic for a fixed input: the pivot is always the nonzero
     entry of smallest absolute value (ties broken by position).
     """
     n = len(a)
-    m = len(a[0]) if n else 0
+    m = len(a[0]) if n else ncols
     b = [list(map(int, row)) for row in a]
     u = identity(n)
     uinv = identity(n)
@@ -563,6 +587,66 @@ def eager_reduce_rows(mats, k):
         sign = -1 if next(x for x in rep_col(i) if x) < 0 else 1
         rows.append([sign * x for x in uinv[i]])
     return mat_mul(rows, coord_rows)
+
+
+# Reference degree data: the read-and-multiply construction the engine
+# used before it ran the Smith logs over the vectors it keeps.  It reads
+# the kernel basis (columns r.. of V^{-1}) and the coordinate rows (rows
+# r.. of V) off the first Smith form, the columns of U and rows of U^{-1}
+# it needs off the second, and multiplies; it shares the Smith
+# elimination and the Hermite form with the engine, but not the replay of
+# given vectors, the forward pass over the column log or the products.
+def read_multiply_degree_data(mats, dim, k):
+    """(betti, torsion, reps, reduce_rows) of degree k of the complex with
+    the sparse differentials ``mats`` (as ``complex_matrices`` returns
+    them) on dim generators, every reduction row built at once."""
+    basis = degree_tuples(dim, k)
+    n_k = len(basis)
+    prev_cols = [c for c in mats[k - 1] if c] if k >= 1 else []
+    if k < len(mats):
+        ker = smith_normal_form(mats[k], math.comb(dim, k + 1))
+        idx = range(ker.rank, n_k)
+        kercols, coord_rows = ker.read("vinv", idx), ker.read("v", idx)
+    else:
+        kercols = coord_rows = identity(n_k)
+    s = len(kercols)
+    if s == 0:
+        return 0, [], [], []
+    coord_cols = [[(t, x) for t, x in enumerate(col) if x] for col in zip(*coord_rows)]
+    x_cols = []
+    for col in prev_cols:
+        image = {}
+        for i, x in col:
+            for t, v in coord_cols[i]:
+                image[t] = image.get(t, 0) + v * x
+        x_cols.append(sorted((t, y) for t, y in image.items() if y))
+    if prev_cols:
+        snf = smith_normal_form(x_cols, s)
+    else:
+        snf = SmithDecomposition([], (s, 0), 0, [], [])
+    diag = snf.diagonal + [0] * (s - len(snf.diagonal))
+    free_idx = [i for i in range(s) if diag[i] == 0]
+    tors_idx = [i for i in range(s) if diag[i] > 1]
+    betti = len(free_idx)
+    ker_terms = [[(row, x) for row, x in enumerate(kj) if x] for kj in kercols]
+    cols = []
+    for ucol in snf.read("u", free_idx + tors_idx):
+        col = [0] * n_k
+        for c, terms in zip(ucol, ker_terms):
+            if c:
+                for row, x in terms:
+                    col[row] += c * x
+        cols.append(col)
+    free_cols = cols[:betti]
+    hnf_cols = column_style_hermite(free_cols, n_k)
+    signs = [-1 if next(x for x in col if x) < 0 else 1 for col in cols[betti:]]
+    cols = hnf_cols + [[sign * x for x in col] for sign, col in zip(signs, cols[betti:])]
+    rows = snf.read("uinv", free_idx + tors_idx)
+    t_inv = list(zip(*echelon_coords(hnf_cols, free_cols)))
+    rows[:betti] = mat_mul(t_inv, rows[:betti])
+    rows[betti:] = [[sign * x for x in row] for sign, row in zip(signs, rows[betti:])]
+    reps = [[(basis[j], x) for j, x in enumerate(col) if x] for col in cols]
+    return betti, [diag[i] for i in tors_idx], reps, mat_mul(rows, coord_rows)
 
 
 def det(a):
