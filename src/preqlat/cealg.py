@@ -114,10 +114,6 @@ class Cochain:
         return f"Cochain(dim={self.dim!r}, degree={self.degree!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
-    def zero(dim, degree):
-        return Cochain(dim, degree, {})
-
-    @staticmethod
     def basis(dim, idx):
         idx = tuple(idx)
         return Cochain(dim, len(idx), {idx: Fraction(1)})
@@ -169,24 +165,6 @@ def render_terms(terms, names):
     for p in parts[1:]:
         out += f" {'-' if p.startswith('-') else '+'} {p.lstrip('-')}"
     return out
-
-
-def wedge(a: Cochain, b: Cochain) -> Cochain:
-    """Graded-commutative product; degree overflow gives the zero cochain."""
-    if a.dim != b.dim:
-        raise ValueError("cochains live in different spaces")
-    degree = a.degree + b.degree
-    if degree > a.dim:
-        return Cochain.zero(a.dim, degree)
-    coeffs = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            merged = merge_tuples(ia, ib)
-            if merged is None:
-                continue
-            idx, sign = merged
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign * ca * cb
-    return Cochain(a.dim, degree, coeffs)
 
 
 def ce_differential(c: Cochain, lie: LieAlgebraPresentation) -> Cochain:
@@ -302,10 +280,6 @@ class ValidationReport:
 
     def __repr__(self):
         return "ValidationReport(%r, %r, %r, %r, %r)" % self._fields()
-
-    @property
-    def ok(self):
-        return self.jacobi_ok and self.nilpotent
 
 
 def validate_presentation(lie: LieAlgebraPresentation) -> ValidationReport:

@@ -63,7 +63,7 @@ class JobDescriptor:
         self.seed = 42
         self.suites = ["all"]
         self.trials = 100
-        self.omega = None               # a torus job's --omega, a parsed Cochain
+        self.omega = None               # a torus job's --omega or default form, as a Cochain
 
     def echo(self):
         out = {"command": self.command, "format": self.format}
@@ -180,8 +180,8 @@ def parse_job(argv) -> JobDescriptor:
             raise InputError("cohomology needs --preset or --input")
         if job.preset:
             job.params = _collect_preset_params(ns)
-            if job.preset == "torus" and ns.omega:
-                job.omega = parse_omega_spec(ns.omega, ns.m)
+            if job.preset == "torus":
+                job.omega = parse_omega_spec(job.params["omega"], ns.m)
         if ns.command == "lattice":
             job.level = ns.level
             if job.level < 1:
@@ -247,7 +247,6 @@ def _collect_preset_params(ns):
         if ns.m < 2 or ns.m % 2:
             raise InputError("--m must be a positive even integer")
         _check_dim(ns.m, f"torus m={ns.m}")
-        # the default is echoed as a spec but built as a Cochain (run)
         params = {"m": ns.m, "omega": ns.omega or _default_omega(ns.m)}
     elif ns.preset == "surface":
         if ns.g is None:
@@ -269,11 +268,6 @@ def _collect_preset_params(ns):
 def _default_omega(m):
     """The standard form on T^m as a spec --omega reads back (e9,10 at m = 10)."""
     return "+".join(f"e{i}{i + 1}" if i < 9 else f"e{i},{i + 1}" for i in range(1, m, 2))
-
-
-def _standard_omega(m) -> Cochain:
-    """The standard form sum_i e_{2i-1,2i} on T^m."""
-    return Cochain(m, 2, {(2 * i, 2 * i + 1): 1 for i in range(m // 2)})
 
 
 def parse_omega_spec(spec, m) -> Cochain:
@@ -353,8 +347,7 @@ def _ring_for_job(job) -> tuple[CohomologyRing, Cochain | None]:
         omega = Cochain(4, 2, {(0, 3): -p["a"], (1, 2): -p["b"]})
         return ring, omega
     if job.preset == "torus":
-        ring = torus_ring(p["m"])
-        return ring, _standard_omega(p["m"]) if job.omega is None else job.omega
+        return torus_ring(p["m"]), job.omega
     if job.preset == "surface":
         ring = surface_ring(p["g"])
         rep = ring.data(2).free_reps[0]
@@ -453,7 +446,7 @@ def reference_examples():
 
     for m in (4, 6):
         ring = torus_ring(m)
-        omega = symplectic_from_cochain(ring, _standard_omega(m))
+        omega = symplectic_from_cochain(ring, parse_omega_spec(_default_omega(m), m))
         lat = integrable_lattice(ring, euler_candidates(ring, omega)[0])
         check(f"kaehler torus m={m}", {"rank": lat.rank}, {"rank": 0})
 

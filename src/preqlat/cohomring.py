@@ -211,10 +211,6 @@ class GradedCohomology:
     def torsion(self, k):
         return list(self.data(k).torsion) if 0 <= k < len(self.degrees) else []
 
-    def is_closed(self, c: Cochain) -> bool:
-        dd = self.data(c.degree)
-        return dd.is_closed(dd.support(c))
-
     def reduce(self, c: Cochain) -> CohomClass:
         """Coordinates of the class of a closed cochain.
 

@@ -78,12 +78,6 @@ class ExactScalar:
             return ExactScalar(self.q / other, self.pi_power)
         return NotImplemented
 
-    def scale_pi(self, d: int) -> "ExactScalar":
-        """Multiply by (2*pi)**d."""
-        if self.q == 0:
-            return self
-        return ExactScalar(self.q, self.pi_power + d)
-
     def __str__(self) -> str:
         if self.q == 0:
             return "0"

@@ -7,6 +7,10 @@ torsion part.  Fiber integration of the bundle's integral degree-two
 classes is, via the long exact sequence, the kernel of cupping with the
 Euler class; scaled by (n+1)/(2*pi*vol) at level k it gives the lattice
 of degree-one directions whose cocycles integrate.
+
+Symplectic and Euler classes are degree-two ``CohomClass``es: the
+symplectic class has int free coordinates and a zero torsion part, and
+each Euler candidate shares its free part and takes one torsion tuple.
 """
 
 from __future__ import annotations
@@ -29,48 +33,6 @@ def _integral(coords, what):
     return tuple(int(x) for x in coords)
 
 
-class SymplecticClass:
-    """Free H^2 coordinates, as ints, of an integral symplectic class on a
-    2n-dimensional preset."""
-
-    __slots__ = ("free", "n")
-
-    def __init__(self, free, n):
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SymplecticClass is immutable")
-
-
-class EulerClass:
-    """H^2 coordinates of a bundle's Euler class: the symplectic free
-    part, as ints, plus a choice of torsion part."""
-
-    __slots__ = ("free", "torsion")
-
-    def __init__(self, free, torsion):
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "torsion", torsion)
-
-    def __setattr__(self, *args):
-        raise AttributeError("EulerClass is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, EulerClass):
-            return NotImplemented
-        return self.free == other.free and self.torsion == other.torsion
-
-    def __hash__(self):
-        return hash((self.free, self.torsion))
-
-    def __repr__(self):
-        return f"EulerClass({self.free!r}, {self.torsion!r})"
-
-    def as_class(self) -> CohomClass:
-        return CohomClass(2, self.free, self.torsion)
-
-
 class IntegrableLattice:
     """Lattice of integrable degree-one directions at a given level.
 
@@ -78,17 +40,17 @@ class IntegrableLattice:
     column Hermite normal form); the lattice consists of the prefactor
     times their span.  The prefactor is an exact ``ExactScalar``, with
     the 1/(2*pi) kept symbolic; ``volume`` is the Liouville volume (a
-    ``Fraction``) it was computed from; ``euler`` is the ``EulerClass``.
+    ``Fraction``) it was computed from; ``euler`` is the Euler class, a
+    degree-two ``CohomClass``.
     """
 
-    __slots__ = ("generators", "prefactor", "level", "euler", "n", "volume")
+    __slots__ = ("generators", "prefactor", "level", "euler", "volume")
 
-    def __init__(self, generators, prefactor, level, euler, n, volume):
+    def __init__(self, generators, prefactor, level, euler, volume):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "prefactor", prefactor)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "volume", volume)
 
     def __setattr__(self, *args):
@@ -99,40 +61,43 @@ class IntegrableLattice:
         return len(self.generators)
 
 
-def symplectic_from_cochain(ring: CohomologyRing, omega: Cochain) -> SymplecticClass:
-    """Reduce an explicit degree-two cocycle to its integral symplectic class."""
+def symplectic_from_cochain(ring: CohomologyRing, omega: Cochain) -> CohomClass:
+    """Reduce an explicit degree-two cocycle to its integral symplectic
+    class: a torsion-free ``CohomClass`` with int coordinates."""
     cls = ring.reduce(omega)
     if any(cls.torsion):
         raise ValueError("symplectic cochain reduces with a torsion component")
     if ring.top_degree % 2:
         raise ValueError("preset has odd top degree")
-    return SymplecticClass(_integral(cls.free, "symplectic class"), ring.top_degree // 2)
+    return CohomClass(2, _integral(cls.free, "symplectic class"), cls.torsion)
 
 
-def liouville_volume(ring: CohomologyRing, omega: SymplecticClass) -> Fraction:
-    """<omega^n, [M]> / n!; must be positive for the preset orientation."""
-    if 2 * omega.n != ring.top_degree:
-        raise ValueError("half-dimension does not match the preset")
+def liouville_volume(ring: CohomologyRing, omega: CohomClass) -> Fraction:
+    """<omega^n, [M]> / n! for the free part of a degree-two class, with
+    2n the preset's top degree; must be positive for the preset
+    orientation."""
+    n = ring.top_degree // 2
     cls = CohomClass(2, omega.free, (0,) * len(ring.torsion(2)))
     acc = ring.unit()
-    for _ in range(omega.n):
+    for _ in range(n):
         acc = ring.cup(acc, cls)
-    vol = Fraction(ring.fundamental_pairing(acc), factorial(omega.n))
+    vol = Fraction(ring.fundamental_pairing(acc), factorial(n))
     if vol <= 0:
         raise ValueError("not a positive symplectic class for this orientation")
     return vol
 
 
-def euler_candidates(ring: CohomologyRing, omega: SymplecticClass):
-    """One Euler class per torsion tuple of H^2 over the symplectic class."""
+def euler_candidates(ring: CohomologyRing, omega: CohomClass):
+    """One Euler class per torsion tuple of H^2 over the free part of the
+    symplectic class."""
     factors = ring.torsion(2)
     return [
-        EulerClass(tuple(omega.free), tors)
+        CohomClass(2, omega.free, tors)
         for tors in iproduct(*[range(d) for d in factors])
     ]
 
 
-def gysin_kernel(ring: CohomologyRing, e: EulerClass):
+def gysin_kernel(ring: CohomologyRing, e: CohomClass):
     """Integer basis of {a in H^1(Z) : e cup a = 0 in H^3(Z)}.
 
     The cup lands in free coordinates and torsion coordinates; a class is
@@ -144,11 +109,10 @@ def gysin_kernel(ring: CohomologyRing, e: EulerClass):
     b1 = ring.betti(1)
     if b1 == 0:
         return []
-    e_cls = e.as_class()
     images = []
     for i in range(b1):
         alpha = CohomClass(1, tuple(1 if j == i else 0 for j in range(b1)), ())
-        images.append(ring.cup(e_cls, alpha))
+        images.append(ring.cup(e, alpha))
     b3 = len(images[0].free)
     mods = ring.torsion(3)
     # one sparse column per alpha_i (its free, then torsion coordinates),
@@ -160,7 +124,7 @@ def gysin_kernel(ring: CohomologyRing, e: EulerClass):
     return lin.column_style_hermite(projected, b1)
 
 
-def integrable_lattice(ring: CohomologyRing, e: EulerClass, level: int = 1) -> IntegrableLattice:
+def integrable_lattice(ring: CohomologyRing, e: CohomClass, level: int = 1) -> IntegrableLattice:
     """Lattice of integrable degree-one classes at the given level.
 
     The generators span the Gysin kernel; the prefactor is
@@ -169,10 +133,10 @@ def integrable_lattice(ring: CohomologyRing, e: EulerClass, level: int = 1) -> I
     if level < 1:
         raise ValueError("level must be a positive integer")
     n = ring.top_degree // 2
-    vol = liouville_volume(ring, SymplecticClass(e.free, n))
+    vol = liouville_volume(ring, e)
     prefactor = ExactScalar(Fraction(level * (n + 1), 1) / vol, -1)
     gens = tuple(tuple(v) for v in gysin_kernel(ring, e))
-    return IntegrableLattice(gens, prefactor, level, e, n, vol)
+    return IntegrableLattice(gens, prefactor, level, e, vol)
 
 
 def generator_display(ring: CohomologyRing, coords) -> str:
@@ -191,7 +155,7 @@ def lattice_report(lattice: IntegrableLattice, ring: CohomologyRing) -> dict:
         for rep in ring.data(1).free_reps
     ]
     candidates = []
-    for cand in euler_candidates(ring, SymplecticClass(lattice.euler.free, lattice.n)):
+    for cand in euler_candidates(ring, lattice.euler):
         kernel = lattice.generators if cand == lattice.euler else gysin_kernel(ring, cand)
         candidates.append(
             {

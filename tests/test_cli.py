@@ -467,6 +467,59 @@ def test_verify_deterministic_bytes(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+# Runs each job in process and prints [exit code, JSON report with the
+# timestamp blanked] per job, as one JSON list.
+_REPORTS_SCRIPT = """\
+import contextlib, io, json, re, sys
+from preqlat.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--format", "json"])
+    out.append([code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', buf.getvalue())])
+print(json.dumps(out))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """The byte-determinism oracle: the JSON reports of a job of each
+    subcommand, run in a fresh interpreter under PYTHONHASHSEED 0 and 3,
+    are identical once the timestamp is removed."""
+    import os
+    import subprocess
+    import sys
+
+    lie = two_step_presentation("hash-seed", 7, 2, 2)
+    path = _write_presentation(tmp_path, {
+        "dim": lie.dim,
+        "basis": list(lie.basis_names),
+        "brackets": [
+            {"i": i + 1, "j": j + 1, "c": {str(k + 1): str(c) for k, c in comps.items()}}
+            for (i, j), comps in sorted(lie.structure.items())
+        ],
+    })
+    jobs = [
+        ["lattice", "--preset", "thurston", "--r", "6", "--a", "1", "--b", "4"],
+        ["cohomology", "--input", path],
+        ["lattice", "--preset", "surface", "--g", "3", "--vol", "2"],
+        ["verify", "--suite", "cocycles", "--suite", "jacobi", "--trials", "2"],
+        ["examples"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    runs = []
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _REPORTS_SCRIPT, json.dumps(jobs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert [code for code, _ in runs[0]] == [0] * len(jobs)
+    assert all(json.loads(text)["timestamp"] == "" for _, text in runs[0])
+    assert runs[0] == runs[1]
+
+
 def test_verify_suite_descriptor_file(tmp_path):
     desc = tmp_path / "suite.json"
     desc.write_text(json.dumps({"suites": ["jacobi"], "trials": 3, "seed": 11}))
@@ -588,8 +641,8 @@ def test_rational_omega_on_tori(m, capsys):
 
 def test_prequant_boundary_needs_integral_classes():
     from preqlat.cealg import Cochain
-    from preqlat.cohomring import torus_ring
-    from preqlat.prequant import EulerClass, gysin_kernel, symplectic_from_cochain
+    from preqlat.cohomring import CohomClass, torus_ring
+    from preqlat.prequant import gysin_kernel, symplectic_from_cochain
 
     ring = torus_ring(4)
     with pytest.raises(ValueError, match="symplectic class is not integral: free coordinate 5 is 3/2"):
@@ -598,7 +651,7 @@ def test_prequant_boundary_needs_integral_classes():
     assert omega.free == (2, 0, 0, 0, 0, 1) and all(type(x) is int for x in omega.free)
     free = (Fraction(1, 2),) + (0,) * 4 + (1,)
     with pytest.raises(ValueError, match="Euler class is not integral: free coordinate 0 is 1/2"):
-        gysin_kernel(ring, EulerClass(free, ()))
+        gysin_kernel(ring, CohomClass(2, free, ()))
 
 
 # -- strict numeric input -------------------------------------------------------------
@@ -785,7 +838,7 @@ def test_verify_lattice_workload_digest_pinned(tmp_path, capsys):
 # -- torus m >= 10, size caps, per-subcommand imports ------------------------------
 
 def test_torus_m10_default_omega(capsys):
-    """The standard form of T^10 is built as a cochain and echoed in the
+    """The standard form of T^10 is written, echoed and parsed in the
     comma syntax once an axis has two digits ("e9,10", not "e910")."""
     report, code = run_argv(["cohomology", "--preset", "torus", "--m", "10"])
     assert code == 0

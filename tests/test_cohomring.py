@@ -17,7 +17,6 @@ from preqlat.cealg import (
     ce_differential,
     complex_matrices,
     heisenberg_times_line,
-    wedge,
 )
 from preqlat.cohomring import (
     CohomClass,
@@ -29,6 +28,7 @@ from preqlat.cohomring import (
 from preqlat.combinat import degree_tuples
 
 from util import (
+    cochain_wedge,
     dense_complex,
     det,
     eager_reduce_rows,
@@ -274,7 +274,7 @@ def test_cup_well_defined_modulo_coboundaries():
         b = random_cochain(rng, 4, 1)
         db = ce_differential(b, lie)
         closed = _random_closed(rng, ring, rng.randint(1, 2))
-        w = wedge(db, closed)
+        w = cochain_wedge(db, closed)
         assert ring.reduce(w).is_zero()
 
 
@@ -286,7 +286,7 @@ def test_heisenberg_orientation_and_volume_pairing():
     assert ring.fundamental_pairing(top) == 1
     a, b = 3, 5
     omega = Cochain(4, 2, {(0, 3): -a, (1, 2): -b})  # a h^x + b z^p
-    sq = wedge(omega, omega)
+    sq = cochain_wedge(omega, omega)
     assert ring.fundamental_pairing(sq) == 2 * a * b
 
 
@@ -327,7 +327,7 @@ def test_free_pairing_unimodular(ring_factory):
         dd_k = ring.data(k)
         dd_l = ring.data(top - k)
         mat = [
-            [ring.fundamental_pairing(ring.reduce(wedge(u, v))) for v in dd_l.free_reps]
+            [ring.fundamental_pairing(ring.reduce(cochain_wedge(u, v))) for v in dd_l.free_reps]
             for u in dd_k.free_reps
         ]
         assert abs(det(mat)) == 1
@@ -521,7 +521,7 @@ def dense_reduce(ring, mats, c):
 def dense_representative(ring, cls):
     """Representative of a class as a chain of Cochain sums."""
     dd = ring.data(cls.degree)
-    out = Cochain.zero(ring.dim, cls.degree)
+    out = Cochain(ring.dim, cls.degree)
     for coef, rep in zip(cls.free + cls.torsion, dd.free_reps + dd.torsion_reps):
         out = out + coef * rep
     return out
@@ -606,7 +606,7 @@ def test_sparse_reduce_matches_dense_reference(name):
             closed = ring.representative(_random_class(rng, ring, k))
             for bad in (Cochain.basis(m, idx), closed + Cochain.basis(m, idx),
                         Fraction(1, 2) * Cochain.basis(m, idx)):
-                assert not ring.is_closed(bad)
+                assert not ring.data(k).is_closed(ring.data(k).support(bad))
                 for reduce in (ring.reduce, lambda c: dense_reduce(ring, mats, c)):
                     with pytest.raises(ValueError, match="not a cocycle"):
                         reduce(bad)
@@ -627,7 +627,7 @@ def test_sparse_cup_matches_dense_reference(index):
                 u, v = _random_class(rng, ring, a), _random_class(rng, ring, b)
                 ru, rv = dense_representative(ring, u), dense_representative(ring, v)
                 assert ring.representative(u) == ru
-                assert ring.cup(u, v) == dense_reduce(ring, mats, wedge(ru, rv))
+                assert ring.cup(u, v) == dense_reduce(ring, mats, cochain_wedge(ru, rv))
 
 
 # -- reduction rows on demand ----------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from preqlat import cli
 from preqlat import intlinalg as lin
-from preqlat.cohomring import nilmanifold_ring, torus_ring
+from preqlat.cohomring import CohomClass, nilmanifold_ring, torus_ring
 
 from util import (
     dense_column_style_hermite,
@@ -373,7 +373,7 @@ def test_kernel_basis_replays_only_its_columns(monkeypatch):
     """kernel_basis reads the columns rank.. of V^{-1} and no row of V, and
     equals those columns of the full-scan oracle's V^{-1}; so does the
     Gysin kernel, one kernel_basis call per Euler candidate."""
-    from preqlat.prequant import EulerClass, gysin_kernel
+    from preqlat.prequant import gysin_kernel
 
     reads = []
     read = lin.SmithDecomposition.read
@@ -396,7 +396,7 @@ def test_kernel_basis_replays_only_its_columns(monkeypatch):
     free = (1,) + (0,) * (ring.betti(2) - 1)
     assert ring.torsion(2) == [6]
     for t in range(6):
-        gysin_kernel(ring, EulerClass(free, (t,)))
+        gysin_kernel(ring, CohomClass(2, free, (t,)))
     # the first cup products build the reduction rows of H^3 from U^{-1}
     assert "v" not in reads and reads.count("vinv") == 6
 

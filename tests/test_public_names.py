@@ -6,11 +6,19 @@ does not start with an underscore.  It is reached when it is read (as a
 name or an attribute; importing or assigning it is not a read) in
 ``cli.py``, in the README's library example, in the module-level code of
 a library module, or in the body of a function or class that is itself
-reached; the dunder methods of a reached class run implicitly.  Names match by their last component, so two functions of
-one name reach each other's callers: the guard errs towards passing.
-A name that no such path reaches is dead or test-only code and must go,
-to ``tests/util.py`` if tests need it, unless it is listed below with
-its reason.
+reached; the dunder methods of a reached class run implicitly.
+
+A read of a module-level name resolves through the reading module: to
+its own definition of that name, or through its imports (``from .x
+import f``, and ``lin.f`` for a module imported as ``lin``) to the
+module that defines it, so two modules' functions of one name do not
+reach each other's callers.  Methods and properties are read as
+attributes of values the guard cannot type, so they match by their last
+component, and so does every name that resolves to no module-level
+definition (a local variable ``d`` reaches every method ``d``): there
+the guard errs towards passing.  A name that no such path reaches is
+dead or test-only code and must go, to ``tests/util.py`` if tests need
+it, unless it is listed below with its reason.
 """
 
 import ast
@@ -19,6 +27,8 @@ import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "preqlat")
+PACKAGE = "preqlat"
+ROOT_MODULE = "__init__"    # the key of the package's own __init__.py
 
 # the names bench/tracer.py looks up by name, and what only they use
 EXCEPTIONS = {
@@ -30,20 +40,6 @@ EXCEPTIONS = {
         "the tracer's integral_cohomology hook reads it for rep_max_bits",
     "toruscalc.trig.TrigPoly.diff": "bench/tracer.py LAYERS wraps it; no library caller",
 }
-
-
-def _uses(nodes):
-    """Names and attributes read in the given nodes.  An import or an
-    assignment target is not a read, so a re-export or a constant that
-    nothing reads reaches nothing."""
-    out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.attr)
-    return out
 
 
 def _modules():
@@ -64,47 +60,141 @@ def _readme_example():
     return re.search(r"## Library example\s+```python\n(.*?)```", text, re.S).group(1)
 
 
+class _Scopes:
+    """What each module's names mean: its own module-level definitions,
+    the names it imports from library modules, and its module aliases."""
+
+    def __init__(self, modules):
+        self.modules = modules
+        self.defined = {mod: _definitions(tree) for mod, tree in modules.items()}
+        self.imported = {}      # module -> {local name: (source module, name)}
+        self.aliases = {}       # module -> {local name: module}
+        for mod, tree in modules.items():
+            self.add_imports(mod, tree)
+
+    def add_imports(self, mod, tree):
+        imported, aliases = self.imported.setdefault(mod, {}), self.aliases.setdefault(mod, {})
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = self._base(mod, node)
+            if base is None:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                sub = f"{base}.{alias.name}".lstrip(".")
+                if sub in self.modules:
+                    aliases[local] = sub
+                else:
+                    imported[local] = (base or ROOT_MODULE, alias.name)
+
+    def _base(self, mod, node):
+        """The dotted library module an import reads from ("" for the
+        package itself), or None for a module outside the library."""
+        if node.level == 0:
+            name = node.module or ""
+            if name != PACKAGE and not name.startswith(PACKAGE + "."):
+                return None
+            return name[len(PACKAGE) + 1:]
+        if mod == ROOT_MODULE:
+            package = ""
+        elif any(other.startswith(mod + ".") for other in self.modules):
+            package = mod
+        else:
+            package = mod.rpartition(".")[0]
+        for _ in range(node.level - 1):
+            package = package.rpartition(".")[0]
+        return f"{package}.{node.module}".strip(".") if node.module else package
+
+    def resolve(self, mod, name):
+        """"module.name" of the module-level definition that ``name`` means
+        in ``mod``, or None for a local, a builtin or an outside name."""
+        for _ in range(len(self.modules) + 1):      # an import chain ends
+            if name in self.defined.get(mod, ()):
+                return f"{mod}.{name}"
+            if name not in self.imported.get(mod, {}):
+                return None
+            mod, name = self.imported[mod][name]
+        return None
+
+    def uses(self, mod, nodes):
+        """What the given nodes of ``mod`` read: "module.name" for a
+        module-level name, the bare name for any other name or attribute."""
+        out = set()
+        aliases = self.aliases.get(mod, {})
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    out.add(self.resolve(mod, sub.id) or sub.id)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    owner = sub.value.id if isinstance(sub.value, ast.Name) else None
+                    if owner in aliases:
+                        out.add(self.resolve(aliases[owner], sub.attr))
+                    else:
+                        out.add(sub.attr)
+        out.discard(None)
+        return out
+
+
+def _definitions(tree):
+    """The names a module defines at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def _public_and_reached(modules):
-    public = {}             # "module.Name" or "module.Class.name" -> last component
-    bodies = {}             # last component -> the nodes its use reaches
-    roots = _uses([ast.parse(_readme_example())])
+    """The public names, each with the key a read of it adds ("module.name"
+    at module level, the bare name for a method), and the keys reached."""
+    scopes = _Scopes(modules)
+    public = {}             # "module.Name" or "module.Class.name" -> key
+    bodies = {}             # key -> [(module, nodes its use reaches)]
+    readme = ast.parse(_readme_example())
+    scopes.add_imports("<readme>", readme)
+    roots = scopes.uses("<readme>", [readme])
     for mod, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                key = f"{mod}.{node.name}"
                 if mod == "cli":
-                    roots |= _uses([node])
+                    roots |= scopes.uses(mod, [node])
                 if not node.name.startswith("_"):
-                    public[f"{mod}.{node.name}"] = node.name
+                    public[key] = key
                 reach = [node] if isinstance(node, ast.FunctionDef) else [
                     *node.bases, *node.decorator_list,
                     *(sub for sub in node.body
                       if not isinstance(sub, ast.FunctionDef) or sub.name.startswith("__"))]
-                bodies.setdefault(node.name, []).extend(reach)
+                bodies.setdefault(key, []).append((mod, reach))
                 if isinstance(node, ast.ClassDef):
                     for sub in node.body:
                         if isinstance(sub, ast.FunctionDef):
                             if not (node.name.startswith("_") or sub.name.startswith("_")):
-                                public[f"{mod}.{node.name}.{sub.name}"] = sub.name
-                            bodies.setdefault(sub.name, []).append(sub)
+                                public[f"{key}.{sub.name}"] = sub.name
+                            bodies.setdefault(sub.name, []).append((mod, [sub]))
             else:
-                roots |= _uses([node])
-                targets = node.targets if isinstance(node, ast.Assign) else (
-                    [node.target] if isinstance(node, ast.AnnAssign) else [])
-                for target in targets:
-                    if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                        public[f"{mod}.{target.id}"] = target.id
+                roots |= scopes.uses(mod, [node])
+                for name in _definitions(ast.Module(body=[node], type_ignores=[])):
+                    if not name.startswith("_"):
+                        public[f"{mod}.{name}"] = f"{mod}.{name}"
     reached, todo = set(), list(roots)
     while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(_uses(bodies.get(name, ())) - reached)
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            for mod, nodes in bodies.get(key, ()):
+                todo.extend(scopes.uses(mod, nodes) - reached)
     return public, reached
 
 
 def test_every_public_name_is_reached():
     public, reached = _public_and_reached(_modules())
-    unreached = {qual for qual, name in public.items() if name not in reached}
+    unreached = {qual for qual, key in public.items() if key not in reached}
     assert unreached - set(EXCEPTIONS) == set(), "unreached public names"
     # every exception names a public name that still needs it
     assert set(EXCEPTIONS) <= set(public)
@@ -114,15 +204,20 @@ def test_every_public_name_is_reached():
 def test_guard_sees_a_test_only_name():
     """A public function that only a test would call is caught, even
     when a package re-exports it, and so is a constant nothing reads; one
-    called from a reached function is not."""
+    called from a reached function is not, and its namesake in another
+    module is not reached by that call."""
     modules = _modules()
     modules["extra"] = ast.parse(
         "def only_tests():\n    return 1\n\n"
         "def helper():\n    return 2\n\n"
         "UNREAD = (1, 2)\n")
     modules["extra_package"] = ast.parse("from .extra import only_tests\n")
-    modules["cli"].body.append(ast.parse("def entry():\n    return helper()\n").body[0])
+    modules["extra_twin"] = ast.parse("def helper():\n    return 3\n")
+    modules["cli"].body.extend(ast.parse(
+        "from .extra import helper\n\n"
+        "def entry():\n    return helper()\n").body)
     public, reached = _public_and_reached(modules)
-    assert "only_tests" not in reached and "UNREAD" not in reached
-    assert public["extra.UNREAD"] == "UNREAD"
-    assert "helper" in reached and "entry" in reached
+    assert "extra.only_tests" not in reached and "extra.UNREAD" not in reached
+    assert public["extra.UNREAD"] == "extra.UNREAD"
+    assert "extra.helper" in reached and "cli.entry" in reached
+    assert "extra_twin.helper" not in reached

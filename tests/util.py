@@ -18,6 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from preqlat.cealg import (
+    Cochain,
     LieAlgebraPresentation,
     ValidationReport,
     complex_matrices,
@@ -803,6 +804,25 @@ def bracket_basis(lie, i, j):
     if i < j:
         return dict(lie.structure.get((i, j), {}))
     return {k: -c for k, c in lie.structure.get((j, i), {}).items()}
+
+
+def cochain_wedge(a: Cochain, b: Cochain) -> Cochain:
+    """Graded-commutative product of two ``Cochain``s; degree overflow
+    gives the zero cochain."""
+    if a.dim != b.dim:
+        raise ValueError("cochains live in different spaces")
+    degree = a.degree + b.degree
+    if degree > a.dim:
+        return Cochain(a.dim, degree)
+    coeffs = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            merged = merge_tuples(ia, ib)
+            if merged is None:
+                continue
+            idx, sign = merged
+            coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign * ca * cb
+    return Cochain(a.dim, degree, coeffs)
 
 
 def evaluate(c, indices):
