@@ -20,11 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from . import intlinalg as lin
+from . import Value, intlinalg as lin
 from .combinat import degree_tuples, merge_tuples
 
 
-class LieAlgebraPresentation:
+class LieAlgebraPresentation(Value):
     """Structure constants of a Lie algebra on an ordered basis; immutable.
 
     ``structure`` maps (i, j) with i < j to {k: c} for the bracket
@@ -50,9 +50,6 @@ class LieAlgebraPresentation:
         object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "structure", clean)
 
-    def __setattr__(self, *args):
-        raise AttributeError("LieAlgebraPresentation is immutable")
-
 
 def heisenberg_times_line(r=1) -> LieAlgebraPresentation:
     """dim-4 presentation with [x, p] = r*h and z, h central.
@@ -75,7 +72,7 @@ def abelian(m, names=None) -> LieAlgebraPresentation:
     return LieAlgebraPresentation(dim=m, basis_names=tuple(names), structure={})
 
 
-class Cochain:
+class Cochain(Value):
     """Element of the exterior algebra on the dual basis; immutable.
 
     ``coeffs`` maps strictly increasing index tuples of length ``degree``
@@ -100,18 +97,6 @@ class Cochain:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Cochain is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (self.dim == other.dim and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"Cochain(dim={self.dim!r}, degree={self.degree!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def basis(dim, idx):
@@ -255,31 +240,13 @@ def complex_matrices(lie: LieAlgebraPresentation):
     return mats
 
 
-class ValidationReport:
-    """Outcome of the Jacobi and nilpotency checks on a presentation."""
+class ValidationReport(Value):
+    """Outcome of the Jacobi and nilpotency checks on a presentation;
+    ``jacobi_witness`` is a tuple or None, ``nilpotency_class`` an int or
+    None."""
 
     __slots__ = ("jacobi_ok", "jacobi_witness", "nilpotent", "nilpotency_class",
                  "stable_ideal_dim")
-
-    def __init__(self, jacobi_ok, jacobi_witness, nilpotent, nilpotency_class,
-                 stable_ideal_dim):
-        self.jacobi_ok = jacobi_ok
-        self.jacobi_witness = jacobi_witness      # tuple, or None
-        self.nilpotent = nilpotent
-        self.nilpotency_class = nilpotency_class  # int, or None
-        self.stable_ideal_dim = stable_ideal_dim
-
-    def _fields(self):
-        return (self.jacobi_ok, self.jacobi_witness, self.nilpotent, self.nilpotency_class,
-                self.stable_ideal_dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, ValidationReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return "ValidationReport(%r, %r, %r, %r, %r)" % self._fields()
 
 
 def validate_presentation(lie: LieAlgebraPresentation) -> ValidationReport:

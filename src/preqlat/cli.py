@@ -23,7 +23,8 @@ Jobs over the size limits exit 2 before anything is built: a torus or a
 presentation of dimension over 10, whose largest d_k would have more
 rows times columns than ``MAX_DENSE_CELLS`` = C(10,4)·C(10,5); a surface
 with C(2g, 2) over that number; a verify job of more than ``MAX_TRIALS``
-trials.
+trials; a thurston lattice job of more than ``MAX_CANDIDATES`` Euler
+candidates.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ def _preset_flags(p):
 MAX_DIGITS = 30     # in the numerator or the denominator of a rational input
 MAX_DENSE_CELLS = 52_920    # rows x columns of the largest d_k: C(10,4)·C(10,5), at dim 10
 MAX_TRIALS = 10_000         # per verify job: about 6 min at 34 ms per all-suite trial
+MAX_CANDIDATES = 100_000    # per lattice job, one Gysin kernel each: about 13 s, 17 MB of JSON
 
 # The largest dim within MAX_DENSE_CELLS (10: a dim-11 complex does not
 # finish in minutes).  The cells of the largest d_k, max_k C(n, k)·C(n, k+1)
@@ -186,6 +188,9 @@ def parse_job(argv) -> JobDescriptor:
             job.level = ns.level
             if job.level < 1:
                 raise InputError("--level must be >= 1")
+            # a thurston preset at --r r has r Euler candidates; the others have one
+            if job.params.get("r", 1) > MAX_CANDIDATES:
+                raise InputError(f"lattice --r must be <= {MAX_CANDIDATES} (MAX_CANDIDATES)")
     elif ns.command == "verify":
         descriptor = {}
         if ns.input_path:
@@ -537,8 +542,12 @@ def main(argv=None) -> int:
         return 2
     text = render(report, job.format)
     if job.output_path:
-        with open(job.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(job.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -41,7 +41,7 @@ from functools import cached_property
 from math import comb
 from operator import mul
 
-from . import intlinalg as lin
+from . import Value, intlinalg as lin
 from .cealg import (
     Cochain,
     LieAlgebraPresentation,
@@ -53,7 +53,7 @@ from .cealg import (
 from .combinat import degree_tuples, merge_tuples
 
 
-class CohomClass:
+class CohomClass(Value):
     """Coordinates of a cohomology class: free part and torsion part, as
     tuples; immutable.
 
@@ -62,26 +62,6 @@ class CohomClass:
     """
 
     __slots__ = ("degree", "free", "torsion")
-
-    def __init__(self, degree, free, torsion):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "torsion", torsion)
-
-    def __setattr__(self, *args):
-        raise AttributeError("CohomClass is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CohomClass):
-            return NotImplemented
-        return (self.degree == other.degree and self.free == other.free
-                and self.torsion == other.torsion)
-
-    def __hash__(self):
-        return hash((self.degree, self.free, self.torsion))
-
-    def __repr__(self):
-        return f"CohomClass({self.degree!r}, {self.free!r}, {self.torsion!r})"
 
     def is_zero(self):
         return all(x == 0 for x in self.free) and all(x == 0 for x in self.torsion)

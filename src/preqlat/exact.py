@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import Value
 
-class ExactScalar:
+
+class ExactScalar(Value):
     """An exact value ``q * (2*pi)**pi_power``; immutable."""
 
     __slots__ = ("q", "pi_power")
@@ -19,20 +21,6 @@ class ExactScalar:
         q = Fraction(q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi_power", pi_power if q else 0)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExactScalar is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.q == other.q and self.pi_power == other.pi_power
-
-    def __hash__(self):
-        return hash((self.q, self.pi_power))
-
-    def __repr__(self):
-        return f"ExactScalar(q={self.q!r}, pi_power={self.pi_power!r})"
 
     @staticmethod
     def zero() -> "ExactScalar":

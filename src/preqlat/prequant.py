@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from . import intlinalg as lin
+from . import Value, intlinalg as lin
 from .cealg import Cochain
 from .cohomring import CohomClass, CohomologyRing
 from .exact import ExactScalar
@@ -33,7 +33,7 @@ def _integral(coords, what):
     return tuple(int(x) for x in coords)
 
 
-class IntegrableLattice:
+class IntegrableLattice(Value):
     """Lattice of integrable degree-one directions at a given level.
 
     ``generators`` are integer vectors in H^1 coordinates (a basis in
@@ -45,16 +45,6 @@ class IntegrableLattice:
     """
 
     __slots__ = ("generators", "prefactor", "level", "euler", "volume")
-
-    def __init__(self, generators, prefactor, level, euler, volume):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "prefactor", prefactor)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "volume", volume)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IntegrableLattice is immutable")
 
     @property
     def rank(self):

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .. import Value
 from ..combinat import merge_tuples, remove_index, sort_sign
 from ..exact import ExactScalar
 from .trig import TrigPoly, product_sum
 
 
-class TorusForm:
+class TorusForm(Value):
     __slots__ = ("dim", "degree", "coeffs", "pi_power")
 
     def __init__(self, dim, degree, coeffs=None, pi_power=0):
@@ -41,9 +42,6 @@ class TorusForm:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "pi_power", pi_power if clean else 0)
 
-    def __setattr__(self, *args):
-        raise AttributeError("TorusForm is immutable")
-
     @staticmethod
     def zero(dim, degree):
         return TorusForm(dim, degree, {})
@@ -64,24 +62,8 @@ class TorusForm:
     def is_zero(self):
         return not self.coeffs
 
-    def __eq__(self, other):
-        if not isinstance(other, TorusForm):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.pi_power == other.pi_power
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
         return hash((self.dim, self.degree, self.pi_power, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return (
-            f"TorusForm(dim={self.dim}, degree={self.degree}, "
-            f"terms={len(self.coeffs)}, pi_power={self.pi_power})"
-        )
 
     def coefficient(self, idx) -> TrigPoly:
         poly = self.coeffs.get(tuple(idx))
@@ -147,7 +129,7 @@ class TorusForm:
         return TorusForm(self.dim, self.degree, self.coeffs, self.pi_power + d)
 
 
-class TorusVectorField:
+class TorusVectorField(Value):
     __slots__ = ("dim", "components", "pi_power")
 
     def __init__(self, dim, components, pi_power=0):
@@ -164,20 +146,8 @@ class TorusVectorField:
             pi_power = 0
         object.__setattr__(self, "pi_power", pi_power)
 
-    def __setattr__(self, *args):
-        raise AttributeError("TorusVectorField is immutable")
-
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusVectorField):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.pi_power == other.pi_power
-            and self.components == other.components
-        )
 
     def __add__(self, other):
         if self.dim != other.dim:
@@ -290,7 +260,7 @@ def lie_derivative(x: TorusVectorField, f: TorusForm) -> TorusForm:
     return first + exterior_derivative(contract(x, f))
 
 
-class CoordinateCycle:
+class CoordinateCycle(Value):
     """An oriented coordinate subtorus; immutable.
 
     ``axes`` lists the coordinates of the cycle in integration order;
@@ -322,9 +292,6 @@ class CoordinateCycle:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "orientation", orientation)
-
-    def __setattr__(self, *args):
-        raise AttributeError("CoordinateCycle is immutable")
 
     @staticmethod
     def full(dim):

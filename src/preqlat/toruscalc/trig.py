@@ -23,11 +23,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
+from .. import Value
+
 # i**p as (re, im), for p mod 4
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-class TrigPoly:
+class TrigPoly(Value):
     __slots__ = ("dim", "modes", "den")
 
     def __init__(self, dim, modes=None, den=1):
@@ -48,9 +50,6 @@ class TrigPoly:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "modes", clean)
         object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TrigPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -105,16 +104,8 @@ class TrigPoly:
     def is_constant(self):
         return all(not any(k) for k in self.modes)
 
-    def __eq__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self.dim == other.dim and self.den == other.den and self.modes == other.modes
-
     def __hash__(self):
         return hash((self.dim, self.den, frozenset(self.modes.items())))
-
-    def __repr__(self):
-        return f"TrigPoly(dim={self.dim}, modes={len(self.modes)})"
 
     # -- arithmetic -------------------------------------------------------------
 

@@ -467,6 +467,15 @@ def test_verify_deterministic_bytes(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["lattice", "--preset", "thurston", "--r", "6", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: cannot write report:")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+
+
 # Runs each job in process and prints [exit code, JSON report with the
 # timestamp blanked] per job, as one JSON list.
 _REPORTS_SCRIPT = """\
@@ -910,6 +919,11 @@ def test_size_caps_reject_before_any_work(tmp_path, capsys, monkeypatch):
     with pytest.raises(InputError, match=str(cli.MAX_TRIALS)):
         parse_job(["verify", "--input", str(desc)])
 
+    # a thurston lattice at --r r has r Euler candidates
+    r = cli.MAX_CANDIDATES + 1
+    assert main(["lattice", "--preset", "thurston", "--r", str(r)]) == 2
+    assert "MAX_CANDIDATES" in capsys.readouterr().err
+
 
 def test_sizes_at_the_caps_parse():
     assert parse_job(["cohomology", "--preset", "torus", "--m", "10"]).params["m"] == 10
@@ -917,6 +931,11 @@ def test_sizes_at_the_caps_parse():
     assert parse_job(["lattice", "--preset", "surface", "--g", str(genus)]).params["g"] == genus
     job = parse_job(["verify", "--trials", str(cli.MAX_TRIALS)])
     assert job.trials == cli.MAX_TRIALS
+    r = cli.MAX_CANDIDATES
+    assert parse_job(["lattice", "--preset", "thurston", "--r", str(r)]).params["r"] == r
+    # cohomology does not loop over the candidates, so it has no such cap
+    r += 1
+    assert parse_job(["cohomology", "--preset", "thurston", "--r", str(r)]).params["r"] == r
 
 
 # standard modules that cost start-up time and that the library never needs

@@ -12,13 +12,14 @@ A read of a module-level name resolves through the reading module: to
 its own definition of that name, or through its imports (``from .x
 import f``, and ``lin.f`` for a module imported as ``lin``) to the
 module that defines it, so two modules' functions of one name do not
-reach each other's callers.  Methods and properties are read as
+reach each other's callers.  A name that resolves to no module-level
+definition (a local variable, a builtin) reaches nothing, so a local
+``d`` does not reach a method ``d``.  Methods and properties are read as
 attributes of values the guard cannot type, so they match by their last
-component, and so does every name that resolves to no module-level
-definition (a local variable ``d`` reaches every method ``d``): there
-the guard errs towards passing.  A name that no such path reaches is
-dead or test-only code and must go, to ``tests/util.py`` if tests need
-it, unless it is listed below with its reason.
+component: there the guard errs towards passing.  A name that no such
+path reaches is dead or test-only code and must go, to
+``tests/util.py`` if tests need it, unless it is listed below with its
+reason.
 """
 
 import ast
@@ -36,6 +37,9 @@ EXCEPTIONS = {
     "intlinalg.int_inverse": "bench/tracer.py LAYERS wraps it; no library caller",
     "intlinalg.mat_vec": "only solve_in_lattice calls it",
     "intlinalg.SmithDecomposition.uinv": "the tracer's Smith hook and int_inverse read it",
+    "intlinalg.SmithDecomposition.d": "bench/tracer.py's Smith hook reads it",
+    "intlinalg.SmithDecomposition.u": "bench/tracer.py's Smith hook reads it",
+    "intlinalg.SmithDecomposition.v": "bench/tracer.py's Smith hook reads it",
     "cohomring.DegreeData.torsion_reps":
         "the tracer's integral_cohomology hook reads it for rep_max_bits",
     "toruscalc.trig.TrigPoly.diff": "bench/tracer.py LAYERS wraps it; no library caller",
@@ -119,13 +123,14 @@ class _Scopes:
 
     def uses(self, mod, nodes):
         """What the given nodes of ``mod`` read: "module.name" for a
-        module-level name, the bare name for any other name or attribute."""
+        module-level name, the bare name for an attribute; any other name
+        (a local, a builtin) reads nothing the guard tracks."""
         out = set()
         aliases = self.aliases.get(mod, {})
         for node in nodes:
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    out.add(self.resolve(mod, sub.id) or sub.id)
+                    out.add(self.resolve(mod, sub.id))
                 elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                     owner = sub.value.id if isinstance(sub.value, ast.Name) else None
                     if owner in aliases:
@@ -203,21 +208,24 @@ def test_every_public_name_is_reached():
 
 def test_guard_sees_a_test_only_name():
     """A public function that only a test would call is caught, even
-    when a package re-exports it, and so is a constant nothing reads; one
-    called from a reached function is not, and its namesake in another
-    module is not reached by that call."""
+    when a package re-exports it, and so is a constant nothing reads and
+    a method whose name only a local variable shares; a function called
+    from a reached function is not, and its namesake in another module is
+    not reached by that call."""
     modules = _modules()
     modules["extra"] = ast.parse(
         "def only_tests():\n    return 1\n\n"
         "def helper():\n    return 2\n\n"
+        "class Box:\n    def peek(self):\n        return 4\n\n"
         "UNREAD = (1, 2)\n")
     modules["extra_package"] = ast.parse("from .extra import only_tests\n")
     modules["extra_twin"] = ast.parse("def helper():\n    return 3\n")
     modules["cli"].body.extend(ast.parse(
-        "from .extra import helper\n\n"
-        "def entry():\n    return helper()\n").body)
+        "from .extra import Box, helper\n\n"
+        "def entry():\n    peek = helper()\n    return Box, peek\n").body)
     public, reached = _public_and_reached(modules)
     assert "extra.only_tests" not in reached and "extra.UNREAD" not in reached
     assert public["extra.UNREAD"] == "extra.UNREAD"
     assert "extra.helper" in reached and "cli.entry" in reached
     assert "extra_twin.helper" not in reached
+    assert "extra.Box" in reached and public["extra.Box.peek"] not in reached
