@@ -24,7 +24,7 @@ presentation of dimension over 10, whose largest d_k would have more
 rows times columns than ``MAX_DENSE_CELLS`` = C(10,4)·C(10,5); a surface
 with C(2g, 2) over that number; a verify job of more than ``MAX_TRIALS``
 trials; a thurston lattice job of more than ``MAX_CANDIDATES`` Euler
-candidates.
+candidates.  So does a job whose ``--output`` names a missing directory.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -536,6 +537,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         job = parse_job(argv)
+        if job.output_path and not os.path.isdir(os.path.dirname(job.output_path) or "."):
+            raise InputError(f"cannot write report: no directory for {job.output_path!r}")
         report, code = run(job)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,17 +9,17 @@ presentations, tori, and compact orientable surfaces (whose ring is
 installed directly, since a genus >= 2 surface is not a nilmanifold).
 
 Each degree is stored once, in integers: its representatives as lists of
-(index tuple, int) terms and its reduction map as integer rows, free
-classes first and torsion classes after.  The representatives are built
-with the degree; the reduction rows only when something first reduces
-into the degree, which a ``cohomology`` job does in the top degree
-alone.  Class arithmetic works on supports, never on dense cochain
-vectors.  A support is a list of (basis position, coefficient) pairs
-over the nonzero coefficients of a cochain, with ``int`` coefficients
-when the cochain is integral and ``Fraction`` ones otherwise.  Each
-degree keeps the sparse columns of d_k from when it is built, and
-derives on first use the position of every basis tuple and the sparse
-columns of the reduction map; closedness and reduction then touch only
+(index tuple, int) terms and its reduction map as sparse columns, one
+list of (class, int) pairs per basis position, free classes first and
+torsion classes after.  The representatives are built with the degree;
+the reduction columns only when something first reduces into the
+degree, which a ``cohomology`` job does in the top degree alone.  Class
+arithmetic works on supports, never on dense cochain vectors.  A support
+is a list of (basis position, coefficient) pairs over the nonzero
+coefficients of a cochain, with ``int`` coefficients when the cochain is
+integral and ``Fraction`` ones otherwise.  Each degree keeps the sparse
+columns of d_k from when it is built, and derives on first use the
+position of every basis tuple; closedness and reduction then touch only
 the columns in the support, and a cup product wedges the
 representatives' terms directly.
 
@@ -30,9 +30,10 @@ the coboundary coordinates are rows r.. of V b, the column log run
 forward over the sparse columns b of d_{k-1}; a representative is
 V^{-1} [0; u] for a column u of the second form's U, and a reduction row
 [0 | row] V for a row of its U^{-1}, each log replayed from just those
-vectors.  What stays dense is what comes back: the representative
-columns the Hermite form takes (it reduces them as sparse columns) and
-the reduction rows.
+vectors.  The replay holds the reduction rows by position, which is
+their sparse columns as they come back; what stays dense is the
+representative columns the Hermite form takes (it reduces them as
+sparse columns).
 """
 
 from __future__ import annotations
@@ -63,34 +64,32 @@ class CohomClass(Value):
 
     __slots__ = ("degree", "free", "torsion")
 
-    def is_zero(self):
-        return all(x == 0 for x in self.free) and all(x == 0 for x in self.torsion)
-
 
 class DegreeData:
     """One degree of the cohomology, held once in integers: one
-    representative and one reduction row per class, the free classes
-    first and the torsion classes after.  The reduction rows, and the
-    views that class arithmetic reads (``pos``, ``reduce_cols``), are
-    built on first use, so a degree that no class lands in builds none;
+    representative per class, the free classes first and the torsion
+    classes after, and the reduction map as sparse columns, one list of
+    (class, int) pairs per basis position.  The reduction columns and the
+    position of each basis tuple (``pos``) are built on first use, so a
+    degree that no class lands in builds neither;
     ``free_reps`` and ``torsion_reps`` build ``Cochain``s afresh on each
     read.  A group with neither classes nor a differential (a surface
     above degree 2) never lists its basis: every cochain there is closed
     and reduces to the empty class."""
 
-    def __init__(self, degree, dim, betti, torsion, reps, make_reduce_rows, d_cols=None):
+    def __init__(self, degree, dim, betti, torsion, reps, make_reduce_cols, d_cols=None):
         self.degree = degree
         self.dim = dim                  # number of degree-one generators
         self.betti = betti
         self.torsion = torsion          # list of invariant factors > 1
         self.reps = reps                # [(index tuple, int)] per class
-        self.make_reduce_rows = make_reduce_rows  # builds reduce_rows, once, on first read
+        self.make_reduce_cols = make_reduce_cols  # builds reduce_cols, once, on first read
         self.d_cols = d_cols            # [(row, entry)] per column of d_k; None: no differential
 
     @cached_property
-    def reduce_rows(self):
-        """One int row of length N per class."""
-        return self.make_reduce_rows()
+    def reduce_cols(self):
+        """[(class, int)] per basis position: the reduction map."""
+        return self.make_reduce_cols()
 
     @property
     def basis(self):
@@ -101,17 +100,6 @@ class DegreeData:
     def pos(self):
         """Position of each basis tuple."""
         return {t: i for i, t in enumerate(self.basis)}
-
-    @cached_property
-    def reduce_cols(self):
-        """[(row, entry)] per basis position: the reduction rows as sparse
-        columns."""
-        cols = [[] for _ in range(comb(self.dim, self.degree))]
-        for i, row in enumerate(self.reduce_rows):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j].append((i, x))
-        return cols
 
     @property
     def free_reps(self):
@@ -142,7 +130,7 @@ class DegreeData:
             support = [(j, x.numerator) for j, x in support]
         if not self.is_closed(support):
             raise ValueError("not a cocycle")
-        coords = [0] * len(self.reduce_rows)
+        coords = [0] * len(self.reps)
         for j, x in support:
             for i, r in self.reduce_cols[j]:
                 coords[i] += r * x
@@ -239,7 +227,7 @@ def _degree_data(k, basis, prev_cols, d_cols, dim):
     r = ker.rank
     s = n_k - r
     if s == 0:
-        return DegreeData(k, dim, 0, [], [], list, d_cols)
+        return DegreeData(k, dim, 0, [], [], lambda: [[] for _ in basis], d_cols)
 
     # coboundary image in kernel coordinates, rows r.. of V b for the
     # columns b of d_{k-1}: b is a cocycle (the complex was checked), so
@@ -263,24 +251,26 @@ def _degree_data(k, basis, prev_cols, d_cols, dim):
     # form's U that gives its class
     cols = lin.unpack(ker.replay("vinv", [None] * r + snf.replay("u", units)), w)
     free_cols = cols[:betti]
-    # unit columns in increasing rows (every degree of a torus) are their
-    # own Hermite basis, with the identity as change of basis
-    unit = _unit_echelon(free_cols)
-    hnf_cols = free_cols if unit else lin.column_style_hermite(free_cols, n_k)
+    hnf_cols = lin.column_style_hermite(free_cols, n_k)
     signs = [-1 if next(x for x in col if x) < 0 else 1 for col in cols[betti:]]
     cols = hnf_cols + [[sign * x for x in col] for sign, col in zip(signs, cols[betti:])]
 
-    def reduce_rows():
+    def reduce_cols():
         # the rows of the second form's U^{-1} that read the classes, by
         # position, changed to the Hermite basis (the columns of the change
-        # are the old basis in it) and sign-fixed, each then [0 | row] V
-        t_inv = [] if unit else list(zip(*lin.echelon_coords(hnf_cols, free_cols)))
+        # are the old basis in it; none when the free columns already are
+        # that basis, as on a torus) and sign-fixed, each then [0 | row] V,
+        # which comes back by position: the sparse columns
+        t_inv = None
+        if hnf_cols != free_cols:
+            t_inv = list(zip(*lin.echelon_coords(hnf_cols, free_cols)))
         held = snf.replay("uinv", units)
         for t, p in enumerate(held):
             if p is not None:
-                free = [sum(map(mul, row, p)) for row in t_inv] if t_inv else p[:betti]
+                free = p[:betti] if t_inv is None else [sum(map(mul, row, p)) for row in t_inv]
                 held[t] = free + [sign * x for sign, x in zip(signs, p[betti:])]
-        return lin.unpack(ker.replay("v", [None] * r + held), w)
+        return [[] if p is None else [(i, x) for i, x in enumerate(p) if x]
+                for p in ker.replay("v", [None] * r + held)]
 
     return DegreeData(
         degree=k,
@@ -288,23 +278,9 @@ def _degree_data(k, basis, prev_cols, d_cols, dim):
         betti=betti,
         torsion=[diag[i] for i in tors_idx],
         reps=[[(basis[j], x) for j, x in enumerate(col) if x] for col in cols],
-        make_reduce_rows=reduce_rows,
+        make_reduce_cols=reduce_cols,
         d_cols=d_cols,
     )
-
-
-def _unit_echelon(cols):
-    """True when the columns are unit vectors e_r in strictly increasing
-    rows r (vacuously for none)."""
-    last = -1
-    for col in cols:
-        if col.count(0) != len(col) - 1 or 1 not in col:
-            return False
-        r = col.index(1)
-        if r <= last:
-            return False
-        last = r
-    return True
 
 
 class CohomologyRing(GradedCohomology):
@@ -425,13 +401,13 @@ def surface_ring(genus) -> CohomologyRing:
     b1 = 2 * g
     paired = set(pairs)
     degrees = [
-        DegreeData(0, dim, 1, [], [[((), 1)]], lambda: [[1]]),
+        DegreeData(0, dim, 1, [], [[((), 1)]], lambda: [[(0, 1)]]),
         DegreeData(1, dim, b1, [], [[((i,), 1)] for i in range(b1)],
-                   lambda: [[int(i == j) for j in range(dim)] for i in range(b1)]),
+                   lambda: [[(j, 1)] if j < b1 else [] for j in range(dim)]),
         # the symplectic contraction: only the coefficients on the paired
         # tuples (a_i, b_i) survive, and they all agree in H^2
         DegreeData(2, dim, 1, [], [[(pairs[0], 1)]],
-                   lambda: [[int(t in paired) for t in degree_tuples(dim, 2)]]),
+                   lambda: [[(0, 1)] if t in paired else [] for t in degree_tuples(dim, 2)]),
     ]
     degrees += [DegreeData(k, dim, 0, [], [], list) for k in range(3, dim + 1)]
     groups = GradedCohomology(dim, names, degrees)

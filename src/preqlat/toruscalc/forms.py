@@ -263,15 +263,15 @@ def lie_derivative(x: TorusVectorField, f: TorusForm) -> TorusForm:
 class CoordinateCycle(Value):
     """An oriented coordinate subtorus; immutable.
 
-    ``axes`` lists the coordinates of the cycle in integration order;
-    remaining coordinates are frozen at ``offsets[axis] * pi/2`` (quarter
+    ``axes`` lists the coordinates of the cycle in integration order,
+    which orients it: an odd permutation of the axes reverses it.
+    Remaining coordinates are frozen at ``offsets[axis] * pi/2`` (quarter
     turns keep restriction exact, so an offset must be an ``int``).
-    ``orientation`` flips the sign.
     """
 
-    __slots__ = ("dim", "axes", "offsets", "orientation")
+    __slots__ = ("dim", "axes", "offsets")
 
-    def __init__(self, dim, axes, offsets=None, orientation=1):
+    def __init__(self, dim, axes, offsets=None):
         axes = tuple(axes)
         if len(set(axes)) != len(axes):
             raise ValueError("cycle axes must be distinct")
@@ -286,20 +286,17 @@ class CoordinateCycle(Value):
             if not isinstance(q, int):
                 raise ValueError("quarter turns must be integers")
             offs[a] = q % 4
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "orientation", orientation)
 
     @staticmethod
     def full(dim):
         return CoordinateCycle(dim, tuple(range(dim)))
 
     @staticmethod
-    def circle(dim, axis, offsets=None, orientation=1):
-        return CoordinateCycle(dim, (axis,), offsets, orientation)
+    def circle(dim, axis, offsets=None):
+        return CoordinateCycle(dim, (axis,), offsets)
 
 
 def integrate_over_cycle(f: TorusForm, cycle: CoordinateCycle) -> ExactScalar:
@@ -364,12 +361,12 @@ def _cycle_slot(dim, degree, cycle):
 
 def _cycle_value(mean, pi_power, cycle):
     """The integral from the slice mean (re, im) of the cycle's
-    coefficient: the orientation and ordering sign, and one (2*pi) per
+    coefficient: the sign of the axis order, and one (2*pi) per
     integrated axis."""
     re, im = mean
     if im:
         raise ValueError("integral of a non-real form")
-    sign = sort_sign(cycle.axes) * cycle.orientation
+    sign = sort_sign(cycle.axes)
     return ExactScalar(sign * re, pi_power + len(cycle.axes))
 
 

@@ -25,10 +25,10 @@ def cocycle_residual(kind, params, a, b, c) -> ExactScalar:
     """(d psi)(a, b, c) for the requested cocycle kind.
 
     ``params`` carries the cocycle data: alpha/omega for roger,
-    cycle/omega for singular, omega/point for ks, cycle for sigma_q,
-    cycle or eta (plus optional nu) for the field kinds.  Arguments are
-    trigonometric polynomials, except for the field kinds where they are
-    vector fields.
+    cycle/omega for singular, omega/point for ks, cycle for sigma_q, and
+    cycle or eta for the field kinds, which use the unit volume form.
+    Arguments are trigonometric polynomials, except for the field kinds
+    where they are vector fields.
     """
     if kind == "roger":
         alpha, omega = params["alpha"], params["omega"]
@@ -47,12 +47,12 @@ def cocycle_residual(kind, params, a, b, c) -> ExactScalar:
         psi = lambda u, v: sigma_cocycle(cycle, u, v)
         bracket = contact_bracket
     elif kind == "lichnerowicz_q":
-        cycle, nu = params["cycle"], params.get("nu")
-        psi = lambda u, v: lichnerowicz_singular(cycle, u, v, nu)
+        cycle = params["cycle"]
+        psi = lambda u, v: lichnerowicz_singular(cycle, u, v)
         bracket = vf_bracket
     elif kind == "lichnerowicz_eta":
-        eta, nu = params["eta"], params.get("nu")
-        psi = lambda u, v: lichnerowicz_eta(eta, u, v, nu)
+        eta = params["eta"]
+        psi = lambda u, v: lichnerowicz_eta(eta, u, v)
         bracket = vf_bracket
     else:
         raise ValueError(f"unknown cocycle kind {kind!r}")

@@ -1,7 +1,8 @@
 """Hamiltonian calculus on symplectic tori with constant coefficients.
 
-The preset symplectic structures are sums of scaled coordinate planes,
-omega = sum c_i dx_{2i-1} ^ dx_{2i}; Hamiltonian fields are produced by
+The preset symplectic structure is the standard one, omega = sum
+dx_{2i-1} ^ dx_{2i}, and the calculus takes any nondegenerate 2-form
+with constant rational coefficients.  Hamiltonian fields are produced by
 inverting the constant coefficient matrix, so every identity downstream
 (bracket values, cocycle evaluations) is exact.  Each distinct form is
 factored once: its Hamiltonian operator (the scaled inverse, as constant
@@ -31,19 +32,10 @@ from .forms import (
 from .trig import TrigPoly, product_sum
 
 
-def standard_symplectic(n, scales=None) -> TorusForm:
-    """sum_i c_i dx_{2i} ^ dx_{2i+1} on the 2n-torus (0-based pairs)."""
-    if scales is None:
-        scales = [1] * n
-    if len(scales) != n:
-        raise ValueError("need one scale per coordinate plane")
+def standard_symplectic(n) -> TorusForm:
+    """sum_i dx_{2i} ^ dx_{2i+1} on the 2n-torus (0-based pairs)."""
     dim = 2 * n
-    coeffs = {}
-    for i, c in enumerate(scales):
-        if c == 0:
-            raise ValueError("zero scale makes the form degenerate")
-        coeffs[(2 * i, 2 * i + 1)] = TrigPoly.const(dim, c)
-    return TorusForm(dim, 2, coeffs)
+    return TorusForm(dim, 2, {(2 * i, 2 * i + 1): TrigPoly.const(dim, 1) for i in range(n)})
 
 
 def _coefficient_matrix(omega: TorusForm):
@@ -107,14 +99,10 @@ def ks_cocycle(f, g, omega, point):
     return re
 
 
-def liouville_power(omega: TorusForm, n=None) -> TorusForm:
-    """omega^n / n! (the Liouville volume form of the preset), built once
-    per (form, n) and shared: callers must not change it."""
-    return _liouville_power(omega, omega.dim // 2 if n is None else n)
-
-
 @lru_cache(maxsize=64)
-def _liouville_power(omega, n):
+def liouville_power(omega: TorusForm, n) -> TorusForm:
+    """omega^n / n! (the Liouville volume form at n = dim / 2), built
+    once per (form, n) and shared: callers must not change it."""
     acc = TorusForm.function(omega.dim, TrigPoly.const(omega.dim, 1))
     for _ in range(n):
         acc = wedge(acc, omega)

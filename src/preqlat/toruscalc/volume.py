@@ -1,13 +1,13 @@
 """Volume-preserving calculus: potentials, flux, and the degree-two
 cocycles on divergence-free fields.
 
-The default volume form is dx_1 ^ ... ^ dx_m / (2*pi)^m, so the torus has
-unit volume and integral classes keep integer periods.
+The volume form is the unit one, nu = dx_1 ^ ... ^ dx_m / (2*pi)^m, so
+the torus has volume one and integral classes keep integer periods.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
 from ..exact import ExactScalar
 from .forms import (
@@ -21,64 +21,44 @@ from .forms import (
 )
 
 
+@lru_cache(maxsize=64)
 def unit_volume_form(m) -> TorusForm:
-    """dx_1 ^ ... ^ dx_m / (2*pi)^m: total volume one."""
+    """dx_1 ^ ... ^ dx_m / (2*pi)^m: total volume one.  Built once per m
+    and shared: callers must not change it."""
     return TorusForm.basis(m, tuple(range(m)), 1, pi_power=-m)
 
 
-def _constant_top_scale(nu: TorusForm):
-    m = nu.dim
-    if nu.degree != m:
-        raise ValueError("volume form must have top degree")
-    poly = nu.coefficient(tuple(range(m)))
-    if poly.is_zero() or not poly.is_constant():
-        raise ValueError("volume form must be a nonzero constant multiple of the top form")
-    re, im = poly.mean()
-    if im or re == 0:
-        raise ValueError("volume form must have a real nonzero scale")
-    return re
+def exact_field_from_potential(alpha: TorusForm) -> TorusVectorField:
+    """The divergence-free field X with i_X nu = d(alpha) for the unit
+    volume form nu.
 
-
-def exact_field_from_potential(alpha: TorusForm, nu: TorusForm | None = None) -> TorusVectorField:
-    """The divergence-free field X with i_X nu = d(alpha).
-
-    ``alpha`` has degree m-2.  With the unit-volume default the field
-    picks up the (2*pi)^m of the normalization; its own power records
-    that, so the defining identity holds exactly.
+    ``alpha`` has degree m-2.  The field picks up the (2*pi)^m of the
+    normalization; its own power records that, so the defining identity
+    holds exactly.
     """
     m = alpha.dim
     if alpha.degree != m - 2:
         raise ValueError("potential must have degree m-2")
-    if nu is None:
-        nu = unit_volume_form(m)
-    scale = _constant_top_scale(nu)
     da = exterior_derivative(alpha)
     comps = []
     for j in range(m):
         complement = tuple(a for a in range(m) if a != j)
-        beta = da.coefficient(complement)
-        sign = -1 if j % 2 else 1
-        comps.append(beta * (Fraction(sign) / scale))
-    return TorusVectorField(m, comps, alpha.pi_power - nu.pi_power)
+        comps.append(da.coefficient(complement) * (-1 if j % 2 else 1))
+    return TorusVectorField(m, comps, alpha.pi_power + m)
 
 
 def lichnerowicz_singular(cycle: CoordinateCycle, x: TorusVectorField,
-                          y: TorusVectorField, nu: TorusForm | None = None) -> ExactScalar:
+                          y: TorusVectorField) -> ExactScalar:
     """integral over a codimension-two cycle of i_Y i_X nu."""
     m = x.dim
-    if nu is None:
-        nu = unit_volume_form(m)
     if len(cycle.axes) != m - 2:
         raise ValueError("cycle must have codimension two")
-    return integrate_contraction(y, contract(x, nu), cycle)
+    return integrate_contraction(y, contract(x, unit_volume_form(m)), cycle)
 
 
-def lichnerowicz_eta(eta: TorusForm, x: TorusVectorField, y: TorusVectorField,
-                     nu: TorusForm | None = None) -> ExactScalar:
+def lichnerowicz_eta(eta: TorusForm, x: TorusVectorField, y: TorusVectorField) -> ExactScalar:
     """integral of eta ^ i_Y i_X nu for a closed 2-form eta."""
     m = x.dim
-    if nu is None:
-        nu = unit_volume_form(m)
     if eta.degree != 2:
         raise ValueError("need a 2-form")
     if not exterior_derivative(eta).is_zero():
@@ -86,5 +66,5 @@ def lichnerowicz_eta(eta: TorusForm, x: TorusVectorField, y: TorusVectorField,
     # eta ^ i_Y i_X nu = eta(X, Y) nu, since eta ^ i_X nu and
     # i_Y eta ^ nu have degree m + 1 and vanish
     pair = contract(y, contract(x, eta))
-    return integrate_product(pair.coefficient(()), nu.scale_pi(pair.pi_power),
+    return integrate_product(pair.coefficient(()), unit_volume_form(m).scale_pi(pair.pi_power),
                              CoordinateCycle.full(m))

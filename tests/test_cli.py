@@ -467,7 +467,13 @@ def test_verify_deterministic_bytes(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """An --output path in a missing directory exits 2 before any work."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a job with an unwritable output was started")
+
+    for name in ("nilmanifold_ring", "torus_ring", "surface_ring"):
+        monkeypatch.setattr(cli, name, forbidden)
     out = tmp_path / "missing" / "x.json"
     assert main(["lattice", "--preset", "thurston", "--r", "6", "--output", str(out)]) == 2
     captured = capsys.readouterr()

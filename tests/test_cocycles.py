@@ -48,6 +48,7 @@ from util import (
     random_form,
     random_fraction,
     random_real_trigpoly,
+    scaled_symplectic,
 )
 
 T2 = standard_symplectic(1)
@@ -81,7 +82,7 @@ def test_hamiltonian_field_examples():
 def test_hamiltonian_field_defining_equation():
     rng = random.Random(50)
     for scales in ([1], [2], [Fraction(1, 3)]):
-        omega = standard_symplectic(1, scales)
+        omega = scaled_symplectic(scales)
         for _ in range(8):
             f = random_real_trigpoly(rng, 2)
             xf = hamiltonian_field(f, omega)
@@ -97,13 +98,13 @@ def test_hamiltonian_field_t4():
         (0, 3): TrigPoly.const(4, Fraction(2, 3)),
         (2, 3): TrigPoly.const(4, 1),
     })
-    for omega in (standard_symplectic(2, [1, 3]), coupled):
+    for omega in (scaled_symplectic([1, 3]), coupled):
         for _ in range(5):
             f = random_real_trigpoly(rng, 4, max_deg=1, n_modes=2)
             xf = hamiltonian_field(f, omega)
             df = exterior_derivative(TorusForm.function(4, f))
             assert (contract(xf, omega) + df).is_zero()
-    omega = standard_symplectic(3, [2, Fraction(5, 7), 1])
+    omega = scaled_symplectic([2, Fraction(5, 7), 1])
     for _ in range(3):
         f = random_real_trigpoly(rng, 6, max_deg=1, n_modes=2)
         xf = hamiltonian_field(f, omega)
@@ -126,7 +127,7 @@ def test_hamiltonian_field_inverse_is_memoized_per_form():
     assert hamiltonian_field(f, T2) == first
     assert hamiltonian_field(f, standard_symplectic(1)) == first
     # (1/3) dx^dy scales to the same integer matrix as T2; its inverse is 3x
-    scaled = standard_symplectic(1, [Fraction(1, 3)])
+    scaled = scaled_symplectic([Fraction(1, 3)])
     xf = hamiltonian_field(f, scaled)
     assert xf == TorusVectorField(2, [3 * c for c in first.components])
     df = exterior_derivative(TorusForm.function(2, f))
@@ -342,7 +343,6 @@ def _axis_field(rng, axis, c1, c2):
 
 def test_cocycle_condition_lichnerowicz():
     rng = random.Random(60)
-    nu = unit_volume_form(3)
     q = CoordinateCycle.circle(3, 2)
     eta = poincare_dual_form(q)
     for _ in range(4):
@@ -350,9 +350,9 @@ def test_cocycle_condition_lichnerowicz():
             exact_field_from_potential(random_form(rng, 3, 1, max_deg=1, n_terms=2))
             for _ in range(3)
         ]
-        res = cocycle_residual("lichnerowicz_q", {"cycle": q, "nu": nu}, *fields)
+        res = cocycle_residual("lichnerowicz_q", {"cycle": q}, *fields)
         assert res.is_zero()
-        res = cocycle_residual("lichnerowicz_eta", {"eta": eta, "nu": nu}, *fields)
+        res = cocycle_residual("lichnerowicz_eta", {"eta": eta}, *fields)
         assert res.is_zero()
 
 
@@ -360,7 +360,7 @@ def test_cocycles_match_formed_integrands():
     # each cocycle integral is read off mode pairs; here the integrand is
     # formed in full and integrated, on seeded inputs in dims 2 to 4
     rng = random.Random(61)
-    for omega in (T2, standard_symplectic(2, [1, Fraction(-2, 3)])):
+    for omega in (T2, scaled_symplectic([1, Fraction(-2, 3)])):
         dim, n = omega.dim, omega.dim // 2
         for _ in range(4):
             f, g = random_real_trigpoly(rng, dim), random_real_trigpoly(rng, dim)
@@ -372,26 +372,26 @@ def test_cocycles_match_formed_integrands():
             assert roger_cocycle(alpha, f, g, omega) == expect
             axes = tuple(rng.sample(range(dim), dim - 1))
             cycle = CoordinateCycle(dim, axes, {a: rng.randint(1, 3) for a in range(dim)
-                                                if a not in axes}, orientation=-1)
+                                                if a not in axes})
             df = exterior_derivative(TorusForm.function(dim, f))
             expect = integrate_over_cycle(g * wedge(df, liouville_power(omega, n - 1)), cycle)
             assert singular_cocycle(cycle, f, g, omega) == expect
     for m in (3, 4):
-        nu = TorusForm.basis(m, tuple(range(m)), Fraction(-3, 2), pi_power=-m)
+        nu = unit_volume_form(m)
         for _ in range(4):
             x = TorusVectorField(m, random_field(rng, m, max_deg=1).components, 1)
             y = random_field(rng, m, max_deg=1)
             axes = tuple(rng.sample(range(m), m - 2))
             cycle = CoordinateCycle(m, axes, {a: rng.randint(1, 3) for a in range(m)
-                                              if a not in axes}, orientation=-1)
+                                              if a not in axes})
             expect = integrate_over_cycle(contract(y, contract(x, nu)), cycle)
-            assert lichnerowicz_singular(cycle, x, y, nu) == expect
+            assert lichnerowicz_singular(cycle, x, y) == expect
             # a closed, non-constant 2-form
             beta = random_form(rng, m, 1, max_deg=1, n_terms=2)
             eta = exterior_derivative(beta) + TorusForm.basis(m, (0, 1), random_fraction(rng))
             expect = integrate_over_cycle(wedge(eta, contract(y, contract(x, nu))),
                                           CoordinateCycle.full(m))
-            assert lichnerowicz_eta(eta, x, y, nu) == expect
+            assert lichnerowicz_eta(eta, x, y) == expect
 
 
 # -- splitting maps ------------------------------------------------------------------

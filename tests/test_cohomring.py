@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from preqlat import intlinalg
 from preqlat.cealg import (
     Cochain,
     LieAlgebraPresentation,
@@ -30,6 +31,7 @@ from preqlat.combinat import degree_tuples
 from util import (
     cochain_wedge,
     dense_complex,
+    dense_matrix,
     det,
     eager_reduce_rows,
     orientation_class,
@@ -44,6 +46,11 @@ from util import (
 
 def heis_ring(r):
     return nilmanifold_ring(heisenberg_times_line(r))
+
+
+def reduction_rows(dd):
+    """A degree's reduction map as one dense row per class."""
+    return dense_matrix(dd.reduce_cols, len(dd.reps))
 
 
 def torsion_rings():
@@ -113,7 +120,7 @@ def test_heisenberg_reduce_relation(r):
     assert cls.free == (0, 0, 0, 0)
     assert cls.torsion == (1,)
     r_xp = r * xp
-    assert ring.reduce(r_xp).is_zero()
+    assert ring.reduce(r_xp) == zero_class(ring, 2)
 
 
 def test_heisenberg_reduce_kills_coboundary():
@@ -122,7 +129,7 @@ def test_heisenberg_reduce_kills_coboundary():
     zh = Cochain.basis(4, (2, 3))
     dzh = ce_differential(zh, lie)
     assert not dzh.is_zero()
-    assert ring.reduce(dzh).is_zero()
+    assert ring.reduce(dzh) == zero_class(ring, 3)
 
 
 def test_reduce_rejects_non_cocycle():
@@ -182,13 +189,13 @@ def test_reduce_kills_random_coboundaries():
             for _ in range(5):
                 c = random_cochain(rng, 4, k)
                 dc = ce_differential(c, lie)
-                assert ring.reduce(dc).is_zero()
+                assert ring.reduce(dc) == zero_class(ring, k + 1)
     for ring in torsion_rings():
         m = ring.dim
         for k in range(m):
             for _ in range(5):
                 dc = ce_differential(random_cochain(rng, m, k), ring.lie)
-                assert ring.reduce(dc).is_zero()
+                assert ring.reduce(dc) == zero_class(ring, k + 1)
 
 
 def test_rational_cochain_reduces_with_rational_coordinates():
@@ -275,7 +282,7 @@ def test_cup_well_defined_modulo_coboundaries():
         db = ce_differential(b, lie)
         closed = _random_closed(rng, ring, rng.randint(1, 2))
         w = cochain_wedge(db, closed)
-        assert ring.reduce(w).is_zero()
+        assert ring.reduce(w) == zero_class(ring, w.degree)
 
 
 # -- orientation and pairing --------------------------------------------------
@@ -360,8 +367,8 @@ def test_surface_genus2_ring():
         for j in range(2):
             expected = orientation_class(ring) if i == j else zero_class(ring, 2)
             assert ring.cup(a[i], b[j]) == expected
-            assert ring.cup(a[i], a[j]).is_zero()
-            assert ring.cup(b[i], b[j]).is_zero()
+            assert ring.cup(a[i], a[j]) == zero_class(ring, 2)
+            assert ring.cup(b[i], b[j]) == zero_class(ring, 2)
             back = ring.cup(b[j], a[i])
             assert back.free == tuple(-x for x in ring.cup(a[i], b[j]).free)
 
@@ -408,7 +415,7 @@ def test_deterministic_construction():
     for k in range(5):
         assert [c.coeffs for c in r1.data(k).free_reps] == \
                [c.coeffs for c in r2.data(k).free_reps]
-        assert r1.data(k).reduce_rows == r2.data(k).reduce_rows
+        assert r1.data(k).reduce_cols == r2.data(k).reduce_cols
 
 
 def rank_mod_p(mat, p):
@@ -504,14 +511,14 @@ def dense_reduce(ring, mats, c):
             raise ValueError("not a cocycle")
     integral = all(x.denominator == 1 for x in vec)
     free = []
-    for row in dd.reduce_rows[:dd.betti]:
+    for row in reduction_rows(dd)[:dd.betti]:
         val = sum((r * x for r, x in zip(row, vec)), Fraction(0))
         if integral:
             assert val.denominator == 1
             val = int(val)
         free.append(val)
     torsion = []
-    for row, d in zip(dd.reduce_rows[dd.betti:], dd.torsion):
+    for row, d in zip(reduction_rows(dd)[dd.betti:], dd.torsion):
         val = sum((r * x for r, x in zip(row, vec)), Fraction(0)) if integral else 0
         assert val.denominator == 1
         torsion.append(int(val) % d)
@@ -553,15 +560,17 @@ INTEGER_FORM_RINGS = {
 
 @pytest.mark.parametrize("name", sorted(INTEGER_FORM_RINGS))
 def test_degree_data_holds_plain_ints(name):
-    """Each degree holds one representative and one reduction row per class,
-    all of plain ``int``s, and the top representative is the top monomial
+    """Each degree holds one representative per class and reduction
+    columns that read only those classes, all of plain ``int``s, and the
+    top representative is the top monomial
     (a1^b1 on a surface) with coefficient 1, which orients the ring as
     it stands."""
     ring = INTEGER_FORM_RINGS[name]()
     for dd in ring.degrees:
-        assert len(dd.reps) == len(dd.reduce_rows) == dd.betti + len(dd.torsion)
+        assert len(dd.reps) == dd.betti + len(dd.torsion)
         assert all(type(x) is int for terms in dd.reps for _, x in terms)
-        assert all(type(x) is int for row in dd.reduce_rows for x in row)
+        assert all(type(x) is int and 0 <= i < len(dd.reps)
+                   for col in dd.reduce_cols for i, x in col)
     dim, top = ring.dim, ring.top_degree
     mono = tuple(range(dim)) if dim == top else (0, dim // 2)
     assert ring.data(top).reps == [[(mono, 1)]]
@@ -630,7 +639,7 @@ def test_sparse_cup_matches_dense_reference(index):
                 assert ring.cup(u, v) == dense_reduce(ring, mats, cochain_wedge(ru, rv))
 
 
-# -- reduction rows on demand ----------------------------------------------------
+# -- reduction columns on demand --------------------------------------------------
 
 LAZY_ORACLE_RINGS = {
     **ORACLE_RINGS,
@@ -640,29 +649,58 @@ LAZY_ORACLE_RINGS = {
 
 @pytest.mark.parametrize("name", sorted(LAZY_ORACLE_RINGS))
 def test_lazy_reduce_rows_match_eager_formula(name):
-    """Reduction rows built on first read, top degree first, equal the rows
-    the eager engine formed with each degree; a surface keeps its
-    installed tables."""
+    """Reduction columns built on first read, top degree first, are the
+    transposed rows the eager engine formed with each degree; a surface
+    keeps its installed tables."""
     ring = LAZY_ORACLE_RINGS[name]()
     dim = ring.dim
     if ring.lie is None:
         g = ring.betti(1) // 2
-        assert ring.data(0).reduce_rows == [[1]]
-        assert ring.data(1).reduce_rows == [[int(i == j) for j in range(dim)]
-                                            for i in range(2 * g)]
+        assert reduction_rows(ring.data(0)) == [[1]]
+        assert reduction_rows(ring.data(1)) == [[int(i == j) for j in range(dim)]
+                                                for i in range(2 * g)]
         pairs = [(i, g + i) for i in range(g)] or [(0, 1)]
-        assert ring.data(2).reduce_rows == [[int(t in pairs)
-                                             for t in degree_tuples(dim, 2)]]
-        assert all(ring.data(k).reduce_rows == [] for k in range(3, dim + 1))
+        assert reduction_rows(ring.data(2)) == [[int(t in pairs)
+                                                 for t in degree_tuples(dim, 2)]]
+        assert all(reduction_rows(ring.data(k)) == [] for k in range(3, dim + 1))
         return
     mats = dense_complex(ring.lie)
     for k in reversed(range(dim + 1)):
-        assert ring.data(k).reduce_rows == eager_reduce_rows(mats, k), k
+        assert reduction_rows(ring.data(k)) == eager_reduce_rows(mats, k), k
+
+
+def test_hermite_change_of_basis_only_where_the_basis_changes(monkeypatch):
+    """The free representatives of every degree of a torus are their own
+    Hermite basis, so building its reduction columns changes no basis: no
+    call reaches ``echelon_coords``.  A seeded 2-step presentation whose
+    free columns are not in Hermite form calls it, and its reduction
+    columns are still the transposed rows of the eager engine."""
+    def forbidden(*args):
+        raise AssertionError("echelon_coords called on a torus")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intlinalg, "echelon_coords", forbidden)
+        for m in range(1, 7):
+            ring = torus_ring(m)
+            assert all(len(dd.reduce_cols) == comb(m, dd.degree) for dd in ring.degrees)
+    calls = []
+
+    def counting(basis, cols, real=intlinalg.echelon_coords):
+        calls.append(len(cols))
+        return real(basis, cols)
+
+    monkeypatch.setattr(intlinalg, "echelon_coords", counting)
+    ring = nilmanifold_ring(two_step_presentation("hermite:6:1", 6, 2, 3, 0.7))
+    mats = dense_complex(ring.lie)
+    for k, dd in enumerate(ring.degrees):
+        assert dd.reduce_cols == sparse_columns(eager_reduce_rows(mats, k)), k
+    assert calls and any(ring.torsion(k) for k in range(7))
 
 
 def test_cohomology_job_builds_only_top_reduce_rows(monkeypatch, tmp_path):
     """A cohomology job reduces only the top monomial (the orientation
-    check): after its report, no lower degree has built reduction rows."""
+    check): after its report, no lower degree has built reduction
+    columns."""
     import json
 
     from preqlat import cli
@@ -687,7 +725,7 @@ def test_cohomology_job_builds_only_top_reduce_rows(monkeypatch, tmp_path):
         assert code == 0 and report["cohomology"]
     assert [ring.dim for ring in rings] == [4, 7]
     for ring in rings:
-        built = ["reduce_rows" in vars(dd) for dd in ring.degrees]
+        built = ["reduce_cols" in vars(dd) for dd in ring.degrees]
         assert built == [False] * ring.top_degree + [True]
 
 
@@ -708,7 +746,7 @@ def test_degree_data_matches_read_multiply_construction():
         mats = complex_matrices(ring.lie)
         for k in range(ring.dim + 1):
             dd = ring.data(k)
-            got = (dd.betti, dd.torsion, dd.reps, dd.reduce_rows)
+            got = (dd.betti, dd.torsion, dd.reps, reduction_rows(dd))
             assert got == read_multiply_degree_data(mats, ring.dim, k), (name, k)
             if dd.torsion:
                 torsion.add(name)

@@ -31,7 +31,7 @@ from preqlat.toruscalc.forms import CoordinateCycle, TorusForm, integrate_over_c
 from preqlat.toruscalc.symplectic import liouville_power
 from preqlat.toruscalc.trig import TrigPoly
 
-from util import dense_complex, pfaffian, rational_rank, sparse_columns
+from util import dense_complex, pfaffian, rational_rank, sparse_columns, zero_class
 
 
 def heis_setup(r, a, b):
@@ -123,7 +123,7 @@ def test_heisenberg_kernel_brute_force_cross_check():
     members = []
     for t in range(1, r + 1):
         alpha = ring.reduce(Cochain(4, 1, {(0,): t}))
-        if ring.cup(e, alpha).is_zero():
+        if ring.cup(e, alpha) == zero_class(ring, 3):
             members.append(t)
     assert members == [t for t in range(1, r + 1) if (t * b) % r == 0]
     assert gysin_kernel(ring, e)[0][0] == min(members)
@@ -392,7 +392,7 @@ def test_torus_engine_matches_torus_calculus(m):
 
     # the Liouville volume against the integral of omega^n / n!
     w = form(CohomClass(2, omega.free, ()))
-    volume = integrate_over_cycle(liouville_power(w), CoordinateCycle.full(m))
+    volume = integrate_over_cycle(liouville_power(w, m // 2), CoordinateCycle.full(m))
     assert volume == ExactScalar(liouville_volume(ring, omega), m)
 
     # the lattice rank against b_1 minus the rank of alpha -> alpha ^ omega

@@ -20,6 +20,12 @@ component: there the guard errs towards passing.  A name that no such
 path reaches is dead or test-only code and must go, to
 ``tests/util.py`` if tests need it, unless it is listed below with its
 reason.
+
+Every parameter with a default is passed, positionally or by keyword,
+by some call in the library or in the README's library example, so no
+knob has only one value in use.  Calls match functions by their last
+name component, and ``C(...)`` matches ``C.__init__``; there too the
+guard errs towards passing.
 """
 
 import ast
@@ -43,6 +49,12 @@ EXCEPTIONS = {
     "cohomring.DegreeData.torsion_reps":
         "the tracer's integral_cohomology hook reads it for rep_max_bits",
     "toruscalc.trig.TrigPoly.diff": "bench/tracer.py LAYERS wraps it; no library caller",
+}
+
+
+# parameters with a default that no library call passes, with the reason
+UNPASSED_DEFAULTS = {
+    "cli.main(argv)": "main is the entry point; the console script passes no argv",
 }
 
 
@@ -229,3 +241,101 @@ def test_guard_sees_a_test_only_name():
     assert "extra.helper" in reached and "cli.entry" in reached
     assert "extra_twin.helper" not in reached
     assert "extra.Box" in reached and public["extra.Box.peek"] not in reached
+
+
+
+def _defaulted(owner, node):
+    """(parameter, the position a call passes it at, or None) of each
+    parameter of a function with a default; positions skip ``self`` or
+    ``cls`` of a method."""
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    skip = 1 if owner and not static else 0
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+    return out + [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def _unpassed_defaults(modules):
+    """"module.function(param)" of every parameter with a default that no
+    call in the library or the README example passes.  An argument that
+    is a defaulted parameter of the calling function forwards it, and
+    passes a value only when that parameter is passed itself."""
+    params = {}         # key -> (call name, position, parameter)
+    calls = {}          # call name -> [(sources by position, sources by keyword)]
+
+    def visit(mod, node, owner, scope):
+        def source(arg):
+            # the key of the parameter an argument forwards, None for any
+            # other value
+            return scope.get(arg.id) if isinstance(arg, ast.Name) else None
+
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.ClassDef):
+                visit(mod, sub, sub.name, {})
+            elif isinstance(sub, ast.FunctionDef):
+                qual = f"{mod}.{owner + '.' if owner else ''}{sub.name}"
+                name = owner if owner and sub.name == "__init__" else sub.name
+                inner = {}
+                for param, index in _defaulted(owner, sub):
+                    inner[param] = f"{qual}({param})"
+                    params[inner[param]] = (name, index, param)
+                visit(mod, sub, None, inner)
+            else:
+                if isinstance(sub, ast.Call):
+                    func = sub.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    # ast.Starred marks a *args, which fills every later position
+                    args = [ast.Starred if isinstance(a, ast.Starred) else source(a)
+                            for a in sub.args]
+                    kws = {k.arg: source(k.value) for k in sub.keywords}
+                    calls.setdefault(name, []).append((args, kws))
+                visit(mod, sub, owner, scope)
+
+    for mod, tree in modules.items():
+        visit(mod, tree, None, {})
+    visit("<readme>", ast.parse(_readme_example()), None, {})
+
+    def sources(name, index, param):
+        for args, kws in calls.get(name, ()):
+            if index is not None:
+                if ast.Starred in args[:index + 1]:
+                    yield None
+                elif index < len(args):
+                    yield args[index]
+            if param in kws:
+                yield kws[param]
+            if None in kws:                 # **kwargs
+                yield None
+
+    passed, grew = set(), True
+    while grew:
+        grew = False
+        for key, (name, index, param) in params.items():
+            if key not in passed and any(s is None or s in passed
+                                         for s in sources(name, index, param)):
+                passed.add(key)
+                grew = True
+    return set(params) - passed
+
+
+def test_every_default_is_passed():
+    assert _unpassed_defaults(_modules()) == set(UNPASSED_DEFAULTS)
+
+
+def test_default_guard_sees_an_unpassed_default():
+    """A default no call passes is caught, in a function and in a
+    constructor, and so is one only forwarded from an unpassed default;
+    one passed positionally past ``self``, by keyword, through ``C(...)``
+    or forwarded from a passed default is not."""
+    modules = _modules()
+    modules["extra"] = ast.parse(
+        "def knob(a, b=1, *, c=2):\n    return a\n\n"
+        "class Box:\n    def __init__(self, x, y=0, z=0):\n        self.x = x\n\n"
+        "    def peek(self, k=1):\n        return k\n\n"
+        "def outer(a, k=1, j=2):\n    return inner(a, k, j)\n\n"
+        "def inner(a, k=1, j=2):\n    return a\n\n"
+        "def use():\n    return knob(1, c=3), Box(1, 2).peek(5), outer(1, j=3)\n")
+    assert _unpassed_defaults(modules) - set(UNPASSED_DEFAULTS) == {
+        "extra.knob(b)", "extra.Box.__init__(z)", "extra.outer(k)", "extra.inner(k)"}

@@ -29,7 +29,7 @@ EXAMPLES = {
     "TrigPoly": (lambda: TrigPoly.cos_axis(2, 1, 3, Fraction(1, 3)), True),
     "TorusForm": (lambda: TorusForm.basis(2, (0, 1), TrigPoly.sin_axis(2, 0), -2), True),
     "TorusVectorField": (lambda: TorusVectorField(2, [1, TrigPoly.cos_axis(2, 0)], 1), True),
-    "CoordinateCycle": (lambda: CoordinateCycle(3, (2,), {0: 5}, -1), False),
+    "CoordinateCycle": (lambda: CoordinateCycle(3, (2, 1), {0: 5}), False),
 }
 
 

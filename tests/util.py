@@ -139,7 +139,7 @@ def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> f
     axes = sorted(cycle.axes)
     if form.degree != len(axes):
         raise ValueError("degree mismatch")
-    sign = sort_sign(cycle.axes) * cycle.orientation
+    sign = sort_sign(cycle.axes)
     poly = form.coeffs.get(tuple(axes))
     if poly is None:
         return 0.0
@@ -869,6 +869,12 @@ def ring_from_preset(preset_id, **params):
     if preset_id == "surface":
         return surface_ring(params["g"])
     raise ValueError(f"unknown preset {preset_id!r}")
+
+
+def scaled_symplectic(scales):
+    """sum_i c_i dx_{2i} ^ dx_{2i+1} on the 2n-torus, n = len(scales): the
+    standard symplectic form with one scale per coordinate plane."""
+    return TorusForm(2 * len(scales), 2, {(2 * i, 2 * i + 1): c for i, c in enumerate(scales)})
 
 
 def mean_against_volume(f: TrigPoly, omega: TorusForm) -> Fraction:
