@@ -138,7 +138,7 @@ def _preset_flags(p):
 
 MAX_DIGITS = 30     # in the numerator or the denominator of a rational input
 MAX_DENSE_CELLS = 52_920    # rows x columns of the largest d_k: C(10,4)·C(10,5), at dim 10
-MAX_TRIALS = 10_000         # per verify job: about 6 min at 34 ms per all-suite trial
+MAX_TRIALS = 10_000         # per verify job: about 1.5 min at 9 ms per all-suite trial
 MAX_CANDIDATES = 100_000    # per lattice job, one Gysin kernel each: about 13 s, 17 MB of JSON
 
 # The largest dim within MAX_DENSE_CELLS (10: a dim-11 complex does not

@@ -11,14 +11,16 @@ cycle cocycle on invariant functions.
 The preset's fixed forms and fields (theta, d(theta), mu, the Reeb and
 transverse fields) are built on first use and then shared by every call,
 so callers must not change them.  A strict contact field takes one
-``product_sum`` per component.  The cycle integrals are read off mode
-pairs without forming the integrand.
+``product_sum`` per component and is kept in a bounded cache keyed by
+its Hamiltonian, so the bracket and the pullback residual of one input
+share it.  The cycle integrals are read off mode pairs without forming
+the integrand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from ..exact import ExactScalar
 from .forms import (
@@ -86,8 +88,10 @@ def is_reeb_invariant(f: TrigPoly) -> bool:
     return reeb_field().apply(f).is_zero()
 
 
+@lru_cache(maxsize=64)
 def contact_field(f: TrigPoly) -> TorusVectorField:
-    """The strict contact field of an invariant Hamiltonian.
+    """The strict contact field of an invariant Hamiltonian, built once
+    per recent f and shared.
 
     zeta_f = f E + (df/dz) V - V(f) d/dz  satisfies i_zeta theta = f and
     i_zeta d(theta) = -df exactly.

@@ -13,6 +13,7 @@ X(f), [X, Y], d, i_X and the wedge build each output coefficient with one
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .. import Value
 from ..combinat import merge_tuples, remove_index, sort_sign
@@ -186,8 +187,10 @@ class TorusVectorField(Value):
         return product_sum(self.dim, ((c, f, axis, 1) for axis, c in enumerate(self.components)))
 
 
+@lru_cache(maxsize=64)
 def vf_bracket(x: TorusVectorField, y: TorusVectorField) -> TorusVectorField:
-    """Lie bracket [X, Y]^k = X(Y^k) - Y(X^k)."""
+    """Lie bracket [X, Y]^k = X(Y^k) - Y(X^k); built once per recent pair
+    and shared."""
     if x.dim != y.dim:
         raise ValueError("fields live on different tori")
     dim = x.dim
@@ -210,6 +213,12 @@ def exterior_derivative(f: TorusForm) -> TorusForm:
                 new_idx, sign = merge_tuples((axis,), idx)
                 terms.setdefault(new_idx, []).append((one, poly, axis, sign))
     return _form_of_terms(f.dim, f.degree + 1, terms, f.pi_power)
+
+
+@lru_cache(maxsize=64)
+def is_closed(f: TorusForm) -> bool:
+    """d f = 0, checked once per recent form."""
+    return exterior_derivative(f).is_zero()
 
 
 def wedge(f: TorusForm, g: TorusForm) -> TorusForm:

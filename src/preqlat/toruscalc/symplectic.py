@@ -8,8 +8,12 @@ inverting the constant coefficient matrix, so every identity downstream
 factored once: its Hamiltonian operator (the scaled inverse, as constant
 polynomials) and its Liouville powers are built on first use and shared
 by every later call with an equal form.  X_f takes one ``product_sum``
-per component and {f, g} = omega(X_f, X_g) = X_f(g) one more.  The
-cocycles are integrals of f * form, read off mode pairs unformed.
+per component and {f, g} = omega(X_f, X_g) = X_f(g) one more; both are
+kept in bounded caches keyed by their immutable arguments, so the
+cocycle kinds of one trial, which bracket the same inputs, build each
+field and bracket once.  The integral cocycles are integrals of
+f * form, read off mode pairs unformed; the point cocycle is read off
+the gradients at the point, with no field or bracket formed.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .forms import (
     contract,
     exterior_derivative,
     integrate_product,
+    is_closed,
     wedge,
 )
 from .trig import TrigPoly, product_sum
@@ -76,14 +81,18 @@ def _hamiltonian_operator(omega: TorusForm):
                  for row in inv)
 
 
+@lru_cache(maxsize=64)
 def hamiltonian_field(f: TrigPoly, omega: TorusForm) -> TorusVectorField:
-    """The field X_f with i_{X_f} omega = -df, via the constant inverse."""
+    """The field X_f with i_{X_f} omega = -df, via the constant inverse;
+    built once per recent (f, form) and shared."""
     dim, op = omega.dim, _hamiltonian_operator(omega)
     return TorusVectorField(dim, [product_sum(dim, ((c, f, k, 1) for c, k in row)) for row in op])
 
 
+@lru_cache(maxsize=64)
 def poisson_bracket(f: TrigPoly, g: TrigPoly, omega: TorusForm) -> TrigPoly:
-    """{f, g} = omega(X_f, X_g) = dg(X_f) = X_f(g), since i_{X_g} omega = -dg."""
+    """{f, g} = omega(X_f, X_g) = dg(X_f) = X_f(g), since i_{X_g} omega = -dg;
+    built once per recent (f, g, form) and shared."""
     return hamiltonian_field(f, omega).apply(g)
 
 
@@ -91,9 +100,28 @@ def ks_cocycle(f, g, omega, point):
     """{f, g} at the point (q_1*pi/2, ..., q_m*pi/2), as an exact Fraction.
 
     The entries q_i of ``point`` must be integers (quarter turns); the
-    bracket of real inputs is real there.
+    bracket of real inputs is real there.  Evaluation at the point is
+    multiplicative, so {f, g} = sum_j X_f^j d_j g is read off the
+    gradients of f and g there: X_f^j(x0) = sum c * d_k f(x0) over row j
+    of the Hamiltonian operator.  No field or bracket is formed.
     """
-    re, im = poisson_bracket(f, g, omega).eval_quarter(point)
+    op, dim = _hamiltonian_operator(omega), omega.dim
+    if f.dim != dim or g.dim != dim:
+        raise ValueError("polynomials live on different tori")
+    # every axis is evaluated, so the point is checked even for a constant f
+    df = [f.diff(k).eval_quarter(point) for k in range(dim)]
+    re = im = Fraction(0)
+    for j, row in enumerate(op):
+        # the operator's constants are real
+        xr = xi = Fraction(0)
+        for c, k in row:
+            scale = c.mean()[0]
+            xr += scale * df[k][0]
+            xi += scale * df[k][1]
+        if xr or xi:
+            gr, gi = g.diff(j).eval_quarter(point)
+            re += xr * gr - xi * gi
+            im += xr * gi + xi * gr
     if im:
         raise ValueError("bracket of non-real inputs at this point")
     return re
@@ -113,7 +141,7 @@ def roger_cocycle(alpha: TorusForm, f: TrigPoly, g: TrigPoly, omega: TorusForm) 
     """integral of  f * alpha(X_g) * omega^n/n!  for a closed 1-form."""
     if alpha.degree != 1:
         raise ValueError("need a 1-form")
-    if not exterior_derivative(alpha).is_zero():
+    if not is_closed(alpha):
         raise ValueError("1-form is not closed")
     dim = omega.dim
     n = dim // 2

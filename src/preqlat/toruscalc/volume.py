@@ -18,6 +18,7 @@ from .forms import (
     exterior_derivative,
     integrate_contraction,
     integrate_product,
+    is_closed,
 )
 
 
@@ -61,7 +62,7 @@ def lichnerowicz_eta(eta: TorusForm, x: TorusVectorField, y: TorusVectorField) -
     m = x.dim
     if eta.degree != 2:
         raise ValueError("need a 2-form")
-    if not exterior_derivative(eta).is_zero():
+    if not is_closed(eta):
         raise ValueError("2-form is not closed")
     # eta ^ i_Y i_X nu = eta(X, Y) nu, since eta ^ i_X nu and
     # i_Y eta ^ nu have degree m + 1 and vanish

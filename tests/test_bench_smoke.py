@@ -49,14 +49,15 @@ def traced_layers(tmp_path, argvs):
 def test_traced_pass_reaches_every_layer(tmp_path):
     """One traced pass of three small jobs: the tracer finds every layer
     it wraps (a renamed library function fails here) and the trig, cealg
-    and cocycle counters move."""
+    and cocycle counters move; the point cocycle keeps ``TrigPoly.diff``
+    reached."""
     layers = traced_layers(tmp_path, [
         ["verify", "--suite", "cocycles", "--trials", "1"],
         ["lattice", "--preset", "thurston", "--r", "2"],
         ["cohomology", "--preset", "torus", "--m", "4"],
     ])
     for name in ("toruscalc.trig.mul_mode_pairs", "cealg.complex_matrices_calls",
-                 "toruscalc.residuals.ks_calls"):
+                 "toruscalc.residuals.ks_calls", "toruscalc.trig.diff_calls"):
         assert layers[name] > 0, name
 
 

@@ -2,12 +2,14 @@
 symplectic and volume presets: exact values, exact cocycle conditions,
 and the duality between cycle and form pictures."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from preqlat.exact import ExactScalar
+from preqlat.toruscalc.contact import contact_field
 from preqlat.toruscalc.forms import (
     CoordinateCycle,
     TorusForm,
@@ -43,6 +45,7 @@ from util import (
     is_exact_field,
     kappa_rho,
     mean_against_volume,
+    oracle_ks_cocycle,
     random_closed_oneform,
     random_field,
     random_form,
@@ -158,6 +161,92 @@ def test_ks_antisymmetry_and_float_mode():
         ks_cocycle(f, g, T2, (0.0, 0.0))
     with pytest.raises(ValueError):
         ks_cocycle(f, g, T2, (0.5, 0))
+
+
+def _value_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_ks_cocycle_matches_bracket_at_every_quarter_point():
+    """The gradient formula equals the formed bracket evaluated at the
+    point, on seeded real polynomials and scaled forms, at every quarter
+    point of the 2- and 4-torus; a non-real input raises as the formed
+    bracket does."""
+    rng = random.Random(24)
+    for scales in ([1], [Fraction(-2, 3)], [1, Fraction(1, 2)], [Fraction(3, 5), -2]):
+        omega = scaled_symplectic(scales)
+        dim = omega.dim
+        pairs = [(random_real_trigpoly(rng, dim, n_modes=2),
+                  random_real_trigpoly(rng, dim, n_modes=2)) for _ in range(3)]
+        pairs.append((TrigPoly.const(dim, 2), pairs[0][1]))
+        for f, g in pairs:
+            for point in itertools.product(range(4), repeat=dim):
+                got = ks_cocycle(f, g, omega, point)
+                assert got == oracle_ks_cocycle(f, g, omega, point)
+                assert type(got) is Fraction
+    # i exp(ix), i exp(iy) and (1 + i) cos(x + y): not real
+    complex_polys = [TrigPoly(2, {(1, 0): (0, 1)}), TrigPoly(2, {(0, 1): (0, 1)}),
+                     TrigPoly(2, {(1, 1): (1, 1), (-1, -1): (1, 1)}, 2)]
+    seen = set()
+    for f, g in itertools.product(complex_polys + [TrigPoly.sin_axis(2, 1)], repeat=2):
+        for point in itertools.product(range(4), repeat=2):
+            got = _value_or_message(ks_cocycle, f, g, T2, point)
+            assert got == _value_or_message(oracle_ks_cocycle, f, g, T2, point)
+            seen.add(got if isinstance(got, str) else type(got))
+    assert seen == {Fraction, "bracket of non-real inputs at this point"}
+
+
+def test_ks_checks_the_point_and_tori_before_any_work():
+    """A constant or zero f gives no gradient to evaluate, yet the point
+    and the tori are still checked, with the formed bracket's messages."""
+    g = TrigPoly.sin_axis(2, 1)
+    for f in (TrigPoly.const(2, 3), TrigPoly.zero(2)):
+        assert ks_cocycle(f, g, T2, (1, 2)) == 0
+        with pytest.raises(ValueError, match="point has wrong dimension"):
+            ks_cocycle(f, g, T2, (0, 0, 0))
+        with pytest.raises(ValueError, match="point has wrong dimension"):
+            ks_cocycle(f, g, T2, (0,))
+        with pytest.raises(ValueError, match="quarter turns must be integers"):
+            ks_cocycle(f, g, T2, (0, 0.5))
+        with pytest.raises(ValueError, match="quarter turns must be integers"):
+            ks_cocycle(f, g, T2, (Fraction(1), 0))
+    with pytest.raises(ValueError, match="different tori"):
+        ks_cocycle(TrigPoly.const(4, 1), g, T2, (0, 0))
+    with pytest.raises(ValueError, match="different tori"):
+        ks_cocycle(g, TrigPoly.const(4, 1), T2, (0, 0))
+
+
+def test_cached_functions_raise_on_every_call():
+    """Exceptions are not cached: a degenerate form, a non-closed form and a
+    non-invariant Hamiltonian raise on every call, with good calls in
+    between."""
+    f, g = TrigPoly.sin_axis(2, 0), TrigPoly.cos_axis(2, 1)
+    degenerate = (TorusForm(2, 2, {(0, 1): TrigPoly.const(2, 0)}),
+                  TorusForm.basis(4, (0, 1)))
+    for bad in degenerate:
+        dim = bad.dim
+        fb, gb = TrigPoly.sin_axis(dim, 0), TrigPoly.cos_axis(dim, 1)
+        for _ in range(2):
+            for call in (lambda: hamiltonian_field(fb, bad),
+                         lambda: poisson_bracket(fb, gb, bad),
+                         lambda: ks_cocycle(fb, gb, bad, (0,) * dim)):
+                with pytest.raises(ValueError, match="degenerate symplectic form"):
+                    call()
+            assert ks_cocycle(f, g, T2, (0, 0)) == oracle_ks_cocycle(f, g, T2, (0, 0))
+    open_form = TorusForm(2, 1, {(0,): TrigPoly.sin_axis(2, 1)})
+    closed = TorusForm.basis(2, (0,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not closed"):
+            roger_cocycle(open_form, f, g, T2)
+        roger_cocycle(closed, f, g, T2)
+    non_invariant = TrigPoly.cos_axis(3, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not Reeb-invariant"):
+            contact_field(non_invariant)
+        contact_field(TrigPoly.cos_axis(3, 2))
 
 
 def test_jacobi_identity_exact():

@@ -21,7 +21,14 @@ from fractions import Fraction
 import pytest
 
 from preqlat.toruscalc.contact import contact_field
-from preqlat.toruscalc.forms import TorusForm, TorusVectorField, contract, vf_bracket, wedge
+from preqlat.toruscalc.forms import (
+    TorusForm,
+    TorusVectorField,
+    contract,
+    is_closed,
+    vf_bracket,
+    wedge,
+)
 from preqlat.toruscalc.symplectic import hamiltonian_field, poisson_bracket, standard_symplectic
 from preqlat.toruscalc.trig import TrigPoly, product_sum
 
@@ -45,9 +52,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # TrigPoly constructions of one in-process `verify --suite all --trials 2
 # --seed 1`: 3130 before the kernel went in, 1335 with it, and 1284 once
 # TorusForm.coefficient and TorusForm.__add__ stopped building a zero
-# polynomial as the default of every lookup, and 1274 once the unit
-# volume form was built once per dimension.
-VERIFY_ALL_CONSTRUCTIONS = 1274
+# polynomial as the default of every lookup, 1274 once the unit volume
+# form was built once per dimension, and 1128 once Hamiltonian and
+# contact fields, Poisson and vector-field brackets and closedness checks
+# were cached per argument and the point cocycle stopped forming brackets.
+VERIFY_ALL_CONSTRUCTIONS = 1128
 
 
 def outcome(fn, *args):
@@ -157,6 +166,28 @@ def test_contact_field_matches_the_loop_form():
         f = oracle_mul(f, TrigPoly.const(3, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
         assert_same(contact_field, oracle_contact_field, f)
     assert_same(contact_field, oracle_contact_field, TrigPoly.cos_axis(3, 0))
+
+
+def test_cached_functions_equal_their_bodies():
+    """Each function kept in a cache returns what its uncached body builds,
+    and a repeated call returns the shared result."""
+    rng = random.Random(1606)
+    for trial in range(20):
+        omega = OMEGAS[trial % len(OMEGAS)]
+        dim = omega.dim
+        f, g = random_poly(rng, dim), random_poly(rng, dim)
+        x, y = random_vfield(rng, dim), random_vfield(rng, dim, pi_power=rng.randint(-2, 2))
+        form = random_form(rng, dim, rng.randint(0, dim - 1), max_deg=2, n_terms=2)
+        exact = TorusForm(dim, 1, {(k,): f.diff(k) for k in range(dim)})
+        h = oracle_mul(random_invariant(rng, max_deg=3), TrigPoly.const(3, Fraction(1, trial + 1)))
+        cases = [(hamiltonian_field, (f, omega)), (poisson_bracket, (f, g, omega)),
+                 (vf_bracket, (x, y)), (contact_field, (h,)), (is_closed, (form,)),
+                 (is_closed, (exact,))]
+        for fn, args in cases:
+            first = fn(*args)
+            assert first == fn.__wrapped__(*args), fn.__name__
+            assert fn(*args) is first, fn.__name__
+        assert is_closed(exact)
 
 
 def test_mismatched_dimensions_raise_the_loop_forms_messages():

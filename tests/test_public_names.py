@@ -48,7 +48,6 @@ EXCEPTIONS = {
     "intlinalg.SmithDecomposition.v": "bench/tracer.py's Smith hook reads it",
     "cohomring.DegreeData.torsion_reps":
         "the tracer's integral_cohomology hook reads it for rep_max_bits",
-    "toruscalc.trig.TrigPoly.diff": "bench/tracer.py LAYERS wraps it; no library caller",
 }
 
 

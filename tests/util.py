@@ -46,7 +46,7 @@ from preqlat.toruscalc.forms import (
     integrate_product,
     lie_derivative,
 )
-from preqlat.toruscalc.symplectic import liouville_power
+from preqlat.toruscalc.symplectic import liouville_power, poisson_bracket
 from preqlat.toruscalc.trig import TrigPoly
 from preqlat.toruscalc.volume import exact_field_from_potential, unit_volume_form
 
@@ -281,6 +281,15 @@ def oracle_poisson_bracket(f: TrigPoly, g: TrigPoly, omega: TorusForm) -> TrigPo
     xf = oracle_hamiltonian_field(f, omega)
     xg = oracle_hamiltonian_field(g, omega)
     return oracle_contract(xg, oracle_contract(xf, omega)).as_function()
+
+
+def oracle_ks_cocycle(f: TrigPoly, g: TrigPoly, omega: TorusForm, point) -> Fraction:
+    """{f, g} at the quarter point, by forming the bracket polynomial and
+    evaluating it there."""
+    re, im = poisson_bracket(f, g, omega).eval_quarter(point)
+    if im:
+        raise ValueError("bracket of non-real inputs at this point")
+    return re
 
 
 def oracle_contact_field(f: TrigPoly) -> TorusVectorField:
@@ -913,14 +922,13 @@ def strict_contact_residual(x: TorusVectorField) -> TorusForm:
     return lie_derivative(x, contact_form())
 
 
-def infinitesimal_flux(x: TorusVectorField, nu: TorusForm | None = None):
-    """Coordinates of the class of i_X nu in the coordinate basis of
-    degree m-1: the constant mode of each coefficient, as exact scalars.
-    Zero exactly when the field has a potential."""
+def infinitesimal_flux(x: TorusVectorField):
+    """Coordinates of the class of i_X nu, for the unit volume form nu, in
+    the coordinate basis of degree m-1: the constant mode of each
+    coefficient, as exact scalars.  Zero exactly when the field has a
+    potential."""
     m = x.dim
-    if nu is None:
-        nu = unit_volume_form(m)
-    form = contract(x, nu)
+    form = contract(x, unit_volume_form(m))
     out = {}
     for idx in degree_tuples(m, m - 1):
         re, im = form.coefficient(idx).mean()
@@ -930,5 +938,5 @@ def infinitesimal_flux(x: TorusVectorField, nu: TorusForm | None = None):
     return out
 
 
-def is_exact_field(x: TorusVectorField, nu: TorusForm | None = None) -> bool:
-    return all(v.is_zero() for v in infinitesimal_flux(x, nu).values())
+def is_exact_field(x: TorusVectorField) -> bool:
+    return all(v.is_zero() for v in infinitesimal_flux(x).values())
