@@ -23,8 +23,9 @@ Jobs over the size limits exit 2 before anything is built: a torus or a
 presentation of dimension over 10, whose largest d_k would have more
 rows times columns than ``MAX_DENSE_CELLS`` = C(10,4)·C(10,5); a surface
 with C(2g, 2) over that number; a verify job of more than ``MAX_TRIALS``
-trials; a thurston lattice job of more than ``MAX_CANDIDATES`` Euler
-candidates.  So does a job whose ``--output`` names a missing directory.
+trials, or one that names a suite twice; a thurston lattice job of more
+than ``MAX_CANDIDATES`` Euler candidates.  So does a job whose
+``--output`` names a missing directory.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _preset_flags(p):
 
 MAX_DIGITS = 30     # in the numerator or the denominator of a rational input
 MAX_DENSE_CELLS = 52_920    # rows x columns of the largest d_k: C(10,4)·C(10,5), at dim 10
-MAX_TRIALS = 10_000         # per verify job: about 1.5 min at 9 ms per all-suite trial
+MAX_TRIALS = 10_000         # per verify job: about 1 min at 6 ms per all-suite trial
 MAX_CANDIDATES = 100_000    # per lattice job, one Gysin kernel each: about 13 s, 17 MB of JSON
 
 # The largest dim within MAX_DENSE_CELLS (10: a dim-11 complex does not
@@ -205,9 +206,11 @@ def parse_job(argv) -> JobDescriptor:
         if job.trials > MAX_TRIALS:
             raise InputError(f"--trials must be <= {MAX_TRIALS} (MAX_TRIALS)")
         known = set(SUITE_NAMES) | {"all"}
-        for s in job.suites:
+        for i, s in enumerate(job.suites):
             if s not in known:
                 raise InputError(f"unknown suite {s!r}")
+            if s in job.suites[:i]:     # each naming would run the suite again
+                raise InputError(f"suite {s!r} is named twice")
     return job
 
 

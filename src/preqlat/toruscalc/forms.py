@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import lt
 
 from .. import Value
 from ..combinat import merge_tuples, remove_index, sort_sign
@@ -32,13 +33,13 @@ class TorusForm(Value):
             idx = tuple(idx)
             if len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-            if list(idx) != sorted(set(idx)):
+            if not all(map(lt, idx, idx[1:])):
                 raise ValueError(f"index tuple {idx} must be strictly increasing")
-            if any(not 0 <= i < dim for i in idx):
+            if idx and (idx[0] < 0 or idx[-1] >= dim):
                 raise ValueError(f"index {idx} out of range")
             if not isinstance(poly, TrigPoly):
                 poly = TrigPoly.const(dim, poly)
-            if not poly.is_zero():
+            if poly.modes:
                 clean[idx] = poly
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "pi_power", pi_power if clean else 0)

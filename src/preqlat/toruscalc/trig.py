@@ -15,13 +15,15 @@ pairs of Fractions; no other module reads the numerators or den.
 
 ``product_sum`` is the one convolution loop: it sums sign * p * d_axis(q)
 over its terms into one polynomial; ``p * q`` is its one-term case.
+``eval_quarter`` reads a value at a quarter point in one pass over the
+modes, each turned by the power of i of its phase k.q mod 4.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .. import Value
 
@@ -238,7 +240,14 @@ class TrigPoly(Value):
         """Exact value at the point (q_1*pi/2, ..., q_m*pi/2)."""
         if len(quarters) != self.dim:
             raise ValueError("point has wrong dimension")
-        return self.slice_mean((), dict(enumerate(quarters)))
+        if not all(isinstance(q, int) for q in quarters):
+            raise ValueError("quarter turns must be integers")
+        re = im = 0
+        for k, (a, b) in self.modes.items():
+            c, s = _I_POWERS[sum(map(mul, k, quarters)) % 4]
+            re += c * a - s * b
+            im += c * b + s * a
+        return Fraction(re, self.den), Fraction(im, self.den)
 
 
 def product_sum(dim, terms) -> TrigPoly:

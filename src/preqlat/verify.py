@@ -5,6 +5,10 @@ so reports are reproducible for a fixed seed; failures carry the exact
 inputs that produced them.  The suites are the runtime counterpart of
 the test suite: every identity is checked as an exact zero, never within
 a tolerance.
+
+A random input polynomial is built once from its draws: every amplitude
+is drawn in twelfths, and its numerators are summed per mode over the
+denominator 24, so an input is one ``TrigPoly``, not one sum per term.
 """
 
 from __future__ import annotations
@@ -99,29 +103,43 @@ def field_repr(x: TorusVectorField) -> str:
     return f"(2pi^{x.pi_power})[" + ", ".join(poly_repr(c) for c in x.components) + "]"
 
 
+def _rand_twelfths(rng):
+    """12 * p/q for random p in [-4, 4] and q in [1, 3], drawn in that order."""
+    return rng.randint(-4, 4) * (12 // rng.randint(1, 3))
+
+
 def _rand_fraction(rng):
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Fraction(_rand_twelfths(rng), 12)
+
+
+def _add_wave(modes, k, a, b):
+    """Add (a cos(k.x) + b sin(k.x))/12 to numerators over 24: modes k and
+    -k gain a - b*i and a + b*i."""
+    for key, im in ((k, -b), (tuple(-x for x in k), b)):
+        re0, im0 = modes.get(key, (0, 0))
+        modes[key] = (re0 + a, im0 + im)
 
 
 def _rand_poly(rng, dim, max_deg=2, n_modes=2):
-    f = TrigPoly.const(dim, _rand_fraction(rng))
+    """A constant plus n_modes random waves a cos(k.x) + b sin(k.x)."""
+    modes = {(0,) * dim: (2 * _rand_twelfths(rng), 0)}
     for _ in range(n_modes):
         k = [rng.randint(-max_deg, max_deg) for _ in range(dim)]
         if not any(k):
             k[rng.randrange(dim)] = 1
-        f = f + TrigPoly.cosine(dim, k, _rand_fraction(rng))
-        f = f + TrigPoly.sine(dim, k, _rand_fraction(rng))
-    return f
+        _add_wave(modes, tuple(k), _rand_twelfths(rng), _rand_twelfths(rng))
+    return TrigPoly(dim, modes, 24)
 
 
 def _rand_invariant(rng, max_deg=6):
-    f = TrigPoly.const(3, _rand_fraction(rng))
+    """A constant plus each of cos(jz) and sin(jz), j = 1..max_deg, with a
+    random amplitude and probability 1/2, on the 3-torus."""
+    modes = {(0, 0, 0): (2 * _rand_twelfths(rng), 0)}
     for j in range(1, max_deg + 1):
-        if rng.random() < 0.5:
-            f = f + TrigPoly.cos_axis(3, 2, j, _rand_fraction(rng))
-        if rng.random() < 0.5:
-            f = f + TrigPoly.sin_axis(3, 2, j, _rand_fraction(rng))
-    return f
+        a = _rand_twelfths(rng) if rng.random() < 0.5 else 0
+        b = _rand_twelfths(rng) if rng.random() < 0.5 else 0
+        _add_wave(modes, (0, 0, j), a, b)
+    return TrigPoly(3, modes, 24)
 
 
 def _rand_form(rng, dim, degree, max_deg=1, n_terms=2):

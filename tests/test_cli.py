@@ -776,6 +776,30 @@ def test_suite_descriptor_needs_suites_listed(suites, tmp_path, capsys):
     assert parse_job(["verify", "--input", str(path)]).suites == ["all"]
 
 
+def test_verify_suite_named_twice_on_the_command_line(capsys):
+    """A suite named twice exits 2 and names the repeat, where it once ran
+    once per naming, past MAX_TRIALS in all."""
+    argv = ["verify", "--suite", "cocycles", "--suite", "jacobi", "--suite", "cocycles",
+            "--trials", "1"]
+    with pytest.raises(InputError, match="suite 'cocycles' is named twice"):
+        parse_job(argv)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: suite 'cocycles' is named twice\n")
+    assert parse_job(["verify", "--suite", "cocycles", "--suite", "jacobi"]).suites == [
+        "cocycles", "jacobi"]
+
+
+def test_verify_suite_named_twice_in_a_descriptor(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"suites": ["jacobi", "jacobi"], "trials": 1}))
+    with pytest.raises(InputError, match="suite 'jacobi' is named twice"):
+        parse_job(["verify", "--input", str(path)])
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: suite 'jacobi' is named twice\n")
+    # the flags replace the descriptor's list, so they can name it once
+    assert parse_job(["verify", "--input", str(path), "--suite", "jacobi"]).suites == ["jacobi"]
+
+
 @pytest.mark.parametrize("argv, what", [
     (["cohomology", "--input"], "presentation"),
     (["verify", "--input"], "suite descriptor"),

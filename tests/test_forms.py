@@ -223,6 +223,32 @@ def test_stokes_on_cycles():
         assert integrate_over_cycle(df, cycle).is_zero()
 
 
+@pytest.mark.parametrize("dim, degree, idx, msg", [
+    (3, 2, (0,), "index tuple (0,) has wrong length for degree 2"),
+    (3, 2, (0, 1, 2), "index tuple (0, 1, 2) has wrong length for degree 2"),
+    (3, 2, (1, 1), "index tuple (1, 1) must be strictly increasing"),
+    (3, 3, (0, 2, 1), "index tuple (0, 2, 1) must be strictly increasing"),
+    (3, 2, (2, 0), "index tuple (2, 0) must be strictly increasing"),
+    (3, 2, (-1, 1), "index (-1, 1) out of range"),
+    (3, 1, (-2,), "index (-2,) out of range"),
+    (3, 2, (1, 3), "index (1, 3) out of range"),
+    (3, 3, (0, 1, 7), "index (0, 1, 7) out of range"),
+    # the length is checked first, then the order, then the range
+    (3, 1, (5, 5), "index tuple (5, 5) has wrong length for degree 1"),
+    (3, 2, (4, 4), "index tuple (4, 4) must be strictly increasing"),
+    (3, 2, (3, -1), "index tuple (3, -1) must be strictly increasing"),
+], ids=["short", "long", "repeated", "unsorted", "decreasing", "negative",
+        "negative-single", "too-large", "too-large-last", "length-first", "order-first",
+        "order-before-range"])
+def test_form_index_checks(dim, degree, idx, msg):
+    """Each coefficient index is a strictly increasing tuple of degree
+    many axes in range(dim); the zero coefficient is checked too."""
+    for poly in (TrigPoly.cos_axis(dim, 0), TrigPoly.zero(dim), 1):
+        with pytest.raises(ValueError) as info:
+            TorusForm(dim, degree, {idx: poly})
+        assert str(info.value) == msg
+
+
 def test_cycle_offsets_must_be_integers():
     # 0.5 quarter turns (pi/4) cannot restrict exactly, and no offset is coerced
     for bad in (0.5, "3", Fraction(1), 1.0):

@@ -55,8 +55,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # polynomial as the default of every lookup, 1274 once the unit volume
 # form was built once per dimension, and 1128 once Hamiltonian and
 # contact fields, Poisson and vector-field brackets and closedness checks
-# were cached per argument and the point cocycle stopped forming brackets.
-VERIFY_ALL_CONSTRUCTIONS = 1128
+# were cached per argument and the point cocycle stopped forming brackets,
+# and 768 once each random polynomial, invariant and form coefficient was
+# built as one polynomial instead of one sum per drawn term.
+VERIFY_ALL_CONSTRUCTIONS = 768
 
 
 def outcome(fn, *args):

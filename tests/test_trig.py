@@ -1,6 +1,7 @@
 """Exact trigonometric polynomial arithmetic."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -100,6 +101,53 @@ def test_quarter_evaluation_matches_float():
         re, im = f.eval_quarter(q)
         approx = eval_float(f, [x * math.pi / 2 for x in q])
         assert cmath.isclose(complex(float(re), float(im)), approx, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _seeded_polys(rng, dim):
+    """Real polynomials from the test generator, the zero and a constant,
+    and polynomials with arbitrary (not conjugate-symmetric) modes over
+    rational denominators."""
+    polys = [TrigPoly.zero(dim), TrigPoly.const(dim, Fraction(-7, 3))]
+    for _ in range(6):
+        polys.append(random_real_trigpoly(rng, dim, max_deg=3, n_modes=3))
+        modes = {tuple(rng.randint(-5, 5) for _ in range(dim)):
+                 (rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(5)}
+        polys.append(TrigPoly(dim, modes, rng.randint(1, 12)))
+    return polys
+
+
+def test_quarter_evaluation_matches_slice_mean():
+    """eval_quarter(q) is the slice mean over no axes with every
+    coordinate frozen at q, at every quarter point of T^1-T^3 and at
+    turns outside 0-3."""
+    rng = random.Random(57)
+    for dim in (1, 2, 3):
+        points = list(itertools.product(range(4), repeat=dim))
+        points += [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(4)]
+        for f in _seeded_polys(rng, dim):
+            for q in points:
+                assert f.eval_quarter(q) == f.slice_mean((), dict(enumerate(q)))
+                assert f.eval_quarter(list(q)) == f.eval_quarter(q)
+
+
+@pytest.mark.parametrize("point, msg", [
+    ((0, 0, 0), "point has wrong dimension"),
+    ((0,), "point has wrong dimension"),
+    ((0.5,), "point has wrong dimension"),
+    ((0.5, 0, 1.0), "point has wrong dimension"),
+    ((0.5, 0), "quarter turns must be integers"),
+    ((1, 0.5), "quarter turns must be integers"),
+    ((1.0, 0), "quarter turns must be integers"),
+    ((0, 1.0), "quarter turns must be integers"),
+], ids=["long", "short", "short-half", "long-half", "half", "half-last", "float",
+        "float-last"])
+def test_quarter_evaluation_checks_the_point_first(point, msg):
+    """The length is checked before the turns, and both before any mode is
+    read, so the zero polynomial raises as well."""
+    for f in _seeded_polys(random.Random(3), 2):
+        with pytest.raises(ValueError) as info:
+            f.eval_quarter(point)
+        assert str(info.value) == msg
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
-"""Shared generators, float evaluation, the float-grid quadrature oracle,
-the loop-form torus calculus oracles, the dense and sparse matrix forms,
+"""Shared generators, the add-chain oracles of the verify input builders,
+float evaluation, the float-grid quadrature oracle, the loop-form torus
+calculus oracles, the dense and sparse matrix forms,
 the full-scan Smith normal form oracle, the dense column Hermite normal
 form oracle, the eager reduction-row oracle, the Bareiss determinant, the
 Pfaffian, the rational rank, the Fraction validation oracle, and the
@@ -107,6 +108,50 @@ def random_exact_field(rng, dim, max_deg=1):
     """Field with a potential: build one from a random (m-2)-form."""
     alpha = random_form(rng, dim, dim - 2, max_deg=max_deg, n_terms=2)
     return exact_field_from_potential(alpha)
+
+
+# -- the verify input builders as add chains ------------------------------------
+# Each adds one normalized term at a time, in the order of its draws; the
+# builders of ``preqlat.verify`` must give equal inputs from the same draws
+# and leave the generator in the same state.
+
+def oracle_rand_poly(rng, dim, max_deg, n_modes):
+    f = TrigPoly.const(dim, random_fraction(rng, 4, 3))
+    for _ in range(n_modes):
+        k = [rng.randint(-max_deg, max_deg) for _ in range(dim)]
+        if not any(k):
+            k[rng.randrange(dim)] = 1
+        f = f + TrigPoly.cosine(dim, k, random_fraction(rng, 4, 3))
+        f = f + TrigPoly.sine(dim, k, random_fraction(rng, 4, 3))
+    return f
+
+
+def oracle_rand_invariant(rng, max_deg):
+    f = TrigPoly.const(3, random_fraction(rng, 4, 3))
+    for j in range(1, max_deg + 1):
+        if rng.random() < 0.5:
+            f = f + TrigPoly.cos_axis(3, 2, j, random_fraction(rng, 4, 3))
+        if rng.random() < 0.5:
+            f = f + TrigPoly.sin_axis(3, 2, j, random_fraction(rng, 4, 3))
+    return f
+
+
+def oracle_rand_form(rng, dim, degree, max_deg, n_terms):
+    coeffs = {}
+    tuples = degree_tuples(dim, degree)
+    for idx in rng.sample(tuples, min(n_terms, len(tuples))):
+        coeffs[idx] = oracle_rand_poly(rng, dim, max_deg, n_modes=1)
+    return TorusForm(dim, degree, coeffs)
+
+
+def oracle_rand_closed_oneform(rng, dim):
+    alpha = TorusForm(
+        dim, 1, {(i,): TrigPoly.const(dim, random_fraction(rng, 4, 3)) for i in range(dim)}
+    )
+    df = exterior_derivative(
+        TorusForm.function(dim, oracle_rand_poly(rng, dim, max_deg=1, n_modes=1))
+    )
+    return alpha + df
 
 
 def eval_float(poly: TrigPoly, point) -> complex:
