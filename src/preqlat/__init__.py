@@ -17,10 +17,11 @@ SUITE_NAMES = ("calculus", "cocycles", "jacobi", "pullback", "flux", "shifts", "
 class Value:
     """An immutable value whose fields are its ``__slots__``, in order.
 
-    Values of one type are equal when their fields are, and a value
-    hashes as the tuple of its fields.  A subclass whose constructor
-    checks or normalizes its arguments sets its slots itself, with
-    ``object.__setattr__``; any other takes its fields positionally.
+    Values of one type are equal when their fields are, a value hashes
+    as the tuple of its fields, and ``a - b`` is ``a + (-b)``.  A
+    subclass whose constructor checks or normalizes its arguments sets
+    its slots itself, with ``object.__setattr__``; any other takes its
+    fields positionally.
     """
 
     __slots__ = ()
@@ -45,6 +46,9 @@ class Value:
 
     def __hash__(self):
         return hash(tuple(map(self.__getattribute__, self.__slots__)))
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def __repr__(self):
         fields = map(self.__getattribute__, self.__slots__)

@@ -116,9 +116,6 @@ class Cochain(Value):
     def __neg__(self):
         return Cochain(self.dim, self.degree, {i: -c for i, c in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
         return Cochain(self.dim, self.degree, {i: scalar * c for i, c in self.coeffs.items()})

@@ -45,9 +45,6 @@ class ExactScalar(Value):
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.q, self.pi_power)
 
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, ExactScalar):
             return ExactScalar(self.q * other.q, self.pi_power + other.pi_power)

@@ -51,14 +51,10 @@ class TorusForm(Value):
     @staticmethod
     def basis(dim, idx, poly=1, pi_power=0):
         idx = tuple(idx)
-        if not isinstance(poly, TrigPoly):
-            poly = TrigPoly.const(dim, poly)
         return TorusForm(dim, len(idx), {idx: poly}, pi_power)
 
     @staticmethod
     def function(dim, poly):
-        if not isinstance(poly, TrigPoly):
-            poly = TrigPoly.const(dim, poly)
         return TorusForm(dim, 0, {(): poly})
 
     def is_zero(self):
@@ -102,9 +98,6 @@ class TorusForm(Value):
         return TorusForm(
             self.dim, self.degree, {i: -p for i, p in self.coeffs.items()}, self.pi_power
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Scale by a rational, an ExactScalar, or a function."""
@@ -168,9 +161,6 @@ class TorusVectorField(Value):
 
     def __neg__(self):
         return TorusVectorField(self.dim, [-c for c in self.components], self.pi_power)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, TrigPoly)):

@@ -15,8 +15,10 @@ pairs of Fractions; no other module reads the numerators or den.
 
 ``product_sum`` is the one convolution loop: it sums sign * p * d_axis(q)
 over its terms into one polynomial; ``p * q`` is its one-term case.
-``eval_quarter`` reads a value at a quarter point in one pass over the
-modes, each turned by the power of i of its phase k.q mod 4.
+``_slice_sums`` is the one loop that turns modes, each by the power of i
+of its phase k.q mod 4 at a quarter point q; ``slice_mean``,
+``slice_pairing`` and ``eval_quarter`` read through it.  ``add_wave``
+builds every wave: ``cosine``, ``sine`` and the verify inputs.
 """
 
 from __future__ import annotations
@@ -65,38 +67,22 @@ class TrigPoly(Value):
         return TrigPoly(dim, {(0,) * dim: (value.numerator, 0)}, value.denominator)
 
     @staticmethod
-    def cosine(dim, wavevec, amplitude=1):
-        """amplitude * cos(k.x)"""
-        k = tuple(int(x) for x in wavevec)
-        if not any(k):
-            return TrigPoly.const(dim, amplitude)
-        amp = Fraction(amplitude)
-        neg = tuple(-x for x in k)
-        pair = (amp.numerator, 0)
-        return TrigPoly(dim, {k: pair, neg: pair}, 2 * amp.denominator)
+    def cosine(dim, wavevec):
+        """cos(k.x); the constructor checks the length of k, also at k = 0"""
+        return TrigPoly(dim, add_wave({}, wavevec, 1, 0), 2)
 
     @staticmethod
-    def sine(dim, wavevec, amplitude=1):
-        """amplitude * sin(k.x)"""
-        k = tuple(int(x) for x in wavevec)
-        if not any(k):
-            return TrigPoly.zero(dim)
-        amp = Fraction(amplitude)
-        neg = tuple(-x for x in k)
-        return TrigPoly(dim, {k: (0, -amp.numerator), neg: (0, amp.numerator)},
-                        2 * amp.denominator)
+    def sine(dim, wavevec):
+        """sin(k.x)"""
+        return TrigPoly(dim, add_wave({}, wavevec, 0, 1), 2)
 
     @staticmethod
-    def cos_axis(dim, axis, freq=1, amplitude=1):
-        k = [0] * dim
-        k[axis] = freq
-        return TrigPoly.cosine(dim, k, amplitude)
+    def cos_axis(dim, axis):
+        return TrigPoly.cosine(dim, (0,) * axis + (1,) + (0,) * (dim - axis - 1))
 
     @staticmethod
-    def sin_axis(dim, axis, freq=1, amplitude=1):
-        k = [0] * dim
-        k[axis] = freq
-        return TrigPoly.sine(dim, k, amplitude)
+    def sin_axis(dim, axis):
+        return TrigPoly.sine(dim, (0,) * axis + (1,) + (0,) * (dim - axis - 1))
 
     # -- predicates -----------------------------------------------------------
 
@@ -134,11 +120,6 @@ class TrigPoly(Value):
 
     def __neg__(self):
         return TrigPoly(self.dim, {k: (-a, -b) for k, (a, b) in self.modes.items()}, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TrigPoly.const(self.dim, other)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,14 +159,7 @@ class TrigPoly(Value):
         Only modes constant along ``axes`` survive, and exp(i k_a q pi/2)
         is a power of i, so the value stays exact.
         """
-        frozen = self._frozen(axes, quarters)
-        re = im = 0
-        for k, (a, b) in self.modes.items():
-            if any(k[j] for j in axes):
-                continue
-            c, s = _I_POWERS[sum(k[j] * q for j, q in frozen) % 4]
-            re += c * a - s * b
-            im += c * b + s * a
+        re, im = self._slice_sums(axes, quarters).get((0,) * len(axes), (0, 0))
         return Fraction(re, self.den), Fraction(im, self.den)
 
     def slice_pairing(self, other, axes, quarters):
@@ -200,8 +174,7 @@ class TrigPoly(Value):
         sum_k self_k * other_{-k}.
         """
         self._check(other)
-        frozen = self._frozen(axes, quarters)
-        mine, theirs = self._slice_sums(axes, frozen), other._slice_sums(axes, frozen)
+        mine, theirs = self._slice_sums(axes, quarters), other._slice_sums(axes, quarters)
         if len(mine) > len(theirs):
             mine, theirs = theirs, mine
         re = im = 0
@@ -214,22 +187,19 @@ class TrigPoly(Value):
         den = self.den * other.den
         return Fraction(re, den), Fraction(im, den)
 
-    def _frozen(self, axes, quarters):
-        """(axis, quarter turns) for every coordinate outside ``axes``."""
-        frozen = [(a, quarters.get(a, 0)) for a in range(self.dim) if a not in axes]
-        if not all(isinstance(q, int) for _, q in frozen):
+    def _slice_sums(self, axes, quarters):
+        """Numerators summed per slice key (k_j for j in ``axes``), each mode
+        turned by i**(k.q), q being 0 on ``axes`` and quarters.get(a, 0) off
+        them.  With every coordinate in ``axes`` each mode is its own slice,
+        keyed by k itself."""
+        q = [0 if a in axes else quarters.get(a, 0) for a in range(self.dim)]
+        if not all(isinstance(x, int) for x in q):
             raise ValueError("quarter turns must be integers")
-        return frozen
-
-    def _slice_sums(self, axes, frozen):
-        """Numerators summed per slice key, each mode turned by its power of
-        i at the frozen quarter turns.  With nothing frozen every mode is
-        its own slice, keyed by k itself."""
-        if not frozen:
+        if all(a in axes for a in range(self.dim)):
             return self.modes
         sums = {}
         for k, (a, b) in self.modes.items():
-            c, s = _I_POWERS[sum(k[j] * q for j, q in frozen) % 4]
+            c, s = _I_POWERS[sum(map(mul, k, q)) % 4]
             key = tuple(k[j] for j in axes)
             prev = sums.get(key)
             re, im = c * a - s * b, c * b + s * a
@@ -240,14 +210,20 @@ class TrigPoly(Value):
         """Exact value at the point (q_1*pi/2, ..., q_m*pi/2)."""
         if len(quarters) != self.dim:
             raise ValueError("point has wrong dimension")
-        if not all(isinstance(q, int) for q in quarters):
-            raise ValueError("quarter turns must be integers")
-        re = im = 0
-        for k, (a, b) in self.modes.items():
-            c, s = _I_POWERS[sum(map(mul, k, quarters)) % 4]
-            re += c * a - s * b
-            im += c * b + s * a
-        return Fraction(re, self.den), Fraction(im, self.den)
+        return self.slice_mean((), dict(enumerate(quarters)))
+
+
+def add_wave(modes, k, a, b):
+    """Add a - b*i to the numerator of mode k and a + b*i to that of mode
+    -k (2a to mode 0 at k = 0), and return ``modes``.  Over the
+    denominator 2d this adds (a cos(k.x) + b sin(k.x))/d."""
+    k = tuple(k)
+    if not all(isinstance(x, int) for x in k):
+        raise ValueError(f"wave vector {k} must have integer entries")
+    for key, im in ((k, -b), (tuple(-x for x in k), b)):
+        re0, im0 = modes.get(key, (0, 0))
+        modes[key] = (re0 + a, im0 + im)
+    return modes
 
 
 def product_sum(dim, terms) -> TrigPoly:

@@ -41,7 +41,7 @@ from .toruscalc.symplectic import (
     singular_cocycle,
     standard_symplectic,
 )
-from .toruscalc.trig import TrigPoly
+from .toruscalc.trig import TrigPoly, add_wave
 from .toruscalc.volume import (
     exact_field_from_potential,
     lichnerowicz_eta,
@@ -112,14 +112,6 @@ def _rand_fraction(rng):
     return Fraction(_rand_twelfths(rng), 12)
 
 
-def _add_wave(modes, k, a, b):
-    """Add (a cos(k.x) + b sin(k.x))/12 to numerators over 24: modes k and
-    -k gain a - b*i and a + b*i."""
-    for key, im in ((k, -b), (tuple(-x for x in k), b)):
-        re0, im0 = modes.get(key, (0, 0))
-        modes[key] = (re0 + a, im0 + im)
-
-
 def _rand_poly(rng, dim, max_deg=2, n_modes=2):
     """A constant plus n_modes random waves a cos(k.x) + b sin(k.x)."""
     modes = {(0,) * dim: (2 * _rand_twelfths(rng), 0)}
@@ -127,7 +119,7 @@ def _rand_poly(rng, dim, max_deg=2, n_modes=2):
         k = [rng.randint(-max_deg, max_deg) for _ in range(dim)]
         if not any(k):
             k[rng.randrange(dim)] = 1
-        _add_wave(modes, tuple(k), _rand_twelfths(rng), _rand_twelfths(rng))
+        add_wave(modes, k, _rand_twelfths(rng), _rand_twelfths(rng))
     return TrigPoly(dim, modes, 24)
 
 
@@ -138,7 +130,7 @@ def _rand_invariant(rng, max_deg=6):
     for j in range(1, max_deg + 1):
         a = _rand_twelfths(rng) if rng.random() < 0.5 else 0
         b = _rand_twelfths(rng) if rng.random() < 0.5 else 0
-        _add_wave(modes, (0, 0, j), a, b)
+        add_wave(modes, (0, 0, j), a, b)
     return TrigPoly(3, modes, 24)
 
 
@@ -342,14 +334,16 @@ def run_shifts(trials, rng) -> SuiteResult:
 
 
 def _axis_poly(rng, dim, axis, zero_mean=True):
-    f = TrigPoly.zero(dim) if zero_mean else TrigPoly.const(dim, _rand_fraction(rng))
+    """A constant (unless zero_mean) plus each of cos(j x_axis) and sin(j x_axis),
+    j = 1..3, with probability 0.6; cos(x_axis) if that leaves zero."""
+    modes = {} if zero_mean else {(0,) * dim: (2 * _rand_twelfths(rng), 0)}
     for j in range(1, 4):
-        if rng.random() < 0.6:
-            f = f + TrigPoly.cos_axis(dim, axis, j, _rand_fraction(rng))
-        if rng.random() < 0.6:
-            f = f + TrigPoly.sin_axis(dim, axis, j, _rand_fraction(rng))
+        a = _rand_twelfths(rng) if rng.random() < 0.6 else 0
+        b = _rand_twelfths(rng) if rng.random() < 0.6 else 0
+        add_wave(modes, [j if c == axis else 0 for c in range(dim)], a, b)
+    f = TrigPoly(dim, modes, 24)
     if zero_mean and f.is_zero():
-        f = TrigPoly.cos_axis(dim, axis, 1)
+        f = TrigPoly.cos_axis(dim, axis)
     return f
 
 

@@ -535,6 +535,54 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     assert runs[0] == runs[1]
 
 
+def _started(exe):
+    """Whether an interpreter on PATH runs; a shim for a version that is
+    not installed exits non-zero."""
+    import subprocess
+
+    try:
+        return subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
+def test_reports_do_not_depend_on_the_interpreter():
+    """``requires-python >= 3.10``: every python3.X (X = 10-13) on PATH that
+    starts runs a fixed handful of small jobs to the same JSON report bytes,
+    timestamp removed, as the interpreter running the tests.  The library
+    is stdlib-only, so those interpreters need no test tools."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    jobs = [
+        ["examples"],
+        ["verify", "--suite", "all", "--trials", "2"],
+        ["lattice", "--preset", "thurston", "--r", "6", "--a", "1", "--b", "4"],
+        ["lattice", "--preset", "torus", "--m", "4"],
+        ["lattice", "--preset", "surface", "--g", "2", "--vol", "3"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def reports(exe):
+        proc = subprocess.run([exe, "-c", _REPORTS_SCRIPT, json.dumps(jobs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (exe, proc.stderr)
+        return json.loads(proc.stdout)
+
+    found = [exe for exe in (shutil.which(f"python3.{x}") for x in range(10, 14))
+             if exe and _started(exe)]
+    if not found:
+        pytest.skip("no python3.10-3.13 on PATH starts")
+    want = reports(sys.executable)
+    assert [code for code, _ in want] == [0] * len(jobs)
+    for exe in found:
+        assert reports(exe) == want, exe
+
+
 def test_verify_suite_descriptor_file(tmp_path):
     desc = tmp_path / "suite.json"
     desc.write_text(json.dumps({"suites": ["jacobi"], "trials": 3, "seed": 11}))

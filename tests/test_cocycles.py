@@ -60,12 +60,13 @@ T2 = standard_symplectic(1)
 def zero_mean_poly_in_axis(rng, dim, axis, max_deg=3):
     f = TrigPoly.zero(dim)
     for j in range(1, max_deg + 1):
+        wave = [j if c == axis else 0 for c in range(dim)]
         if rng.random() < 0.6:
-            f = f + TrigPoly.cos_axis(dim, axis, j, random_fraction(rng))
+            f = f + random_fraction(rng) * TrigPoly.cosine(dim, wave)
         if rng.random() < 0.6:
-            f = f + TrigPoly.sin_axis(dim, axis, j, random_fraction(rng))
+            f = f + random_fraction(rng) * TrigPoly.sine(dim, wave)
     if f.is_zero():
-        f = TrigPoly.cos_axis(dim, axis, 1)
+        f = TrigPoly.cos_axis(dim, axis)
     return f
 
 
@@ -125,7 +126,7 @@ def test_degenerate_form_rejected():
 
 
 def test_hamiltonian_field_inverse_is_memoized_per_form():
-    f = TrigPoly.sin_axis(2, 0) + TrigPoly.cos_axis(2, 1, 2, Fraction(1, 3))
+    f = TrigPoly.sin_axis(2, 0) + Fraction(1, 3) * TrigPoly.cosine(2, (0, 2))
     first = hamiltonian_field(f, T2)
     assert hamiltonian_field(f, T2) == first
     assert hamiltonian_field(f, standard_symplectic(1)) == first

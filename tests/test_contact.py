@@ -54,7 +54,7 @@ def test_reeb_field_characterization():
 
 
 def test_invariance_characterizes_functions_of_z():
-    assert is_reeb_invariant(TrigPoly.cos_axis(3, 2, freq=4))
+    assert is_reeb_invariant(TrigPoly.cosine(3, (0, 0, 4)))
     assert is_reeb_invariant(TrigPoly.const(3, 9))
     assert not is_reeb_invariant(TrigPoly.sin_axis(3, 0))
     assert not is_reeb_invariant(TrigPoly.cos_axis(3, 1) * TrigPoly.cos_axis(3, 2))
@@ -257,8 +257,8 @@ def test_flux_kernel_characterization():
 
 def test_flux_image_is_two_dimensional():
     probes = [TrigPoly.const(3, 1)] + [
-        TrigPoly.cos_axis(3, 2, j) for j in range(1, 4)
-    ] + [TrigPoly.sin_axis(3, 2, j) for j in range(1, 4)]
+        TrigPoly.cosine(3, (0, 0, j)) for j in range(1, 4)
+    ] + [TrigPoly.sine(3, (0, 0, j)) for j in range(1, 4)]
     images = []
     for f in probes:
         flux = contact_flux(f)
@@ -294,8 +294,8 @@ def test_invariant_function_builder():
     assert is_reeb_invariant(f)
     expected = (
         TrigPoly.const(3, Fraction(1, 2))
-        + TrigPoly.cos_axis(3, 2, 1)
-        + TrigPoly.sin_axis(3, 2, 2, Fraction(2, 3))
+        + TrigPoly.cos_axis(3, 2)
+        + Fraction(2, 3) * TrigPoly.sine(3, (0, 0, 2))
     )
     assert f == expected
 

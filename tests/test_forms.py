@@ -284,7 +284,7 @@ def test_slice_pairing_matches_slice_mean_of_product():
             assert f.slice_pairing(g, axes, quarters) == (f * g).slice_mean(axes, quarters)
             assert g.slice_pairing(f, axes, quarters) == (f * g).slice_mean(axes, quarters)
     # no mode pair survives: cos x * cos 2x has mean zero
-    f, g = TrigPoly.cos_axis(2, 0), TrigPoly.cos_axis(2, 0, 2)
+    f, g = TrigPoly.cos_axis(2, 0), TrigPoly.cosine(2, (2, 0))
     assert f.slice_pairing(g, (0, 1), {}) == (Fraction(0), Fraction(0))
     with pytest.raises(ValueError, match="quarter turns must be integers"):
         f.slice_pairing(g, (0,), {1: 0.5})
@@ -307,11 +307,11 @@ def test_integral_helpers_match_formed_products():
     # a pair with no surviving mode integrates to zero on both sides
     full = CoordinateCycle.full(2)
     f = TrigPoly.cos_axis(2, 0)
-    form = TorusForm.basis(2, (0, 1), TrigPoly.cos_axis(2, 0, 2))
+    form = TorusForm.basis(2, (0, 1), TrigPoly.cosine(2, (2, 0)))
     assert integrate_product(f, form, full).is_zero()
     assert integrate_over_cycle(f * form, full).is_zero()
     y = coordinate_field(2, 1, TrigPoly.sin_axis(2, 1))
-    form1 = TorusForm.basis(3, (0, 2), TrigPoly.cos_axis(3, 1, 3))
+    form1 = TorusForm.basis(3, (0, 2), TrigPoly.cosine(3, (0, 3, 0)))
     circle = CoordinateCycle.circle(3, 0, offsets={1: 1, 2: 2})
     y3 = coordinate_field(3, 2, TrigPoly.sin_axis(3, 1))
     assert integrate_contraction(y3, form1, circle).is_zero()

@@ -2,6 +2,7 @@
 the shipped presets."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -81,6 +82,17 @@ def test_negative_volume_rejected():
     omega = symplectic_from_cochain(ring, Cochain(4, 2, {(0, 3): 1, (1, 2): -1}))
     with pytest.raises(ValueError, match="not a positive symplectic class"):
         liouville_volume(ring, omega)
+
+
+def test_zero_volume_rejected():
+    """A degree-two class of volume zero is not symplectic either, and the
+    lattice refuses it before dividing by its volume."""
+    ring = torus_ring(2)
+    zero = CohomClass(2, (0,), ())
+    with pytest.raises(ValueError, match="not a positive symplectic class"):
+        liouville_volume(ring, zero)
+    with pytest.raises(ValueError, match="not a positive symplectic class"):
+        integrable_lattice(ring, zero)
 
 
 # -- Euler candidates ------------------------------------------------------
@@ -424,3 +436,50 @@ def test_report_gcd_example():
     lat = integrable_lattice(ring, euler_candidates(ring, omega)[0])
     rep = lattice_report(lat, ring)
     assert rep["generators"][0]["display"] == "3*x*"
+
+
+# -- lattices that depend on the Euler class -------------------------------
+# Two seeded dim-6 presentations on which the Gysin kernel changes with the
+# torsion part of the Euler class, so each prequantum bundle has its own
+# lattice.  H^3 has three torsion factors on A and two on B (no preset has
+# more than one).  The pins are multisets of rendered generators, not
+# coordinates or torsion labels, so they hold under any change of basis.
+
+def _presentation(structure):
+    return LieAlgebraPresentation(6, tuple(f"e{i + 1}" for i in range(6)), {
+        ij: {k: Fraction(c) for k, c in comps.items()} for ij, comps in structure.items()})
+
+
+EULER_DEPENDENT = {
+    "A": (
+        {(0, 1): {4: -2}, (0, 2): {4: -2}, (1, 2): {3: 2}, (1, 3): {5: -2}, (2, 3): {5: -3}},
+        {(0, 1): -1, (0, 3): -1, (1, 3): 2, (1, 4): 2, (1, 5): 2, (2, 3): 2, (2, 4): 1,
+         (2, 5): 3},
+        [2, 2], [2, 2, 2], 4,
+        {("2*e3*",): 2, ("e3*",): 2}, Fraction(1)),
+    "B": (
+        {(0, 2): {3: 1, 4: 1}, (0, 4): {5: 2}, (1, 2): {3: -3}},
+        {(0, 3): 2, (0, 5): 1, (1, 4): -6, (2, 3): -1, (2, 4): -2},
+        [6], [2, 2], 6,
+        {("4*e1* - e3*",): 3, ("8*e1* - 2*e3*",): 3}, Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EULER_DEPENDENT))
+def test_lattice_depends_on_the_euler_class(name):
+    structure, coeffs, h2_torsion, h3_torsion, vol, displays, scale = EULER_DEPENDENT[name]
+    ring = nilmanifold_ring(_presentation(structure))
+    assert ring.torsion(2) == h2_torsion and ring.torsion(3) == h3_torsion
+    omega = symplectic_from_cochain(ring, Cochain(6, 2, coeffs))
+    assert liouville_volume(ring, omega) == vol
+
+    def shown(kernel):
+        return tuple(generator_display(ring, v) for v in kernel)
+
+    lattices = [integrable_lattice(ring, e) for e in euler_candidates(ring, omega)]
+    assert Counter((shown(lat.generators), lat.prefactor) for lat in lattices) == {
+        (gens, ExactScalar(scale, -1)): n for gens, n in displays.items()}
+    # every lattice's report lists the kernel of each candidate, its own too
+    for lat in lattices:
+        candidates = lattice_report(lat, ring)["euler_candidates"]
+        assert Counter(shown(c["kernel"]) for c in candidates) == displays

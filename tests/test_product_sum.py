@@ -235,7 +235,7 @@ def test_derivative_along_a_constant_axis_costs_no_arithmetic():
     numerators at all."""
     q = TrigPoly(2, {(0, 1): (_CountingInt(3), _CountingInt(-2)),
                      (0, -1): (_CountingInt(3), _CountingInt(2))})
-    p = TrigPoly.cos_axis(2, 0, amplitude=Fraction(2, 3))
+    p = Fraction(2, 3) * TrigPoly.cos_axis(2, 0)
     _CountingInt.count = 0
     assert product_sum(2, [(p, q, 0, 1), (q, q, 0, -1)]).is_zero()
     assert _CountingInt.count == 0

@@ -20,9 +20,34 @@ def test_cosine_sine_mode_structure():
     c = TrigPoly.cos_axis(2, 0)
     assert c.modes == {(1, 0): (1, 0), (-1, 0): (1, 0)}
     assert c.den == 2
-    s = TrigPoly.sin_axis(2, 1, freq=3, amplitude=2)
+    s = 2 * TrigPoly.sine(2, (0, 3))
     assert s.modes == {(0, 3): (0, -1), (0, -3): (0, 1)}
     assert s.den == 1
+
+
+@pytest.mark.parametrize("make", [TrigPoly.cosine, TrigPoly.sine])
+def test_wave_constructors_check_the_wave_vector(make):
+    """cosine and sine neither round nor truncate a wave vector, and they
+    check its length as the constructor does, the zero vector included."""
+    for k in [(0.5, 0), (1.7, 0), (1, 2.0), (Fraction(1), 0)]:
+        with pytest.raises(ValueError, match=r"must have integer entries"):
+            make(2, k)
+    for dim, k in [(3, (0, 0)), (2, (0, 0, 0)), (2, (1, 0, 0)), (1, ())]:
+        with pytest.raises(ValueError) as info:
+            make(dim, k)
+        with pytest.raises(ValueError) as direct:
+            TrigPoly(dim, {k: (1, 0)})
+        assert str(info.value) == str(direct.value)
+    assert make(2, [1, -2]) == make(2, (1, -2))
+    assert TrigPoly.cosine(2, (0, 0)) == TrigPoly.const(2, 1)
+    assert TrigPoly.sine(2, (0, 0)).is_zero()
+
+
+@pytest.mark.parametrize("make", [TrigPoly.cos_axis, TrigPoly.sin_axis])
+def test_axis_constructors_check_the_axis(make):
+    for axis in (-1, 2, 3):
+        with pytest.raises(ValueError, match="wrong length for dim 2"):
+            make(2, axis)
 
 
 def test_pythagorean_identity_exact():
@@ -59,8 +84,8 @@ def test_derivative_exact_values():
     # d/dz of sin z is cos z
     s = TrigPoly.sin_axis(3, 2)
     assert s.diff(2) == TrigPoly.cos_axis(3, 2)
-    c = TrigPoly.cos_axis(3, 2, freq=4)
-    assert c.diff(2) == TrigPoly.sin_axis(3, 2, freq=4, amplitude=-4)
+    c = TrigPoly.cosine(3, (0, 0, 4))
+    assert c.diff(2) == -4 * TrigPoly.sine(3, (0, 0, 4))
     assert c.diff(0).is_zero()
 
 
@@ -189,7 +214,7 @@ def test_dimension_mismatch_raises():
 
 
 def test_witness_format_and_canonical_form():
-    f = TrigPoly.cosine(2, (1, -2), Fraction(2, 3)) + TrigPoly.sine(2, (0, 1), 3) + Fraction(-5, 4)
+    f = Fraction(2, 3) * TrigPoly.cosine(2, (1, -2)) + 3 * TrigPoly.sine(2, (0, 1)) + Fraction(-5, 4)
     assert poly_repr(f) == (
         "{(-1, 2): 1/3+0i, (0, -1): 0+3/2i, (0, 0): -5/4+0i, (0, 1): 0+-3/2i, (1, -2): 1/3+0i}"
     )

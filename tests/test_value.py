@@ -26,7 +26,7 @@ EXAMPLES = {
     "ExactScalar": (lambda: ExactScalar(Fraction(3, 4), -1), True),
     "IntegrableLattice": (lambda: IntegrableLattice(
         ((2, 0, 0),), ExactScalar(3, -1), 1, CohomClass(2, (-1, -1), (0,)), Fraction(1)), True),
-    "TrigPoly": (lambda: TrigPoly.cos_axis(2, 1, 3, Fraction(1, 3)), True),
+    "TrigPoly": (lambda: Fraction(1, 3) * TrigPoly.cosine(2, (0, 3)), True),
     "TorusForm": (lambda: TorusForm.basis(2, (0, 1), TrigPoly.sin_axis(2, 0), -2), True),
     "TorusVectorField": (lambda: TorusVectorField(2, [1, TrigPoly.cos_axis(2, 0)], 1), True),
     "CoordinateCycle": (lambda: CoordinateCycle(3, (2, 1), {0: 5}), False),
@@ -100,3 +100,19 @@ def test_only_value_defines_setattr():
                            and any(isinstance(sub, ast.FunctionDef) and sub.name == "__setattr__"
                                    for sub in node.body)]
     assert owners == ["Value"]
+
+
+def test_subtraction_adds_the_negation():
+    """``Value.__sub__`` is every value class's ``a - b``: ``a + (-b)``."""
+    pairs = [
+        (Cochain(3, 2, {(0, 2): Fraction(1, 2)}), Cochain(3, 2, {(0, 1): 3, (0, 2): 1})),
+        (ExactScalar(Fraction(3, 4), -1), ExactScalar(Fraction(1, 4), -1)),
+        (TrigPoly.cos_axis(2, 1), TrigPoly.sine(2, (1, 1))),
+        (TorusForm.basis(2, (0,), TrigPoly.sin_axis(2, 0)), TorusForm.basis(2, (1,), 3)),
+        (TorusVectorField(2, [1, TrigPoly.cos_axis(2, 0)]), TorusVectorField(2, [2, 0])),
+    ]
+    for a, b in pairs:
+        assert a - b == a + (-b) != a + b
+    poly = TrigPoly.cos_axis(2, 1)
+    assert poly - 2 == poly + TrigPoly.const(2, -2)
+    assert poly - Fraction(1, 3) == poly + Fraction(-1, 3)

@@ -62,8 +62,8 @@ def random_real_trigpoly(rng, dim, max_deg=2, n_modes=3, allow_const=True):
         k = [rng.randint(-max_deg, max_deg) for _ in range(dim)]
         if not any(k):
             k[rng.randrange(dim)] = rng.randint(1, max_deg)
-        f = f + TrigPoly.cosine(dim, k, random_fraction(rng))
-        f = f + TrigPoly.sine(dim, k, random_fraction(rng))
+        f = f + random_fraction(rng) * TrigPoly.cosine(dim, k)
+        f = f + random_fraction(rng) * TrigPoly.sine(dim, k)
     return f
 
 
@@ -86,9 +86,9 @@ def random_invariant(rng, max_deg=6, zero_mean=False):
     f = TrigPoly.zero(3) if zero_mean else TrigPoly.const(3, random_fraction(rng))
     for j in range(1, max_deg + 1):
         if rng.random() < 0.5:
-            f = f + TrigPoly.cos_axis(3, 2, j, random_fraction(rng))
+            f = f + random_fraction(rng) * TrigPoly.cosine(3, (0, 0, j))
         if rng.random() < 0.5:
-            f = f + TrigPoly.sin_axis(3, 2, j, random_fraction(rng))
+            f = f + random_fraction(rng) * TrigPoly.sine(3, (0, 0, j))
     return f
 
 
@@ -121,8 +121,8 @@ def oracle_rand_poly(rng, dim, max_deg, n_modes):
         k = [rng.randint(-max_deg, max_deg) for _ in range(dim)]
         if not any(k):
             k[rng.randrange(dim)] = 1
-        f = f + TrigPoly.cosine(dim, k, random_fraction(rng, 4, 3))
-        f = f + TrigPoly.sine(dim, k, random_fraction(rng, 4, 3))
+        f = f + random_fraction(rng, 4, 3) * TrigPoly.cosine(dim, k)
+        f = f + random_fraction(rng, 4, 3) * TrigPoly.sine(dim, k)
     return f
 
 
@@ -130,9 +130,9 @@ def oracle_rand_invariant(rng, max_deg):
     f = TrigPoly.const(3, random_fraction(rng, 4, 3))
     for j in range(1, max_deg + 1):
         if rng.random() < 0.5:
-            f = f + TrigPoly.cos_axis(3, 2, j, random_fraction(rng, 4, 3))
+            f = f + random_fraction(rng, 4, 3) * TrigPoly.cosine(3, (0, 0, j))
         if rng.random() < 0.5:
-            f = f + TrigPoly.sin_axis(3, 2, j, random_fraction(rng, 4, 3))
+            f = f + random_fraction(rng, 4, 3) * TrigPoly.sine(3, (0, 0, j))
     return f
 
 
@@ -152,6 +152,19 @@ def oracle_rand_closed_oneform(rng, dim):
         TorusForm.function(dim, oracle_rand_poly(rng, dim, max_deg=1, n_modes=1))
     )
     return alpha + df
+
+
+def oracle_axis_poly(rng, dim, axis, zero_mean):
+    f = TrigPoly.zero(dim) if zero_mean else TrigPoly.const(dim, random_fraction(rng, 4, 3))
+    for j in range(1, 4):
+        wave = [j if c == axis else 0 for c in range(dim)]
+        if rng.random() < 0.6:
+            f = f + random_fraction(rng, 4, 3) * TrigPoly.cosine(dim, wave)
+        if rng.random() < 0.6:
+            f = f + random_fraction(rng, 4, 3) * TrigPoly.sine(dim, wave)
+    if zero_mean and f.is_zero():
+        f = TrigPoly.cos_axis(dim, axis)
+    return f
 
 
 def eval_float(poly: TrigPoly, point) -> complex:
@@ -956,9 +969,9 @@ def invariant_function(coeffs) -> TrigPoly:
     f = TrigPoly.const(DIM, c0)
     for j, (a, b) in enumerate(harmonics, start=1):
         if a:
-            f = f + TrigPoly.cos_axis(DIM, Z_AXIS, j, a)
+            f = f + a * TrigPoly.cosine(DIM, (0, 0, j))
         if b:
-            f = f + TrigPoly.sin_axis(DIM, Z_AXIS, j, b)
+            f = f + b * TrigPoly.sine(DIM, (0, 0, j))
     return f
 
 
