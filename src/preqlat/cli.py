@@ -198,9 +198,9 @@ def parse_job(argv) -> JobDescriptor:
         if ns.input_path:
             descriptor = _load_suite_descriptor(ns.input_path)
             job.input_path = ns.input_path
-        job.suites = ns.suites or descriptor.get("suites") or ["all"]
-        job.trials = ns.trials if ns.trials is not None else descriptor.get("trials", 100)
-        job.seed = ns.seed if ns.seed is not None else descriptor.get("seed", 42)
+        job.suites = ns.suites or descriptor.get("suites", job.suites)
+        job.trials = ns.trials if ns.trials is not None else descriptor.get("trials", job.trials)
+        job.seed = ns.seed if ns.seed is not None else descriptor.get("seed", job.seed)
         if job.trials < 1:
             raise InputError("--trials must be >= 1")
         if job.trials > MAX_TRIALS:
@@ -214,26 +214,37 @@ def parse_job(argv) -> JobDescriptor:
     return job
 
 
-def _load_suite_descriptor(path):
+def _read_json(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:    # bad JSON, not UTF-8, too deep
-        raise InputError(f"cannot read suite descriptor: {exc}")
+        raise InputError(f"cannot read {what}: {exc}")
+
+
+def _unique_keys(pairs):
+    # json alone would keep the last value of a repeated key
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
+def _load_suite_descriptor(path):
+    data = _read_json(path, "suite descriptor")
     if not isinstance(data, dict):
         raise InputError("suite descriptor must be a JSON object")
-    out = {}
     if "suites" in data:
         if not isinstance(data["suites"], list) or not data["suites"]:
             raise InputError("descriptor 'suites' must be a non-empty list")
-        out["suites"] = [str(s) for s in data["suites"]]
+        data["suites"] = [str(s) for s in data["suites"]]
     for key in ("trials", "seed"):
-        if key in data:
-            # a JSON integer only: not a float, and not a bool (an int subclass)
-            if type(data[key]) is not int:
-                raise InputError(f"descriptor {key!r} must be an integer")
-            out[key] = data[key]
-    return out
+        # a JSON integer only: not a float, and not a bool (an int subclass)
+        if key in data and type(data[key]) is not int:
+            raise InputError(f"descriptor {key!r} must be an integer")
+    return data
 
 
 def _collect_preset_params(ns):
@@ -309,11 +320,7 @@ def parse_omega_spec(spec, m) -> Cochain:
 def load_presentation(path) -> LieAlgebraPresentation:
     """Read the JSON presentation schema, with int dim, i, j and no repeats:
     {"dim": m, "basis": [...], "brackets": [{"i":1,"j":2,"c":{"3":"r"}}]}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:    # bad JSON, not UTF-8, too deep
-        raise InputError(f"cannot read presentation: {exc}")
+    data = _read_json(path, "presentation")
     try:
         dim, brackets = data["dim"], data.get("brackets", [])
         if any(type(x) is not int for x in [dim, *(e[key] for e in brackets for key in "ij")]):
@@ -333,6 +340,8 @@ def load_presentation(path) -> LieAlgebraPresentation:
                 raise InputError("malformed presentation: a bracket's \"c\" must be a JSON object")
             comps = {}
             for k, val in entry["c"].items():
+                if int(k) - 1 in comps:     # one target spelled twice, as "3" and "03"
+                    raise InputError(f"malformed presentation: repeated target {int(k)}")
                 comps[int(k) - 1] = _parse_rational(str(val), "bracket coefficient")
             structure[(i, j)] = comps
         return LieAlgebraPresentation(dim=dim, basis_names=names, structure=structure)
@@ -537,7 +546,6 @@ def render(report, fmt) -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
         job = parse_job(argv)
         if job.output_path and not os.path.isdir(os.path.dirname(job.output_path) or "."):

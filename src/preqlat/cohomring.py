@@ -226,8 +226,6 @@ def _degree_data(k, basis, prev_cols, d_cols, dim):
         ker = lin.smith_normal_form(d_cols, comb(dim, k + 1))
     r = ker.rank
     s = n_k - r
-    if s == 0:
-        return DegreeData(k, dim, 0, [], [], lambda: [[] for _ in basis], d_cols)
 
     # coboundary image in kernel coordinates, rows r.. of V b for the
     # columns b of d_{k-1}: b is a cocycle (the complex was checked), so
@@ -332,10 +330,7 @@ class CohomologyRing(GradedCohomology):
         return target.reduce(list(image.items()))
 
     def fundamental_pairing(self, t):
-        """Coefficient of a top-degree class (or cocycle) against the
-        orientation generator."""
-        if isinstance(t, Cochain):
-            t = self.reduce(t)
+        """Coefficient of a top-degree class against the orientation generator."""
         if t.degree != self.top_degree:
             raise ValueError("pairing needs a top-degree class")
         return t.free[0]

@@ -64,11 +64,9 @@ def merge_tuples(a, b):
 def remove_index(idx, tup):
     """Remove ``idx`` from the increasing tuple ``tup``.
 
-    Returns ``(new_tuple, sign)`` where sign = (-1)**position, or ``None``
-    if ``idx`` does not occur.  This is the interior-product sign.
+    Returns ``(new_tuple, sign)`` where sign = (-1)**position; ``idx``
+    must occur in ``tup``.  This is the interior-product sign.
     """
-    if idx not in tup:
-        return None
     pos = tup.index(idx)
     return tup[:pos] + tup[pos + 1:], -1 if pos % 2 else 1
 

@@ -46,8 +46,6 @@ class ExactScalar(Value):
         return ExactScalar(-self.q, self.pi_power)
 
     def __mul__(self, other):
-        if isinstance(other, ExactScalar):
-            return ExactScalar(self.q * other.q, self.pi_power + other.pi_power)
         if isinstance(other, (int, Fraction)):
             return ExactScalar(self.q * other, self.pi_power)
         return NotImplemented
@@ -59,14 +57,10 @@ class ExactScalar(Value):
             if other.q == 0:
                 raise ZeroDivisionError("division by zero ExactScalar")
             return ExactScalar(self.q / other.q, self.pi_power - other.pi_power)
-        if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.q / other, self.pi_power)
         return NotImplemented
 
     def __str__(self) -> str:
-        if self.q == 0:
-            return "0"
-        if self.pi_power == 0:
+        if self.pi_power == 0:      # as the zero scalar's is
             return str(self.q)
         if self.pi_power == 1:
             return f"{self.q}*(2*pi)"

@@ -119,8 +119,6 @@ class TorusForm(Value):
 
     def scale_pi(self, d):
         """Multiply by (2*pi)**d."""
-        if self.is_zero():
-            return self
         return TorusForm(self.dim, self.degree, self.coeffs, self.pi_power + d)
 
 
@@ -143,33 +141,6 @@ class TorusVectorField(Value):
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise ValueError("fields live on different tori")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.pi_power != other.pi_power:
-            raise ValueError("cannot add fields with different (2*pi) powers")
-        return TorusVectorField(
-            self.dim,
-            [a + b for a, b in zip(self.components, other.components)],
-            self.pi_power,
-        )
-
-    def __neg__(self):
-        return TorusVectorField(self.dim, [-c for c in self.components], self.pi_power)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction, TrigPoly)):
-            return TorusVectorField(
-                self.dim, [c * scalar for c in self.components], self.pi_power
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def apply(self, f: TrigPoly) -> TrigPoly:
         """Directional derivative X(f); requires a (2*pi)-free field."""
@@ -216,8 +187,6 @@ def wedge(f: TorusForm, g: TorusForm) -> TorusForm:
     if f.dim != g.dim:
         raise ValueError("forms live on different tori")
     degree = f.degree + g.degree
-    if degree > f.dim:
-        return TorusForm.zero(f.dim, degree)
     terms = {}
     for ia, pa in f.coeffs.items():
         for ib, pb in g.coeffs.items():

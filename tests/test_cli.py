@@ -68,11 +68,21 @@ def test_parse_surface_sphere():
         (["verify", "--suite", "bogus"], "unknown suite"),
         (["verify", "--trials", "0"], "--trials"),
         (["cohomology"], "--preset or --input"),
+        (["lattice", "--preset", "thurston", "--a", "1/2"], "--a and --b must be nonzero"),
+        (["lattice", "--preset", "thurston", "--b", "0"], "--a and --b must be nonzero"),
+        (["lattice", "--preset", "torus"], "torus preset needs --m"),
+        (["cohomology", "--preset", "surface"], "surface preset needs --g"),
+        (["verify", "--input", ["jacobi"]], "suite descriptor must be a JSON object"),
     ],
 )
-def test_input_errors(argv, msg):
+def test_input_errors(argv, msg, tmp_path):
+    # an argument that is not a string stands for a JSON file holding it
+    path = tmp_path / "input.json"
+    for arg in argv:
+        if not isinstance(arg, str):
+            path.write_text(json.dumps(arg))
     with pytest.raises(InputError, match=msg):
-        parse_job(argv)
+        parse_job([a if isinstance(a, str) else str(path) for a in argv])
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -482,6 +492,16 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch):
     assert captured.err.count("\n") == 1 and str(out) in captured.err
 
 
+def test_unwritable_output_after_the_run_exits_2(tmp_path, capsys):
+    """An --output that names a directory passes the check before the run
+    and fails when the report is written: one error line, exit 2."""
+    assert main(["lattice", "--preset", "thurston", "--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write report: [Errno")
+    assert str(tmp_path) in captured.err
+
+
 # Runs each job in process and prints [exit code, JSON report with the
 # timestamp blanked] per job, as one JSON list.
 _REPORTS_SCRIPT = """\
@@ -867,6 +887,31 @@ def test_unreadable_input_file(argv, what, content, msg, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {what}: {msg}")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+_HEIS3_HEAD = '{"dim": 3, "basis": ["x", "y", "z"], '
+
+
+@pytest.mark.parametrize("argv, content, msg", [
+    (["cohomology", "--input"],
+     _HEIS3_HEAD + '"brackets": [{"i": 1, "j": 2, "c": {"3": "1", "3": "2"}}]}',
+     "cannot read presentation: repeated key '3'"),
+    (["cohomology", "--input"],
+     _HEIS3_HEAD + '"brackets": [], "brackets": [{"i": 1, "j": 2, "c": {"3": "1"}}]}',
+     "cannot read presentation: repeated key 'brackets'"),
+    (["cohomology", "--input"],
+     _HEIS3_HEAD + '"brackets": [{"i": 1, "j": 2, "c": {"3": "1", "03": "2"}}]}',
+     "malformed presentation: repeated target 3"),
+    (["verify", "--input"], '{"suites": ["jacobi"], "trials": 1, "trials": 5}',
+     "cannot read suite descriptor: repeated key 'trials'"),
+], ids=["repeated-target", "repeated-brackets", "target-spelled-twice", "repeated-trials"])
+def test_input_file_names_each_key_once(argv, content, msg, tmp_path, capsys):
+    """A key repeated in an input file, or one bracket target under two
+    spellings, exits 2, where the last value once won silently."""
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert main([*argv, str(path)]) == 2
+    assert re.fullmatch(f"error: {msg}\n", capsys.readouterr().err)
 
 
 # -- byte identity of the cohomology workload ------------------------------------------

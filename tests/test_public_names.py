@@ -25,7 +25,8 @@ Every parameter with a default is passed, positionally or by keyword,
 by some call in the library or in the README's library example, so no
 knob has only one value in use.  Calls match functions by their last
 name component, and ``C(...)`` matches ``C.__init__``; there too the
-guard errs towards passing.
+guard errs towards passing.  The same rule holds for the helpers of
+``tests/util.py``, against the calls in ``tests/``.
 """
 
 import ast
@@ -321,6 +322,16 @@ def _unpassed_defaults(modules):
 
 def test_every_default_is_passed():
     assert _unpassed_defaults(_modules()) == set(UNPASSED_DEFAULTS)
+
+
+def test_every_helper_default_is_passed():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    modules = {}
+    for name in os.listdir(tests):
+        if name.endswith(".py"):
+            with open(os.path.join(tests, name)) as fh:
+                modules[name[:-3]] = ast.parse(fh.read())
+    assert {key for key in _unpassed_defaults(modules) if key.startswith("util.")} == set()
 
 
 def test_default_guard_sees_an_unpassed_default():

@@ -49,15 +49,15 @@ from preqlat.toruscalc.forms import (
 )
 from preqlat.toruscalc.symplectic import liouville_power, poisson_bracket
 from preqlat.toruscalc.trig import TrigPoly
-from preqlat.toruscalc.volume import exact_field_from_potential, unit_volume_form
+from preqlat.toruscalc.volume import unit_volume_form
 
 
 def random_fraction(rng, num=5, den=3):
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
-def random_real_trigpoly(rng, dim, max_deg=2, n_modes=3, allow_const=True):
-    f = TrigPoly.const(dim, random_fraction(rng)) if allow_const else TrigPoly.zero(dim)
+def random_real_trigpoly(rng, dim, max_deg=2, n_modes=3):
+    f = TrigPoly.const(dim, random_fraction(rng))
     for _ in range(n_modes):
         k = [rng.randint(-max_deg, max_deg) for _ in range(dim)]
         if not any(k):
@@ -81,9 +81,9 @@ def random_field(rng, dim, max_deg=2):
     )
 
 
-def random_invariant(rng, max_deg=6, zero_mean=False):
+def random_invariant(rng, max_deg=6):
     """Random trigonometric polynomial in z on the 3-torus."""
-    f = TrigPoly.zero(3) if zero_mean else TrigPoly.const(3, random_fraction(rng))
+    f = TrigPoly.const(3, random_fraction(rng))
     for j in range(1, max_deg + 1):
         if rng.random() < 0.5:
             f = f + random_fraction(rng) * TrigPoly.cosine(3, (0, 0, j))
@@ -92,7 +92,7 @@ def random_invariant(rng, max_deg=6, zero_mean=False):
     return f
 
 
-def random_closed_oneform(rng, dim, omega=None):
+def random_closed_oneform(rng, dim):
     """Constant 1-form plus an exact piece: always closed."""
     coeffs = {
         (i,): TrigPoly.const(dim, random_fraction(rng)) for i in range(dim)
@@ -102,12 +102,6 @@ def random_closed_oneform(rng, dim, omega=None):
         TorusForm.function(dim, random_real_trigpoly(rng, dim, max_deg=1, n_modes=1))
     )
     return alpha + df
-
-
-def random_exact_field(rng, dim, max_deg=1):
-    """Field with a potential: build one from a random (m-2)-form."""
-    alpha = random_form(rng, dim, dim - 2, max_deg=max_deg, n_terms=2)
-    return exact_field_from_potential(alpha)
 
 
 # -- the verify input builders as add chains ------------------------------------
@@ -190,10 +184,11 @@ def max_degree(poly: TrigPoly) -> int:
     return max((abs(x) for k in poly.modes for x in k), default=0)
 
 
-def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle, n_grid=None) -> float:
-    """Trapezoidal integral over the cycle; exact for degree < n_grid."""
+def quadrature_oracle(form: TorusForm, cycle: CoordinateCycle) -> float:
+    """Trapezoidal integral over the cycle, on a grid fine enough to be
+    exact for the form's degree."""
     max_deg = max((max_degree(poly) for poly in form.coeffs.values()), default=0)
-    n = n_grid or max(2 * max_deg + 2, 4)
+    n = max(2 * max_deg + 2, 4)
     axes = sorted(cycle.axes)
     if form.degree != len(axes):
         raise ValueError("degree mismatch")
@@ -362,10 +357,10 @@ def oracle_contact_field(f: TrigPoly) -> TorusVectorField:
     return TorusVectorField(3, comps)
 
 
-def close(exact: ExactScalar, approx: float, tol=1e-9):
-    """Whether q * (2*pi)**d is within tol of a float."""
+def close(exact: ExactScalar, approx: float):
+    """Whether q * (2*pi)**d is within 1e-9 of a float."""
     value = float(exact.q) * (2.0 * math.pi) ** exact.pi_power
-    return math.isclose(value, approx, rel_tol=tol, abs_tol=tol)
+    return math.isclose(value, approx, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def two_step_presentation(seed, dim, centre, bound, density=1.0):
