@@ -66,10 +66,10 @@ def heisenberg_times_line(r=1) -> LieAlgebraPresentation:
     )
 
 
-def abelian(m, names=None) -> LieAlgebraPresentation:
-    if names is None:
-        names = tuple(f"e{i+1}" for i in range(m))
-    return LieAlgebraPresentation(dim=m, basis_names=tuple(names), structure={})
+def abelian(m) -> LieAlgebraPresentation:
+    """The abelian Lie algebra of dim m, the torus's, with basis dx1..dxm."""
+    names = tuple(f"dx{i+1}" for i in range(m))
+    return LieAlgebraPresentation(dim=m, basis_names=names, structure={})
 
 
 class Cochain(Value):

@@ -318,7 +318,8 @@ def parse_omega_spec(spec, m) -> Cochain:
 
 
 def load_presentation(path) -> LieAlgebraPresentation:
-    """Read the JSON presentation schema, with int dim, i, j and no repeats:
+    """Read the JSON presentation schema, with int dim, i, j, target keys in
+    ASCII decimal digits, and no repeats:
     {"dim": m, "basis": [...], "brackets": [{"i":1,"j":2,"c":{"3":"r"}}]}."""
     data = _read_json(path, "presentation")
     try:
@@ -340,6 +341,8 @@ def load_presentation(path) -> LieAlgebraPresentation:
                 raise InputError("malformed presentation: a bracket's \"c\" must be a JSON object")
             comps = {}
             for k, val in entry["c"].items():
+                if not re.fullmatch(r"[0-9]+", k):
+                    raise InputError(f"malformed presentation: target {k!r} is not decimal digits")
                 if int(k) - 1 in comps:     # one target spelled twice, as "3" and "03"
                     raise InputError(f"malformed presentation: repeated target {int(k)}")
                 comps[int(k) - 1] = _parse_rational(str(val), "bracket coefficient")

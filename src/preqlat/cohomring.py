@@ -221,7 +221,7 @@ def integral_cohomology(matrices, dim, conames) -> GradedCohomology:
 def _degree_data(k, basis, prev_cols, d_cols, dim):
     n_k = len(basis)
     if d_cols is None:          # no differential: every cochain is a cocycle
-        ker = lin.SmithDecomposition([], (0, n_k), 0, [], [])
+        ker = lin.SmithDecomposition([], (0, n_k), [], [])
     else:
         ker = lin.smith_normal_form(d_cols, comb(dim, k + 1))
     r = ker.rank
@@ -237,7 +237,7 @@ def _degree_data(k, basis, prev_cols, d_cols, dim):
         snf = lin.smith_normal_form(x_cols, s)
     else:
         # the s x 0 matrix is its own Smith form, with identity transforms
-        snf = lin.SmithDecomposition([], (s, 0), 0, [], [])
+        snf = lin.SmithDecomposition([], (s, 0), [], [])
     diag = snf.diagonal + [0] * (s - len(snf.diagonal))
     free_idx = [i for i in range(s) if diag[i] == 0]
     tors_idx = [i for i in range(s) if diag[i] > 1]
@@ -370,7 +370,7 @@ def nilmanifold_ring(lie: LieAlgebraPresentation) -> CohomologyRing:
 def torus_ring(m) -> CohomologyRing:
     if m < 1:
         raise ValueError("torus dimension must be >= 1")
-    lie = abelian(m, names=tuple(f"dx{i+1}" for i in range(m)))
+    lie = abelian(m)
     mats = complex_matrices(lie)
     groups = integral_cohomology(mats, m, lie.basis_names)
     return CohomologyRing(groups, top_degree=m, lie=lie)

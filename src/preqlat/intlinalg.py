@@ -2,20 +2,21 @@
 
 Integer matrices come in as sparse columns, (row, entry) pairs per
 column in increasing row order, next to the row count.  The Smith normal
-form fills from them sparse rows, ``{column: entry}`` dicts, and one set
-per column of the rows that hold an entry there, so each row or column
-operation costs the nonzero entries it touches.  It logs its row and
-column operations, and a caller runs those logs over the vectors it
-needs transformed, without forming a transform.  Pivots are chosen by
-minimal absolute value, first in row-major order, to keep intermediate
-entries small.  The column Hermite normal form works on sparse columns
-in the same way.  The d_4 of the dim-9 2-step presentation
-``two_step_presentation(random.Random(88), 9, 3, 2)`` of ``bench/jobs.py``
-is 126 x 126 with 800 nonzero entries and rank 54: eliminating it takes
-0.010 s; running its column log forward over the 64 columns of d_3
-(their kernel coordinates) takes 0.002 s, where reading the 72 rows of V
-and columns of V^{-1} took 0.008 to 0.009 s, and all four whole
-transforms take 0.045 s (medians of 9, two runs, Python 3.11, 2-core Xeon).
+form holds them as sparse rows, ``{column: entry}`` dicts, mirrored by
+sparse columns, ``{row: entry}`` dicts, so one add and one swap serve
+rows and columns alike, and each operation costs the nonzero entries it
+touches.  It logs its row and column operations, and a caller runs those
+logs over the vectors it needs transformed, without forming a transform.
+Pivots are chosen by minimal absolute value, first in row-major order,
+to keep intermediate entries small.  The column Hermite normal form
+works on sparse columns in the same way.  The d_4 of the dim-9 2-step
+presentation ``two_step_presentation(random.Random(88), 9, 3, 2)`` of
+``bench/jobs.py`` is 126 x 126 with 800 nonzero entries and rank 54:
+eliminating it takes 0.010 s; running its column log forward over the 64
+columns of d_3 (their kernel coordinates) takes 0.002 s, where reading
+the 72 rows of V and columns of V^{-1} took 0.008 to 0.009 s, and all
+four whole transforms take 0.045 s (medians of 9, two runs, Python 3.11,
+2-core Xeon).
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class SmithDecomposition:
     ``rank`` is the number of nonzero diagonal entries.
     """
 
-    def __init__(self, diagonal, shape, rank, row_ops, col_ops):
+    def __init__(self, diagonal, shape, row_ops, col_ops):
         self.diagonal = diagonal
         self.shape = shape
-        self.rank = rank
+        self.rank = len(diagonal) - diagonal.count(0)
         self.row_ops = row_ops
         self.col_ops = col_ops
 
@@ -170,10 +171,11 @@ def smith_normal_form(cols, nrows) -> SmithDecomposition:
     integer matrix with the sparse columns ``cols``, left unchanged.
 
     The elimination runs on sparse rows, ``{column: entry}`` dicts of the
-    nonzero entries, next to one set per column of the rows that hold an
-    entry there: a row operation touches the source row's entries, a
-    column operation or swap the rows in the columns' sets, and the scan
-    for an entry the pivot does not divide reads nonzero entries only.
+    nonzero entries, mirrored by sparse columns, ``{row: entry}`` dicts:
+    one add and one swap serve rows and columns alike, an add touching the
+    source line's entries and their mirrors, a swap the two lines' entries
+    and theirs, and the scan for an entry the pivot does not divide reads
+    nonzero entries only.
 
     Deterministic for a fixed input: the pivot of the trailing block is
     its first entry of least nonzero |x| in row-major order, that is, in
@@ -185,74 +187,11 @@ def smith_normal_form(cols, nrows) -> SmithDecomposition:
     """
     n, m = nrows, len(cols)
     rows = [{} for _ in range(n)]
-    support = []
+    cols = [dict(col) for col in cols]
     for j, col in enumerate(cols):
-        for i, x in col:
+        for i, x in col.items():
             rows[i][j] = x
-        support.append({i for i, _ in col})
-    row_ops = []
-    col_ops = []
-
-    def swap_rows(i, j):
-        ri, rj = rows[i], rows[j]
-        for c in ri:
-            if c not in rj:
-                s = support[c]
-                s.discard(i)
-                s.add(j)
-        for c in rj:
-            if c not in ri:
-                s = support[c]
-                s.discard(j)
-                s.add(i)
-        rows[i], rows[j] = rj, ri
-        row_ops.append(("swap", i, j))
-
-    def swap_cols(i, j):
-        si, sj = support[i], support[j]
-        for r in si | sj:
-            row = rows[r]
-            x = row.pop(i, 0)
-            y = row.pop(j, 0)
-            if y:
-                row[i] = y
-            if x:
-                row[j] = x
-        support[i], support[j] = sj, si
-        col_ops.append(("swap", i, j))
-
-    # q is never 0 in the two adds below: the pivot is the least |x| of
-    # the block, and an offending row is folded in with q = 1
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        target = rows[dst]
-        for j, y in rows[src].items():
-            x = target.get(j)
-            if x is None:
-                target[j] = q * y
-                support[j].add(dst)
-            elif x + q * y:
-                target[j] = x + q * y
-            else:
-                del target[j]
-                support[j].discard(dst)
-        row_ops.append(("add", src, dst, q))
-
-    def add_col(src, dst, q):
-        # col[dst] += q * col[src], on the rows where col[src] is nonzero
-        holders = support[dst]
-        for i in support[src]:
-            row = rows[i]
-            x = row.get(dst)
-            if x is None:
-                row[dst] = q * row[src]
-                holders.add(i)
-            elif x + q * row[src]:
-                row[dst] = x + q * row[src]
-            else:
-                del row[dst]
-                holders.discard(i)
-        col_ops.append(("add", src, dst, q))
+    row_ops, col_ops = [], []
 
     def least_entry(t):
         # the first row holding the least |x| of rows t.., and in it the
@@ -281,27 +220,20 @@ def smith_normal_form(cols, nrows) -> SmithDecomposition:
         while True:
             i0, j0 = pivot
             if i0 != t:
-                swap_rows(t, i0)
+                _swap(rows, cols, row_ops, t, i0)
             if j0 != t:
-                swap_cols(t, j0)
-            pivot_row = rows[t]
-            p = pivot_row[t]
+                _swap(cols, rows, col_ops, t, j0)
+            p = rows[t][t]
             done = True
-            # each op below changes only the row (column) it adds into, so
-            # the entries left to clear can be listed up front, in order
-            for i in sorted(support[t]):
-                if i != t:
-                    add_row(t, i, -(rows[i][t] // p))
-                    if t in rows[i]:
-                        done = False
-            # the column ops leave column t alone, so its support is fixed
-            # for the rest of the step: the pivot row alone when the row
-            # ops cleared the column, as they do under a unit pivot
-            for j in sorted(pivot_row):
-                if j != t:
-                    add_col(t, j, -(pivot_row[j] // p))
-                    if j in pivot_row:
-                        done = False
+            # rows, then columns: each op changes only the line it adds
+            # into, and the column ops leave column t alone, so the entries
+            # left to clear can be listed up front, in order
+            for lines, cross, log in ((rows, cols, row_ops), (cols, rows, col_ops)):
+                for i in sorted(cross[t]):
+                    if i != t:
+                        _add(lines, cross, log, t, i, -(lines[i][t] // p))
+                        if t in lines[i]:
+                            done = False
             if done:
                 # pivot must divide the whole trailing block for the
                 # divisibility chain; fold an offending row in and redo.
@@ -310,19 +242,46 @@ def smith_normal_form(cols, nrows) -> SmithDecomposition:
                     break
                 for i in range(t + 1, n):
                     if rows[i] and any(x % p for x in rows[i].values()):
-                        add_row(i, t, 1)
+                        _add(rows, cols, row_ops, i, t, 1)
                         break
                 else:
                     break           # no offender: the step is done
             pivot = least_entry(t)
         if rows[t][t] < 0:
-            rows[t][t] = -rows[t][t]
+            rows[t][t] = cols[t][t] = -rows[t][t]
             row_ops.append(("neg", t))
         t += 1
 
-    diagonal = [rows[i].get(i, 0) for i in range(size)]
-    rank = sum(1 for x in diagonal if x)
-    return SmithDecomposition(diagonal, (n, m), rank, row_ops, col_ops)
+    return SmithDecomposition([rows[i].get(i, 0) for i in range(size)], (n, m), row_ops, col_ops)
+
+
+# ``lines`` are the rows and ``cross`` the columns for a row op, and the
+# other way round for a column op.  q is never 0 in an add: the pivot is
+# the least |x| of the block, and an offending row is folded in with q = 1.
+def _add(lines, cross, log, src, dst, q):
+    """lines[dst] += q lines[src], mirrored in ``cross``, and logged."""
+    target = lines[dst]
+    for k, y in lines[src].items():
+        x = target.get(k, 0) + q * y
+        if x:
+            target[k] = cross[k][dst] = x
+        else:
+            del target[k], cross[k][dst]
+    log.append(("add", src, dst, q))
+
+
+def _swap(lines, cross, log, i, j):
+    """Exchange lines[i] and lines[j], mirrored in ``cross``, and log it."""
+    a, b = lines[i], lines[j]
+    for k in a:
+        del cross[k][i]
+    for k in b:
+        line = cross[k]
+        line[i] = line.pop(j)
+    for k, x in a.items():
+        cross[k][j] = x
+    lines[i], lines[j] = b, a
+    log.append(("swap", i, j))
 
 
 def kernel_basis(cols, nrows):

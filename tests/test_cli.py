@@ -786,11 +786,18 @@ HEIS3 = {"dim": 3, "basis": ["x", "y", "z"], "brackets": [{"i": 1, "j": 2, "c": 
         ({"brackets": [{"i": 1, "j": 2, "c": None}]}, '"c" must be a JSON object'),
         ({"basis": "xyz"}, '"basis" must be a JSON list'),
         ({"basis": 3}, '"basis" must be a JSON list'),
+        # int() reads each of these as 3; a target key is ASCII decimal digits
+        ({"brackets": [{"i": 1, "j": 2, "c": {"0_3": "1"}}]}, "target '0_3' is not decimal"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {" 3": "1"}}]}, "target ' 3' is not decimal"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3 ": "1"}}]}, "target '3 ' is not decimal"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"+3": "1"}}]}, r"target '\+3' is not decimal"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"\uff13": "1"}}]}, "target '\uff13' is not decimal"),
     ],
     ids=["exponent", "huge-exponent", "long-coefficient", "repeated-bracket",
          "repeated-name", "dim-string", "dim-bool", "dim-float", "index-string",
          "index-bool", "index-float", "coefficients-list", "coefficients-null",
-         "basis-string", "basis-number"],
+         "basis-string", "basis-number", "target-underscore", "target-leading-space",
+         "target-trailing-space", "target-plus", "target-fullwidth"],
 )
 def test_presentation_input_strict(change, msg, tmp_path, capsys):
     path = _write_presentation(tmp_path, {**HEIS3, **change})

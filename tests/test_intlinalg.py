@@ -296,10 +296,20 @@ def test_smith_transforms_read_in_any_order():
     """Each transform is replayed from the operation logs on first read:
     read alone from a fresh decomposition, or all four in reverse order,
     each equals the full-scan oracle's, and together they factor A.  The
-    input matrix is left as it was."""
+    input matrix is left as it was, and so are the sparse columns passed
+    to the Smith form and to ``kernel_basis``, and the columns and basis
+    passed to ``column_style_hermite`` and ``echelon_coords``."""
     names = ("u", "uinv", "v", "vinv")
     for a in snf_reference_inputs():
         original = [row[:] for row in a]
+        cols, dense = sparse_columns(a), [list(col) for col in zip(*a)]
+        kept = [col[:] for col in cols], [col[:] for col in dense]
+        lin.smith_normal_form(cols, len(a))
+        lin.kernel_basis(cols, len(a))
+        basis = lin.column_style_hermite(dense, len(a))
+        kept_basis = [col[:] for col in basis]
+        lin.echelon_coords(basis, dense)
+        assert (cols, dense) == kept and basis == kept_basis
         want = full_scan_smith_normal_form(a)
         for name in names:
             assert getattr(smith(a), name) == getattr(want, name), name

@@ -686,7 +686,7 @@ def read_multiply_degree_data(mats, dim, k):
     if prev_cols:
         snf = smith_normal_form(x_cols, s)
     else:
-        snf = SmithDecomposition([], (s, 0), 0, [], [])
+        snf = SmithDecomposition([], (s, 0), [], [])
     diag = snf.diagonal + [0] * (s - len(snf.diagonal))
     free_idx = [i for i in range(s) if diag[i] == 0]
     tors_idx = [i for i in range(s) if diag[i] > 1]
