@@ -232,10 +232,19 @@ def _unique_keys(pairs):
     return data
 
 
+def _known_keys(data, keys, what):
+    """Refuse a key of a JSON object that is not in ``keys``, where a
+    misspelled key would be dropped without a word; not an object: pass."""
+    for key in data if isinstance(data, dict) else ():
+        if key not in keys:
+            raise InputError(f"malformed {what}: unknown key {key!r}")
+
+
 def _load_suite_descriptor(path):
     data = _read_json(path, "suite descriptor")
     if not isinstance(data, dict):
         raise InputError("suite descriptor must be a JSON object")
+    _known_keys(data, ("suites", "trials", "seed"), "suite descriptor")
     if "suites" in data:
         if not isinstance(data["suites"], list) or not data["suites"]:
             raise InputError("descriptor 'suites' must be a non-empty list")
@@ -319,11 +328,14 @@ def parse_omega_spec(spec, m) -> Cochain:
 
 def load_presentation(path) -> LieAlgebraPresentation:
     """Read the JSON presentation schema, with int dim, i, j, target keys in
-    ASCII decimal digits, and no repeats:
+    ASCII decimal digits, no repeats and no other keys:
     {"dim": m, "basis": [...], "brackets": [{"i":1,"j":2,"c":{"3":"r"}}]}."""
     data = _read_json(path, "presentation")
     try:
+        _known_keys(data, ("dim", "basis", "brackets"), "presentation")
         dim, brackets = data["dim"], data.get("brackets", [])
+        for entry in brackets:
+            _known_keys(entry, ("i", "j", "c"), "presentation")
         if any(type(x) is not int for x in [dim, *(e[key] for e in brackets for key in "ij")]):
             raise InputError("malformed presentation: dim, i and j must be JSON integers")
         _check_dim(dim, "presentation")
@@ -420,14 +432,9 @@ def run(job: JobDescriptor):
     if job.command == "verify":
         from .verify import run_suites
 
-        results = run_suites(job.suites, job.trials, job.seed)
-        report["verify"] = {
-            "seed": job.seed,
-            "trials": job.trials,
-            "suites": [r.to_json() for r in results],
-        }
-        ok = all(r.ok for r in results)
-        report["verify"]["ok"] = ok
+        suites = run_suites(job.suites, job.trials, job.seed)
+        ok = not any(s["failed"] for s in suites)
+        report["verify"] = {"seed": job.seed, "trials": job.trials, "suites": suites, "ok": ok}
         return report, 0 if ok else 1
     if job.command == "examples":
         rows, ok = reference_examples()

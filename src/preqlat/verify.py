@@ -6,6 +6,12 @@ inputs that produced them.  The suites are the runtime counterpart of
 the test suite: every identity is checked as an exact zero, never within
 a tolerance.
 
+A suite is a generator ``run_<name>(trials, rng)`` that yields one
+``(ok, witness)`` pair per check.  ``witness`` is a zero-argument
+callable that formats the check's inputs; ``run_suites`` calls it only
+when the check fails, before the suite resumes and draws its next
+input, and counts the checks, so no suite states its own count.
+
 A random input polynomial is built once from its draws: every amplitude
 is drawn in twelfths, and its numerators are summed per mode over the
 denominator 24, so an input is one ``TrigPoly``, not one sum per term.
@@ -47,38 +53,6 @@ from .toruscalc.volume import (
     lichnerowicz_eta,
     lichnerowicz_singular,
 )
-
-
-class SuiteResult:
-    __slots__ = ("name", "trials", "passed", "failures")
-
-    def __init__(self, name, trials):
-        self.name = name
-        self.trials = trials
-        self.passed = 0
-        self.failures = []
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def record(self, ok, witness):
-        """Count a trial.  ``witness`` is a zero-argument callable that
-        formats the trial's inputs; it is called here, and only when the
-        trial fails, so a passing trial formats nothing."""
-        if ok:
-            self.passed += 1
-        else:
-            self.failures.append(witness())
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "passed": self.passed,
-            "failed": len(self.failures),
-            "failures": self.failures,
-        }
 
 
 def suite_rng(seed, name):
@@ -167,10 +141,9 @@ def _rand_two_step_presentation(rng, m):
 
 # -- suites -------------------------------------------------------------------
 
-def run_calculus(trials, rng) -> SuiteResult:
+def run_calculus(trials, rng):
     """d^2 = 0, Cartan formula, graded Leibniz, and the square-zero
     property of random nilpotent presentations."""
-    res = SuiteResult("calculus", trials)
     for i in range(trials):
         dim = rng.randint(2, 4)
         deg = rng.randint(0, dim - 1)
@@ -187,13 +160,11 @@ def run_calculus(trials, rng) -> SuiteResult:
             {(k,): _rand_fraction(rng) for k in range(lie.dim)},
         )
         ok = ok and ce_differential(ce_differential(c, lie), lie).is_zero()
-        res.record(ok, lambda: {"trial": i, "form": form_repr(f), "field": field_repr(x)})
-    return res
+        yield ok, lambda: {"trial": i, "form": form_repr(f), "field": field_repr(x)}
 
 
-def run_cocycles(trials, rng) -> SuiteResult:
+def run_cocycles(trials, rng):
     """The cochain condition, exactly zero for every implemented kind."""
-    res = SuiteResult("cocycles", trials * 6)
     t2 = standard_symplectic(1)
     zc = CoordinateCycle.circle(3, 2)
     eta = poincare_dual_form(zc)
@@ -221,7 +192,7 @@ def run_cocycles(trials, rng) -> SuiteResult:
         ]
         for kind, params, args in cases:
             out = cocycle_residual(kind, params, *args)
-            res.record(out.is_zero(), lambda: {
+            yield out.is_zero(), lambda: {
                 "trial": i,
                 "kind": kind,
                 "inputs": [
@@ -229,13 +200,11 @@ def run_cocycles(trials, rng) -> SuiteResult:
                     for a in args
                 ],
                 "residual": str(out),
-            })
-    return res
+            }
 
 
-def run_jacobi(trials, rng) -> SuiteResult:
+def run_jacobi(trials, rng):
     """Jacobi identity of the Poisson bracket, exact."""
-    res = SuiteResult("jacobi", trials)
     t2 = standard_symplectic(1)
     for i in range(trials):
         f, g, h = (_rand_poly(rng, 2, max_deg=2, n_modes=2) for _ in range(3))
@@ -244,24 +213,20 @@ def run_jacobi(trials, rng) -> SuiteResult:
             + poisson_bracket(g, poisson_bracket(h, f, t2), t2)
             + poisson_bracket(h, poisson_bracket(f, g, t2), t2)
         )
-        res.record(
-            acc.is_zero(),
-            lambda: {"trial": i, "f": poly_repr(f), "g": poly_repr(g), "h": poly_repr(h)},
-        )
-    return res
+        yield acc.is_zero(), lambda: {
+            "trial": i, "f": poly_repr(f), "g": poly_repr(g), "h": poly_repr(h)}
 
 
-def run_pullback(trials, rng) -> SuiteResult:
+def run_pullback(trials, rng):
     """The pullback identity on the contact 3-torus: the cycle cocycle of
     the contact volume pulled to invariant Hamiltonians equals the cycle
     cocycle plus half a coboundary, exactly, on every coordinate circle."""
-    res = SuiteResult("pullback", trials + 3)
     for axis in (0, 1, 2):
         cycle = CoordinateCycle.circle(3, axis, {a: 0 for a in range(3) if a != axis})
         out = contact_pullback_residual(
             cycle, TrigPoly.sin_axis(3, 2), TrigPoly.cos_axis(3, 2)
         )
-        res.record(out.is_zero(), lambda: {"axis": axis, "residual": str(out)})
+        yield out.is_zero(), lambda: {"axis": axis, "residual": str(out)}
     for i in range(trials):
         axis = rng.randrange(3)
         offsets = {a: rng.randrange(4) for a in range(3) if a != axis}
@@ -269,24 +234,14 @@ def run_pullback(trials, rng) -> SuiteResult:
         f = _rand_invariant(rng, max_deg=6)
         g = _rand_invariant(rng, max_deg=6)
         out = contact_pullback_residual(cycle, f, g)
-        res.record(
-            out.is_zero(),
-            lambda: {
-                "trial": i,
-                "axis": axis,
-                "offsets": sorted(offsets.items()),
-                "f": poly_repr(f),
-                "g": poly_repr(g),
-                "residual": str(out),
-            },
-        )
-    return res
+        yield out.is_zero(), lambda: {
+            "trial": i, "axis": axis, "offsets": sorted(offsets.items()),
+            "f": poly_repr(f), "g": poly_repr(g), "residual": str(out)}
 
 
-def run_flux(trials, rng) -> SuiteResult:
+def run_flux(trials, rng):
     """Flux image on the contact preset: no dx^dy component, agreement of
     the function and field pictures, and the two-dimensional span."""
-    res = SuiteResult("flux", trials + 1)
     hits = set()
     for i in range(trials):
         f = _rand_invariant(rng, max_deg=5)
@@ -295,25 +250,21 @@ def run_flux(trials, rng) -> SuiteResult:
         g = _rand_invariant(rng, max_deg=3)
         br = contact_bracket(f, g)
         ok = ok and all(v.is_zero() for v in contact_flux(br).values())
-        if not fl[(0, 2)].is_zero():
-            hits.add("dx^dz")
-        if not fl[(1, 2)].is_zero():
-            hits.add("dy^dz")
-        res.record(ok, lambda: {"trial": i, "f": poly_repr(f)})
-    probes = [TrigPoly.cos_axis(3, 2), TrigPoly.sin_axis(3, 2)]
-    for f in probes:
-        fl = contact_flux(f)
-        if not fl[(0, 2)].is_zero():
-            hits.add("dx^dz")
-        if not fl[(1, 2)].is_zero():
-            hits.add("dy^dz")
-    res.record(hits == {"dx^dz", "dy^dz"}, lambda: {"span": sorted(hits)})
-    return res
+        hits |= _flux_span(fl)
+        yield ok, lambda: {"trial": i, "f": poly_repr(f)}
+    for f in (TrigPoly.cos_axis(3, 2), TrigPoly.sin_axis(3, 2)):
+        hits |= _flux_span(contact_flux(f))
+    yield hits == {"dx^dz", "dy^dz"}, lambda: {"span": sorted(hits)}
 
 
-def run_shifts(trials, rng) -> SuiteResult:
+def _flux_span(fl):
+    """The directions off dx^dy that the flux class ``fl`` reaches."""
+    return {name for idx, name in (((0, 2), "dx^dz"), ((1, 2), "dy^dz"))
+            if not fl[idx].is_zero()}
+
+
+def run_shifts(trials, rng):
     """Constant-shift invariance of the Hamiltonian pullback cocycles."""
-    res = SuiteResult("shifts", trials)
     t2 = standard_symplectic(1)
     cyc = CoordinateCycle.circle(2, 0, offsets={1: 1})
     for i in range(trials):
@@ -325,12 +276,8 @@ def run_shifts(trials, rng) -> SuiteResult:
         ok = ok and singular_cocycle(cyc, f, g, t2) == singular_cocycle(
             cyc, f + c1, g + c2, t2
         )
-        res.record(
-            ok,
-            lambda: {"trial": i, "f": poly_repr(f), "g": poly_repr(g),
-                     "shifts": (str(c1), str(c2))},
-        )
-    return res
+        yield ok, lambda: {"trial": i, "f": poly_repr(f), "g": poly_repr(g),
+                           "shifts": (str(c1), str(c2))}
 
 
 def _axis_poly(rng, dim, axis, zero_mean=True):
@@ -347,10 +294,9 @@ def _axis_poly(rng, dim, axis, zero_mean=True):
     return f
 
 
-def run_duality(trials, rng) -> SuiteResult:
+def run_duality(trials, rng):
     """Cycle and form cocycles agree on bracket-commuting inputs paired
     through the computed duals, for functions and for fields."""
-    res = SuiteResult("duality", 2 * trials)
     t2 = standard_symplectic(1)
     for i in range(trials):
         axis = rng.randrange(2)
@@ -360,7 +306,7 @@ def run_duality(trials, rng) -> SuiteResult:
         g = _axis_poly(rng, 2, axis, zero_mean=False)
         ok = poisson_bracket(f, g, t2).is_zero()
         ok = ok and singular_cocycle(cycle, f, g, t2) == roger_cocycle(alpha, f, g, t2)
-        res.record(ok, lambda: {"trial": i, "axis": axis, "f": poly_repr(f), "g": poly_repr(g)})
+        yield ok, lambda: {"trial": i, "axis": axis, "f": poly_repr(f), "g": poly_repr(g)}
     for i in range(trials):
         axis = rng.randrange(3)
         others = [a for a in range(3) if a != axis]
@@ -370,10 +316,7 @@ def run_duality(trials, rng) -> SuiteResult:
         y = TorusVectorField(3, _component_fields(rng, axis, others))
         ok = vf_bracket(x, y).is_zero()
         ok = ok and lichnerowicz_singular(cycle, x, y) == lichnerowicz_eta(eta, x, y)
-        res.record(
-            ok, lambda: {"trial": i, "axis": axis, "x": field_repr(x), "y": field_repr(y)}
-        )
-    return res
+        yield ok, lambda: {"trial": i, "axis": axis, "x": field_repr(x), "y": field_repr(y)}
 
 
 def _component_fields(rng, axis, others):
@@ -395,11 +338,21 @@ _RUNNERS = {
 
 
 def run_suites(names, trials, seed):
-    """Run the requested suites in order; each draws from its own
-    (seed, name) stream."""
+    """Run the requested suites in order, each drawing from its own
+    (seed, name) stream, and return one report entry per suite: its
+    number of checks as "trials", how many passed and failed, and the
+    witness of each failure."""
     if names == "all" or "all" in names:
         names = list(SUITE_NAMES)
     unknown = [n for n in names if n not in _RUNNERS]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from {SUITE_NAMES} or 'all'")
-    return [_RUNNERS[name](trials, suite_rng(seed, name)) for name in names]
+    results = []
+    for name in names:
+        failures, count = [], 0
+        for count, (ok, witness) in enumerate(_RUNNERS[name](trials, suite_rng(seed, name)), 1):
+            if not ok:
+                failures.append(witness())    # before the suite draws its next input
+        results.append({"name": name, "trials": count, "passed": count - len(failures),
+                        "failed": len(failures), "failures": failures})
+    return results

@@ -25,13 +25,7 @@ from preqlat.toruscalc.contact import (
 )
 from preqlat.toruscalc.forms import CoordinateCycle
 from preqlat.toruscalc.trig import TrigPoly
-from preqlat.verify import (
-    run_cocycles,
-    run_duality,
-    run_jacobi,
-    run_shifts,
-    suite_rng,
-)
+from preqlat.verify import run_suites, suite_rng
 
 from util import coordinate_field, random_invariant, strict_contact_residual, zero_class
 
@@ -143,9 +137,9 @@ def test_criterion_5_pullback_identity():
 
 
 def test_criterion_6_cocycle_suite():
-    cres = run_cocycles(100, suite_rng(42, "cocycles"))
-    jres = run_jacobi(100, suite_rng(42, "jacobi"))
-    ok = cres.ok and cres.trials == 600 and jres.ok and jres.trials == 100
+    cres, jres = run_suites(["cocycles", "jacobi"], 100, 42)
+    ok = (not cres["failed"] and cres["trials"] == 600
+          and not jres["failed"] and jres["trials"] == 100)
     report(6, "cochain condition exact for all six cocycle kinds (100 "
               "triples each) and Jacobi exact (100 triples)", ok)
 
@@ -179,15 +173,15 @@ def test_criterion_7_contact_example():
 
 
 def test_criterion_8_shift_invariance():
-    res = run_shifts(100, suite_rng(42, "shifts"))
-    ok = res.ok and res.trials == 100
+    [res] = run_suites(["shifts"], 100, 42)
+    ok = not res["failed"] and res["trials"] == 100
     report(8, "pullback cocycles invariant under constant Hamiltonian "
               "shifts, 100 exact trials", ok)
 
 
 def test_criterion_9_duality():
-    res = run_duality(50, suite_rng(42, "duality"))
-    ok = res.ok and res.trials == 100  # 50 function pairs + 50 field pairs
+    [res] = run_suites(["duality"], 50, 42)
+    ok = not res["failed"] and res["trials"] == 100  # 50 function pairs + 50 field pairs
     report(9, "cycle cocycle equals dual-form cocycle and both field "
               "pictures agree, 50 commuting pairs each", ok)
 

@@ -73,6 +73,8 @@ def test_parse_surface_sphere():
         (["lattice", "--preset", "torus"], "torus preset needs --m"),
         (["cohomology", "--preset", "surface"], "surface preset needs --g"),
         (["verify", "--input", ["jacobi"]], "suite descriptor must be a JSON object"),
+        (["verify", "--input", {"suite": ["jacobi"], "trial": 1, "seed": 5}],
+         "malformed suite descriptor: unknown key 'suite'"),
     ],
 )
 def test_input_errors(argv, msg, tmp_path):
@@ -792,12 +794,17 @@ HEIS3 = {"dim": 3, "basis": ["x", "y", "z"], "brackets": [{"i": 1, "j": 2, "c": 
         ({"brackets": [{"i": 1, "j": 2, "c": {"3 ": "1"}}]}, "target '3 ' is not decimal"),
         ({"brackets": [{"i": 1, "j": 2, "c": {"+3": "1"}}]}, r"target '\+3' is not decimal"),
         ({"brackets": [{"i": 1, "j": 2, "c": {"\uff13": "1"}}]}, "target '\uff13' is not decimal"),
+        # a misspelled key is refused, not dropped; a non-object keeps its message
+        ({"bracket": HEIS3["brackets"]}, "malformed presentation: unknown key 'bracket'"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3": "1"}, "k": 3}]}, "unknown key 'k'"),
+        ({"brackets": [[1, 2]]}, "malformed presentation: list indices must be integers"),
     ],
     ids=["exponent", "huge-exponent", "long-coefficient", "repeated-bracket",
          "repeated-name", "dim-string", "dim-bool", "dim-float", "index-string",
          "index-bool", "index-float", "coefficients-list", "coefficients-null",
          "basis-string", "basis-number", "target-underscore", "target-leading-space",
-         "target-trailing-space", "target-plus", "target-fullwidth"],
+         "target-trailing-space", "target-plus", "target-fullwidth", "unknown-key",
+         "unknown-bracket-key", "bracket-list"],
 )
 def test_presentation_input_strict(change, msg, tmp_path, capsys):
     path = _write_presentation(tmp_path, {**HEIS3, **change})

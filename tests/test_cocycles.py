@@ -543,7 +543,7 @@ def test_passing_suites_format_no_witness(monkeypatch):
         monkeypatch.setattr(verify, name,
                             lambda x, orig=orig, name=name: calls.append(name) or orig(x))
     results = verify.run_suites("all", 2, 3)
-    assert all(r.ok for r in results) and len(results) == len(verify.SUITE_NAMES)
+    assert not any(r["failed"] for r in results) and len(results) == len(verify.SUITE_NAMES)
     assert calls == []
 
 
@@ -554,14 +554,14 @@ def test_failing_trials_keep_their_own_witness(monkeypatch):
 
     # jacobi: {f, g} := f makes the cyclic sum f + g + h
     monkeypatch.setattr(verify, "poisson_bracket", lambda f, g, omega: f)
-    res = verify.run_jacobi(3, verify.suite_rng(5, "jacobi"))
+    [res] = verify.run_suites(["jacobi"], 3, 5)
     rng = verify.suite_rng(5, "jacobi")
     expected = []
     for i in range(3):
         f, g, h = (verify._rand_poly(rng, 2, max_deg=2, n_modes=2) for _ in range(3))
         expected.append({"trial": i, "f": verify.poly_repr(f), "g": verify.poly_repr(g),
                          "h": verify.poly_repr(h)})
-    assert res.passed == 0 and res.failures == expected
+    assert res["passed"] == 0 and res["failures"] == expected
 
     # cocycles: six kinds per trial, each failing with its own residual
     seen = []
@@ -571,8 +571,8 @@ def test_failing_trials_keep_their_own_witness(monkeypatch):
         return ExactScalar(Fraction(len(seen)), 0)
 
     monkeypatch.setattr(verify, "cocycle_residual", residual)
-    res = verify.run_cocycles(2, verify.suite_rng(5, "cocycles"))
-    assert res.failures == [
+    [res] = verify.run_suites(["cocycles"], 2, 5)
+    assert res["failures"] == [
         {
             "trial": n // 6,
             "kind": kind,
@@ -583,3 +583,33 @@ def test_failing_trials_keep_their_own_witness(monkeypatch):
         for n, (kind, args) in enumerate(seen)
     ]
     assert len(seen) == 12
+
+
+_ONE, _ZERO = ExactScalar(Fraction(1)), ExactScalar.zero()
+_TRIALS = [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("suite, fakes, labels", [
+    ("calculus", {"ce_differential": lambda c, lie: _ONE}, _TRIALS),
+    ("pullback", {"contact_pullback_residual": lambda cycle, f, g: _ONE},
+     [("axis", 0), ("axis", 1), ("axis", 2)] + _TRIALS),
+    ("flux", {"contact_flux": lambda f: {(0, 1): _ONE, (0, 2): _ZERO, (1, 2): _ZERO}},
+     _TRIALS + [("span", [])]),
+    ("shifts", {"roger_cocycle": lambda alpha, f, g, omega: object()}, _TRIALS),
+    ("duality", {"poisson_bracket": lambda f, g, omega: _ONE, "vf_bracket": lambda x, y: _ONE},
+     _TRIALS + _TRIALS),
+], ids=["calculus", "pullback", "flux", "shifts", "duality"])
+def test_every_failing_check_keeps_its_own_witness(suite, fakes, labels, monkeypatch):
+    """With every check failing, each check leaves one witness, in check
+    order, from its own inputs: a witness formatted after its suite
+    resumed would show the next inputs, or the last trial's for all."""
+    from preqlat import verify
+
+    for name, fake in fakes.items():
+        monkeypatch.setattr(verify, name, fake)
+    [res] = verify.run_suites([suite], len(_TRIALS), 5)
+    wits = res["failures"]
+    assert res["passed"] == 0 and len(wits) == res["failed"] == res["trials"]
+    assert [w["trial"] if "trial" in w else next(iter(w.items())) for w in wits] == labels
+    inputs = [{k: v for k, v in w.items() if k != "trial"} for w in wits]
+    assert all(a != b for a, b in zip(inputs, inputs[1:]))

@@ -307,7 +307,7 @@ def test_pullback_residual_builds_each_contact_field_once(monkeypatch):
     distinct input: the fixed (sin z, cos z) pair of every suite is
     checked once, from a cleared cache, and each random input once."""
     from preqlat.toruscalc import contact
-    from preqlat.verify import run_pullback, suite_rng
+    from preqlat.verify import run_suites
 
     contact.contact_field.cache_clear()
     counts = {"contact_field": 0, "is_reeb_invariant": 0}
@@ -319,8 +319,8 @@ def test_pullback_residual_builds_each_contact_field_once(monkeypatch):
             return orig(*args)
 
         monkeypatch.setattr(contact, name, counted)
-    results = [run_pullback(2, suite_rng(seed, "pullback")) for seed in range(1, 15)]
-    assert all(r.ok for r in results) and sum(r.trials for r in results) == 70
+    results = [r for seed in range(1, 15) for r in run_suites(["pullback"], 2, seed)]
+    assert not any(r["failed"] for r in results) and sum(r["trials"] for r in results) == 70
     assert counts == {"contact_field": 140, "is_reeb_invariant": 58}
     with pytest.raises(ValueError, match="not Reeb-invariant"):
         contact_pullback_residual(CoordinateCycle.circle(3, 2), TrigPoly.cos_axis(3, 2),
