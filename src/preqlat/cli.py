@@ -23,9 +23,9 @@ Jobs over the size limits exit 2 before anything is built: a torus or a
 presentation of dimension over 10, whose largest d_k would have more
 rows times columns than ``MAX_DENSE_CELLS`` = C(10,4)·C(10,5); a surface
 with C(2g, 2) over that number; a verify job of more than ``MAX_TRIALS``
-trials, or one that names a suite twice; a thurston lattice job of more
-than ``MAX_CANDIDATES`` Euler candidates.  So does a job whose
-``--output`` names a missing directory.
+trials, or one that names a suite twice, ``all`` counting as every
+suite; a thurston lattice job of more than ``MAX_CANDIDATES`` Euler
+candidates.  So does a job whose ``--output`` names a missing directory.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class JobDescriptor:
     """A job with its defaults; ``parse_job`` sets what its command reads."""
 
     __slots__ = ("command", "preset", "params", "input_path", "level", "output_path",
-                 "format", "seed", "suites", "trials", "omega")
+                 "format", "seed", "suites", "trials")
 
     def __init__(self, command):
         self.command = command
@@ -66,7 +66,6 @@ class JobDescriptor:
         self.seed = 42
         self.suites = ["all"]
         self.trials = 100
-        self.omega = None               # a torus job's --omega or default form, as a Cochain
 
     def echo(self):
         out = {"command": self.command, "format": self.format}
@@ -158,15 +157,15 @@ def _check_dim(dim, what):
         )
 
 
-def _parse_rational(text, name):
+def _parse_rational(text, what):
     if "e" in text.lower():
-        raise InputError(f"malformed rational for --{name}: {text!r} (no exponent notation)")
+        raise InputError(f"malformed rational for {what}: {text!r} (no exponent notation)")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"malformed rational for --{name}: {text!r}")
+        raise InputError(f"malformed rational for {what}: {text!r}")
     if max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
-        raise InputError(f"rational for --{name} has more than {MAX_DIGITS} digits")
+        raise InputError(f"rational for {what} has more than {MAX_DIGITS} digits")
     return value
 
 
@@ -184,8 +183,6 @@ def parse_job(argv) -> JobDescriptor:
             raise InputError("cohomology needs --preset or --input")
         if job.preset:
             job.params = _collect_preset_params(ns)
-            if job.preset == "torus":
-                job.omega = parse_omega_spec(job.params["omega"], ns.m)
         if ns.command == "lattice":
             job.level = ns.level
             if job.level < 1:
@@ -206,10 +203,11 @@ def parse_job(argv) -> JobDescriptor:
         if job.trials > MAX_TRIALS:
             raise InputError(f"--trials must be <= {MAX_TRIALS} (MAX_TRIALS)")
         known = set(SUITE_NAMES) | {"all"}
-        for i, s in enumerate(job.suites):
+        named = [n for s in job.suites for n in ((s, *SUITE_NAMES) if s == "all" else (s,))]
+        for i, s in enumerate(named):   # "all" names itself and every suite
             if s not in known:
                 raise InputError(f"unknown suite {s!r}")
-            if s in job.suites[:i]:     # each naming would run the suite again
+            if s in named[:i]:     # each naming would run the suite again
                 raise InputError(f"suite {s!r} is named twice")
     return job
 
@@ -262,8 +260,8 @@ def _collect_preset_params(ns):
         r = ns.r if ns.r is not None else 1
         if r <= 0:
             raise InputError("--r must be a positive integer")
-        a = _parse_rational(ns.a, "a") if ns.a is not None else Fraction(1)
-        b = _parse_rational(ns.b, "b") if ns.b is not None else Fraction(1)
+        a = _parse_rational(ns.a, "--a") if ns.a is not None else Fraction(1)
+        b = _parse_rational(ns.b, "--b") if ns.b is not None else Fraction(1)
         if a.denominator != 1 or b.denominator != 1 or a == 0 or b == 0:
             raise InputError("--a and --b must be nonzero integers")
         c = ns.c if ns.c is not None else 0
@@ -287,7 +285,7 @@ def _collect_preset_params(ns):
                 f"surface g={ns.g} is over the size cap: C(2g, 2) is more than "
                 f"{MAX_DENSE_CELLS} (MAX_DENSE_CELLS)"
             )
-        vol = _parse_rational(ns.vol, "vol") if ns.vol is not None else Fraction(1)
+        vol = _parse_rational(ns.vol, "--vol") if ns.vol is not None else Fraction(1)
         if vol <= 0 or vol.denominator != 1:
             raise InputError("--vol must be a positive integer")
         params = {"g": ns.g, "vol": int(vol)}
@@ -312,7 +310,7 @@ def parse_omega_spec(spec, m) -> Cochain:
         if "e" not in body:
             raise InputError(f"malformed omega term {term!r}")
         coef_txt, _, idx_txt = body.partition("e")
-        coef = sign * (_parse_rational(coef_txt, "omega") if coef_txt else Fraction(1))
+        coef = sign * (_parse_rational(coef_txt, "--omega") if coef_txt else Fraction(1))
         axes = re.fullmatch(r"([0-9])([0-9])|([0-9]{1,2}),([0-9]{1,2})", idx_txt)
         if axes is None:
             raise InputError(
@@ -328,7 +326,8 @@ def parse_omega_spec(spec, m) -> Cochain:
 
 def load_presentation(path) -> LieAlgebraPresentation:
     """Read the JSON presentation schema, with int dim, i, j, target keys in
-    ASCII decimal digits, no repeats and no other keys:
+    ASCII decimal digits, all counted from 1 as written, string or number
+    coefficients, no repeats and no other keys:
     {"dim": m, "basis": [...], "brackets": [{"i":1,"j":2,"c":{"3":"r"}}]}."""
     data = _read_json(path, "presentation")
     try:
@@ -347,6 +346,9 @@ def load_presentation(path) -> LieAlgebraPresentation:
         structure = {}
         for entry in brackets:
             i, j = entry["i"] - 1, entry["j"] - 1
+            if not 0 <= i < j < dim:
+                raise InputError(f"malformed presentation: bracket ({i + 1}, {j + 1}) "
+                                 "needs 1 <= i < j <= dim")
             if (i, j) in structure:
                 raise InputError(f"malformed presentation: repeated bracket ({i + 1}, {j + 1})")
             if not isinstance(entry["c"], dict):
@@ -355,8 +357,13 @@ def load_presentation(path) -> LieAlgebraPresentation:
             for k, val in entry["c"].items():
                 if not re.fullmatch(r"[0-9]+", k):
                     raise InputError(f"malformed presentation: target {k!r} is not decimal digits")
+                if not 0 < int(k) <= dim:
+                    raise InputError(f"malformed presentation: target {int(k)} is not in 1..{dim}")
                 if int(k) - 1 in comps:     # one target spelled twice, as "3" and "03"
                     raise InputError(f"malformed presentation: repeated target {int(k)}")
+                if type(val) not in (str, int, float):     # str(True) holds an "e"
+                    raise InputError("malformed presentation: a bracket coefficient must be "
+                                     f"a string or a number, not {json.dumps(val)}")
                 comps[int(k) - 1] = _parse_rational(str(val), "bracket coefficient")
             structure[(i, j)] = comps
         return LieAlgebraPresentation(dim=dim, basis_names=names, structure=structure)
@@ -367,25 +374,33 @@ def load_presentation(path) -> LieAlgebraPresentation:
 
 
 def _ring_for_job(job) -> tuple[CohomologyRing, Cochain | None]:
-    """Build the ring and, for lattice jobs, the symplectic cochain."""
+    """Build the ring and, for a preset, its symplectic cochain."""
     if job.input_path:
         lie = load_presentation(job.input_path)
         try:
             return nilmanifold_ring(lie), None
         except ValueError as exc:
             raise InputError(f"cealg: {exc}")
-    p = job.params
-    if job.preset == "thurston":
-        ring = nilmanifold_ring(heisenberg_times_line(p["r"]))
-        omega = Cochain(4, 2, {(0, 3): -p["a"], (1, 2): -p["b"]})
-        return ring, omega
-    if job.preset == "torus":
-        return torus_ring(p["m"]), job.omega
-    if job.preset == "surface":
-        ring = surface_ring(p["g"])
-        rep = ring.data(2).free_reps[0]
-        return ring, p["vol"] * rep
-    raise InputError(f"unknown preset {job.preset!r}")
+    return _preset_ring(job.preset, job.params)
+
+
+def _preset_ring(preset, params) -> tuple[CohomologyRing, Cochain]:
+    """A preset's ring and symplectic cochain, from its parsed params."""
+    if preset == "thurston":
+        ring = nilmanifold_ring(heisenberg_times_line(params["r"]))
+        return ring, Cochain(4, 2, {(0, 3): -params["a"], (1, 2): -params["b"]})
+    if preset == "torus":
+        omega = parse_omega_spec(params["omega"], params["m"])  # a bad spec builds no ring
+        return torus_ring(params["m"]), omega
+    ring = surface_ring(params["g"])
+    return ring, params["vol"] * ring.data(2).free_reps[0]
+
+
+def _candidates(ring, omega_cochain):
+    """The Euler candidates of the symplectic class of ``omega_cochain``."""
+    from .prequant import euler_candidates, symplectic_from_cochain
+
+    return euler_candidates(ring, symplectic_from_cochain(ring, omega_cochain))
 
 
 def utc_timestamp():
@@ -411,19 +426,12 @@ def run(job: JobDescriptor):
         ]
         return report, 0
     if job.command == "lattice":
-        from .prequant import (
-            euler_candidates,
-            integrable_lattice,
-            lattice_report,
-            symplectic_from_cochain,
-        )
+        from .prequant import integrable_lattice, lattice_report
 
         ring, omega_cochain = _ring_for_job(job)
         try:
-            omega = symplectic_from_cochain(ring, omega_cochain)
-            cands = euler_candidates(ring, omega)
-            index = job.params.get("c", 0) if job.preset == "thurston" else 0
-            lattice = integrable_lattice(ring, cands[index], job.level)
+            cands = _candidates(ring, omega_cochain)
+            lattice = integrable_lattice(ring, cands[job.params.get("c", 0)], job.level)
         except ValueError as exc:
             raise InputError(f"prequant: {exc}")
         report["lattice"] = lattice_report(lattice, ring)
@@ -448,7 +456,7 @@ def reference_examples():
     """The three shipped reference families, compared against their
     expected exact values."""
     from .exact import ExactScalar
-    from .prequant import euler_candidates, integrable_lattice, symplectic_from_cochain
+    from .prequant import integrable_lattice
 
     rows = []
 
@@ -463,9 +471,8 @@ def reference_examples():
         )
 
     for g, vol in [(0, 1), (1, 1), (2, 3), (3, 2)]:
-        ring = surface_ring(g)
-        omega = symplectic_from_cochain(ring, vol * ring.data(2).free_reps[0])
-        lat = integrable_lattice(ring, euler_candidates(ring, omega)[0])
+        ring, omega = _preset_ring("surface", {"g": g, "vol": vol})
+        lat = integrable_lattice(ring, _candidates(ring, omega)[0])
         check(
             f"surface g={g} vol={vol}",
             {"rank": lat.rank, "prefactor": lat.prefactor.to_json()},
@@ -473,13 +480,12 @@ def reference_examples():
         )
 
     for m in (4, 6):
-        ring = torus_ring(m)
-        omega = symplectic_from_cochain(ring, parse_omega_spec(_default_omega(m), m))
-        lat = integrable_lattice(ring, euler_candidates(ring, omega)[0])
+        ring, omega = _preset_ring("torus", {"m": m, "omega": _default_omega(m)})
+        lat = integrable_lattice(ring, _candidates(ring, omega)[0])
         check(f"kaehler torus m={m}", {"rank": lat.rank}, {"rank": 0})
 
     for r, a, b in [(1, 1, 1), (2, 1, 1), (2, 1, 3), (6, 1, 4)]:
-        ring = nilmanifold_ring(heisenberg_times_line(r))
+        ring, omega = _preset_ring("thurston", {"r": r, "a": a, "b": b})
         betti = [ring.betti(k) for k in range(5)]
         torsion = {k: ring.torsion(k) for k in (2, 3)}
         check(
@@ -490,8 +496,7 @@ def reference_examples():
                 "torsion": {"2": [r] if r > 1 else [], "3": [r] if r > 1 else []},
             },
         )
-        omega = symplectic_from_cochain(ring, Cochain(4, 2, {(0, 3): -a, (1, 2): -b}))
-        for cand in euler_candidates(ring, omega):
+        for cand in _candidates(ring, omega):
             lat = integrable_lattice(ring, cand)
             check(
                 f"nilmanifold r={r} a={a} b={b} c={cand.torsion}",

@@ -96,14 +96,11 @@ def gysin_kernel(ring: CohomologyRing, e: CohomClass):
     back in column Hermite normal form.  A non-integral class raises.
     """
     _integral(e.free, "Euler class")
-    b1 = ring.betti(1)
-    if b1 == 0:
-        return []
+    b1, b3 = ring.betti(1), ring.betti(3)
     images = []
     for i in range(b1):
         alpha = CohomClass(1, tuple(1 if j == i else 0 for j in range(b1)), ())
         images.append(ring.cup(e, alpha))
-    b3 = len(images[0].free)
     mods = ring.torsion(3)
     # one sparse column per alpha_i (its free, then torsion coordinates),
     # then one per torsion modulus

@@ -798,13 +798,25 @@ HEIS3 = {"dim": 3, "basis": ["x", "y", "z"], "brackets": [{"i": 1, "j": 2, "c": 
         ({"bracket": HEIS3["brackets"]}, "malformed presentation: unknown key 'bracket'"),
         ({"brackets": [{"i": 1, "j": 2, "c": {"3": "1"}, "k": 3}]}, "unknown key 'k'"),
         ({"brackets": [[1, 2]]}, "malformed presentation: list indices must be integers"),
+        # indices and targets are checked as the file numbers them, from 1
+        ({"brackets": [{"i": 2, "j": 1, "c": {"3": "1"}}]},
+         re.escape("malformed presentation: bracket (2, 1) needs 1 <= i < j <= dim")),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"9": "1"}}]},
+         re.escape("malformed presentation: target 9 is not in 1..3")),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"0": "1"}}]},
+         re.escape("malformed presentation: target 0 is not in 1..3")),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3": "1/0"}}]},
+         "^malformed rational for bracket coefficient: '1/0'$"),
+        ({"brackets": [{"i": 1, "j": 2, "c": {"3": True}}]},
+         "^malformed presentation: a bracket coefficient must be a string or a number, not true$"),
     ],
     ids=["exponent", "huge-exponent", "long-coefficient", "repeated-bracket",
          "repeated-name", "dim-string", "dim-bool", "dim-float", "index-string",
          "index-bool", "index-float", "coefficients-list", "coefficients-null",
          "basis-string", "basis-number", "target-underscore", "target-leading-space",
          "target-trailing-space", "target-plus", "target-fullwidth", "unknown-key",
-         "unknown-bracket-key", "bracket-list"],
+         "unknown-bracket-key", "bracket-list", "indices-reversed", "target-over-dim",
+         "target-zero", "coefficient-zero-denominator", "coefficient-bool"],
 )
 def test_presentation_input_strict(change, msg, tmp_path, capsys):
     path = _write_presentation(tmp_path, {**HEIS3, **change})
@@ -860,7 +872,7 @@ def test_suite_descriptor_needs_suites_listed(suites, tmp_path, capsys):
 
 def test_verify_suite_named_twice_on_the_command_line(capsys):
     """A suite named twice exits 2 and names the repeat, where it once ran
-    once per naming, past MAX_TRIALS in all."""
+    once per naming, past MAX_TRIALS in all.  ``all`` names every suite."""
     argv = ["verify", "--suite", "cocycles", "--suite", "jacobi", "--suite", "cocycles",
             "--trials", "1"]
     with pytest.raises(InputError, match="suite 'cocycles' is named twice"):
@@ -869,6 +881,10 @@ def test_verify_suite_named_twice_on_the_command_line(capsys):
     assert capsys.readouterr() == ("", "error: suite 'cocycles' is named twice\n")
     assert parse_job(["verify", "--suite", "cocycles", "--suite", "jacobi"]).suites == [
         "cocycles", "jacobi"]
+    for argv in (["verify", "--suite", "all", "--suite", "jacobi"],
+                 ["verify", "--suite", "jacobi", "--suite", "all"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: suite 'jacobi' is named twice\n")
 
 
 def test_verify_suite_named_twice_in_a_descriptor(tmp_path, capsys):
@@ -880,6 +896,9 @@ def test_verify_suite_named_twice_in_a_descriptor(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: suite 'jacobi' is named twice\n")
     # the flags replace the descriptor's list, so they can name it once
     assert parse_job(["verify", "--input", str(path), "--suite", "jacobi"]).suites == ["jacobi"]
+    path.write_text(json.dumps({"suites": ["all", "jacobi"], "trials": 1}))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: suite 'jacobi' is named twice\n")
 
 
 @pytest.mark.parametrize("argv, what", [
